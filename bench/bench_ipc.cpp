@@ -6,9 +6,9 @@
 // requests/s, vectors/s, and p50/p99 round-trip latency from merged
 // per-client log2 histograms.  Shapes:
 //
-//   single  one 2^n vector per request (round-trip latency shape; these
-//           route through the daemon's coalescing submit() path, so
-//           concurrent clients at the same n merge into batched runs)
+//   single  one 2^n vector per request (round-trip latency shape; the
+//           daemon merges same-n singles popped in one poll round, so
+//           concurrent clients at the same n share batched runs)
 //   batch   --batch vectors per request (the bandwidth shape; direct
 //           arbitrated execute_many)
 //   mixed   singles at n-2/n/n+2 interleaved with batches
@@ -560,10 +560,6 @@ int main(int argc, char** argv) {
                "rolling-restart blip mode: this many SIGHUP handoffs under "
                "streaming load, vs a steady control (0 = off)",
                "0");
-  cli.add_flag("coalesce-windows",
-               "daemon coalesce-window sweep, comma-separated us values "
-               "(single shape, max client count; empty = skip)",
-               "0,200");
   cli.add_flag("wisdom", "wisdom file for successor prewarm (handoff mode)",
                "");
   if (!cli.parse(argc, argv)) return 2;
@@ -640,69 +636,12 @@ int main(int argc, char** argv) {
     results.push_back(std::move(cells));
   }
 
-  // Stop the main daemon before the window sweep reuses the host.
   close(life_pipe[1]);
   int status = 0;
   waitpid(daemon_pid, &status, 0);
   if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
     std::fprintf(stderr, "bench_ipc: daemon exited abnormally\n");
     return 1;
-  }
-
-  // --- coalesce-window sweep: the Engine's submit() batching window is the
-  // daemon's latency/throughput dial for concurrent singles (0 = dispatch
-  // immediately, larger = wait for co-arriving requests to share a batch).
-  // One fresh daemon per window value, single shape at the max client
-  // count, so the before/after cells differ in exactly one knob.  The
-  // parent is still single-threaded here — required for the client forks.
-  const std::vector<int> window_values =
-      parse_int_list(cli.get("coalesce-windows"));
-  std::vector<Cell> window_cells;
-  const int window_clients =
-      *std::max_element(clients.begin(), clients.end());
-  for (const int window_us : window_values) {
-    const std::string window_endpoint =
-        endpoint + "-w" + std::to_string(window_us);
-    int window_pipe[2];
-    if (pipe(window_pipe) != 0) {
-      std::fprintf(stderr, "bench_ipc: pipe failed\n");
-      return 1;
-    }
-    const pid_t window_pid = fork();
-    if (window_pid == 0) {
-      close(window_pipe[1]);
-      try {
-        ipc::DaemonOptions options;
-        options.endpoint = window_endpoint;
-        options.slots = static_cast<std::uint32_t>(window_clients + 2);
-        options.engine.batch_window_us = window_us;
-        ipc::Daemon daemon(options);
-        daemon.start();
-        char byte;
-        while (read(window_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-        }
-        daemon.stop();
-      } catch (...) {
-        _exit(1);
-      }
-      _exit(0);
-    }
-    close(window_pipe[0]);
-    if (!ipc::Client::wait_for_daemon(window_endpoint, 10000)) {
-      std::fprintf(stderr, "bench_ipc: window daemon did not come up\n");
-      return 1;
-    }
-    Cell cell = run_cell(window_endpoint, shapes[0], window_clients, seconds);
-    std::printf(
-        "window %3d us clients=%-2d  %9.0f req/s  p50 %8.1f us  p99 %8.1f us\n",
-        window_us, window_clients, cell.rps, cell.p50_us, cell.p99_us);
-    window_cells.push_back(cell);
-    close(window_pipe[1]);
-    waitpid(window_pid, &status, 0);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      std::fprintf(stderr, "bench_ipc: window daemon exited abnormally\n");
-      return 1;
-    }
   }
 
   wht::Engine engine;
@@ -726,21 +665,7 @@ int main(int argc, char** argv) {
                single_n, batch_n, batch);
   for (std::size_t s = 0; s < results.size(); ++s) {
     print_cells(out, shapes[s].name.c_str(), results[s], baselines[s],
-                s + 1 == results.size() && window_cells.empty());
-  }
-  if (!window_cells.empty()) {
-    std::fprintf(out, "  \"coalesce_window\": {\"clients\": %d, \"cells\": [\n",
-                 window_clients);
-    for (std::size_t i = 0; i < window_cells.size(); ++i) {
-      const Cell& c = window_cells[i];
-      std::fprintf(out,
-                   "    {\"window_us\": %d, \"rps\": %.1f, \"p50_us\": %.3f, "
-                   "\"p99_us\": %.3f, \"errors\": %llu}%s\n",
-                   window_values[i], c.rps, c.p50_us, c.p99_us,
-                   static_cast<unsigned long long>(c.errors),
-                   i + 1 < window_cells.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]}\n");
+                s + 1 == results.size());
   }
   std::fprintf(out, "}\n");
   std::fclose(out);

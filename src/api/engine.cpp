@@ -364,7 +364,7 @@ void Engine::run_guarded(Choice& choice, int n, double* x, std::size_t count,
   // Execution is in place, so a failed or corrupt run has already destroyed
   // the caller's input by the time the failure is visible.  The snapshot
   // is a local buffer on purpose: ctx staging may hold this very batch
-  // (serve_group), and ScratchArena::acquire may relocate on growth.
+  // (execute_gathered), and ScratchArena::acquire may relocate on growth.
   std::vector<double> snapshot;
   if (resilient) {
     snapshot.resize(size * count);
@@ -485,19 +485,62 @@ void Engine::execute_many(int n, double* x, std::size_t count,
   record(choice.decision.backend, count, count > 1, false);
 }
 
-void Engine::execute(int n, double* x, ExecContext& ctx) {
-  Choice choice = choose(n, 1);
-  run_guarded(choice, n, x, 1,
-              static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), &ctx);
-  record(choice.decision.backend, 1, false, false);
-}
-
 void Engine::execute_many(int n, double* x, std::size_t count,
                           std::ptrdiff_t dist, ExecContext& ctx) {
   if (count == 0) return;
   Choice choice = choose(n, count);
   run_guarded(choice, n, x, count, dist, &ctx);
   record(choice.decision.backend, count, count > 1, false);
+}
+
+void Engine::execute_many(int n, double* const* xs, std::size_t count,
+                          ExecContext& ctx) {
+  execute_gathered(n, xs, count, ctx, /*from_submit=*/false);
+}
+
+namespace {
+
+/// Ceiling on a gathered batch's contiguous staging (16 MiB of doubles).
+/// Gathering pays two memcpys per vector to unlock the batch paths, which
+/// wins exactly where per-transform overhead dominates — tiny transforms.
+/// Above this the copies (and the grow-only arena they would pin for the
+/// context's lifetime) outweigh any batch gain, so the group serves
+/// per-vector in place instead.
+constexpr std::uint64_t kMaxStagedDoubles = std::uint64_t{1} << 21;
+
+}  // namespace
+
+void Engine::execute_gathered(int n, double* const* xs, std::size_t count,
+                              ExecContext& ctx, bool from_submit) {
+  if (count == 0) return;
+  const std::uint64_t size = std::uint64_t{1} << n;
+  const bool staged = count > 1 && size * count <= kMaxStagedDoubles;
+  // Price the shape that will actually run: a group too large to stage
+  // serves as independent single-vector requests.
+  Choice choice = choose(n, staged ? count : 1);
+  if (!staged) {
+    for (std::size_t v = 0; v < count; ++v) {
+      // Per-vector copy: run_guarded may reroute ONE vector to the
+      // fallback without disturbing the winner the rest still use.
+      Choice per = choice;
+      run_guarded(per, n, xs[v], 1, static_cast<std::ptrdiff_t>(size), &ctx);
+      record(per.decision.backend, 1, false, from_submit);
+    }
+    return;
+  }
+  // Stage the scattered vectors contiguously, run ONE batched call on the
+  // arbitrated backend, scatter the results back.  The staging arena
+  // belongs to the caller's context and is reused across batches, so
+  // steady-state serving allocates nothing.
+  double* stage = ctx.staging(size * count);
+  for (std::size_t v = 0; v < count; ++v) {
+    std::memcpy(stage + v * size, xs[v], size * sizeof(double));
+  }
+  run_guarded(choice, n, stage, count, static_cast<std::ptrdiff_t>(size), &ctx);
+  for (std::size_t v = 0; v < count; ++v) {
+    std::memcpy(xs[v], stage + v * size, size * sizeof(double));
+  }
+  record(choice.decision.backend, count, true, from_submit);
 }
 
 void Engine::ensure_dispatcher() {
@@ -569,53 +612,13 @@ void Engine::dispatcher_main() {
   }
 }
 
-namespace {
-
-/// Ceiling on a coalesced batch's contiguous staging (16 MiB of doubles).
-/// Coalescing pays two memcpys per vector to unlock the batch paths, which
-/// wins exactly where per-transform overhead dominates — tiny transforms.
-/// Above this the copies (and the grow-only arena they would pin for the
-/// Engine's lifetime) outweigh any batch gain, so the group serves
-/// per-vector in place instead.
-constexpr std::uint64_t kMaxStagedDoubles = std::uint64_t{1} << 21;
-
-}  // namespace
-
 void Engine::serve_group(std::vector<Pending> group) {
-  const int n = group.front().n;
-  const std::size_t count = group.size();
-  const std::uint64_t size = std::uint64_t{1} << n;
-  const bool staged = count > 1 && size * count <= kMaxStagedDoubles;
+  std::vector<double*> xs;
+  xs.reserve(group.size());
+  for (const Pending& p : group) xs.push_back(p.x);
   try {
-    // Price the shape that will actually run: a group too large to stage
-    // serves as independent single-vector requests.
-    const Choice choice = choose(n, staged ? count : 1);
-    if (!staged) {
-      for (Pending& p : group) {
-        // Per-vector copy: run_guarded may reroute ONE vector to the
-        // fallback without disturbing the winner the rest still use.
-        Choice per = choice;
-        run_guarded(per, n, p.x, 1, static_cast<std::ptrdiff_t>(size),
-                    &dispatcher_ctx_);
-        record(per.decision.backend, 1, false, true);
-      }
-    } else {
-      // Stage the scattered request buffers contiguously, run ONE batched
-      // call on the arbitrated backend, scatter the results back.  The
-      // staging arena belongs to the dispatcher thread and is reused across
-      // batches, so steady-state serving allocates nothing.
-      double* stage = dispatcher_ctx_.staging(size * count);
-      for (std::size_t v = 0; v < count; ++v) {
-        std::memcpy(stage + v * size, group[v].x, size * sizeof(double));
-      }
-      Choice batch = choice;
-      run_guarded(batch, n, stage, count, static_cast<std::ptrdiff_t>(size),
-                  &dispatcher_ctx_);
-      for (std::size_t v = 0; v < count; ++v) {
-        std::memcpy(group[v].x, stage + v * size, size * sizeof(double));
-      }
-      record(batch.decision.backend, count, staged, true);
-    }
+    execute_gathered(group.front().n, xs.data(), xs.size(), dispatcher_ctx_,
+                     /*from_submit=*/true);
     for (Pending& p : group) p.promise.set_value();
   } catch (...) {
     const std::exception_ptr error = std::current_exception();

@@ -222,8 +222,16 @@ class Engine {
   /// of the Transform's internal pool — the shape for serving layers that
   /// drive the Engine from their own threads with their own arenas (the
   /// whtd daemon executes straight on shared-memory staging this way).
-  void execute(int n, double* x, ExecContext& ctx);
   void execute_many(int n, double* x, std::size_t count, std::ptrdiff_t dist,
+                    ExecContext& ctx);
+
+  /// Serves `count` separately placed vectors (vector v at xs[v]) as one
+  /// arbitrated batch: stages them contiguously in ctx.staging(), runs ONE
+  /// run_many, scatters the results back.  A group whose staging would
+  /// exceed 2^21 doubles serves per-vector in place instead; count 1 is a
+  /// plain single on the caller's context.  The submit() dispatcher and
+  /// the whtd daemon's same-n singles both merge through here.
+  void execute_many(int n, double* const* xs, std::size_t count,
                     ExecContext& ctx);
 
   /// Queues one in-place transform of x[0 .. 2^n) and returns immediately;
@@ -341,7 +349,14 @@ class Engine {
   void record(const std::string& backend, std::uint64_t vectors,
               bool batch, bool from_submit);
 
+  /// The pointer-array execute_many body; `from_submit` only steers which
+  /// Stats tallies the run lands in.
+  void execute_gathered(int n, double* const* xs, std::size_t count,
+                        ExecContext& ctx, bool from_submit);
+
   void dispatcher_main();
+  /// Runs one coalesced group through execute_gathered and resolves its
+  /// promises.
   void serve_group(std::vector<Pending> group);
   void ensure_dispatcher();
 

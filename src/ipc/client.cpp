@@ -588,7 +588,6 @@ Client::DaemonStats Client::stats() const {
   out.requests = s.requests.load(std::memory_order_relaxed);
   out.vectors = s.vectors.load(std::memory_order_relaxed);
   out.throttled = s.throttled.load(std::memory_order_relaxed);
-  out.bad_request = s.bad_request.load(std::memory_order_relaxed);
   out.exec_errors = s.exec_errors.load(std::memory_order_relaxed);
   out.reclaimed = s.reclaimed.load(std::memory_order_relaxed);
   out.dropped = s.dropped.load(std::memory_order_relaxed);

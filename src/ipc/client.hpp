@@ -161,7 +161,6 @@ class Client {
     std::uint64_t requests = 0;
     std::uint64_t vectors = 0;
     std::uint64_t throttled = 0;
-    std::uint64_t bad_request = 0;
     std::uint64_t exec_errors = 0;
     std::uint64_t reclaimed = 0;
     std::uint64_t dropped = 0;

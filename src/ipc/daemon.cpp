@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <future>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -78,14 +77,6 @@ struct Daemon::SlotLocal {
   }
 };
 
-struct Daemon::PendingExec {
-  std::uint32_t index = 0;
-  std::uint64_t generation = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t count = 0;
-  std::future<void> future;
-};
-
 DaemonOptions DaemonOptions::from_env() {
   DaemonOptions options;
   if (const auto name = util::env_string("WHTLAB_IPC_NAME")) {
@@ -131,13 +122,6 @@ DaemonOptions DaemonOptions::from_env() {
       env_u64("WHTLAB_IPC_PROBATION_MS", 2000, 1, 86400000);
   options.engine.verify_finite =
       env_u64("WHTLAB_IPC_VERIFY", 1, 0, 1) != 0;
-  // Daemon-path latency knob: single-vector round trips pay the Engine
-  // coalescer's full batch window, so the daemon exposes it directly
-  // (0 = dispatch immediately; trade batch formation for p50).
-  options.engine.batch_window_us = static_cast<long>(
-      env_u64("WHTLAB_IPC_COALESCE_WINDOW_US",
-              static_cast<std::uint64_t>(options.engine.batch_window_us), 0,
-              1000000));
   // Live re-anchoring knobs (engine.hpp): conservative defaults — recording
   // on, re-anchoring and drift demotion off until explicitly armed.
   // (WHTLAB_TELEMETRY=0 itself is read by the Engine constructor.)
@@ -253,7 +237,8 @@ void Daemon::publish_stats_page() {
   const api::Engine::Stats totals = engine_->stats();
   stats_write_begin(page->header);
   page->header.published_ns = monotonic_ns();
-  page->header.totals.requests = totals.singles + totals.submitted;
+  page->header.totals.requests =
+      header()->stats.requests.load(std::memory_order_relaxed);
   page->header.totals.vectors = totals.vectors;
   page->header.totals.batches = totals.batches;
   page->header.totals.failures = totals.failures;
@@ -572,7 +557,6 @@ Daemon::Stats Daemon::stats() const {
   out.requests = s.requests.load(std::memory_order_relaxed);
   out.vectors = s.vectors.load(std::memory_order_relaxed);
   out.throttled = s.throttled.load(std::memory_order_relaxed);
-  out.bad_request = s.bad_request.load(std::memory_order_relaxed);
   out.exec_errors = s.exec_errors.load(std::memory_order_relaxed);
   out.reclaimed = s.reclaimed.load(std::memory_order_relaxed);
   out.dropped = s.dropped.load(std::memory_order_relaxed);
@@ -590,7 +574,6 @@ std::string to_string(const Daemon::Stats& stats) {
   return "requests=" + std::to_string(stats.requests) +
          " vectors=" + std::to_string(stats.vectors) +
          " throttled=" + std::to_string(stats.throttled) +
-         " bad_request=" + std::to_string(stats.bad_request) +
          " exec_errors=" + std::to_string(stats.exec_errors) +
          " reclaimed=" + std::to_string(stats.reclaimed) +
          " dropped=" + std::to_string(stats.dropped) +
@@ -604,7 +587,6 @@ std::string to_string(const Daemon::Stats& stats) {
 }
 
 void Daemon::service_loop() {
-  std::vector<PendingExec> pending;
   const std::uint64_t sweep_ns = options_.sweep_ms * 1000000ULL;
   std::uint64_t last_sweep = monotonic_ns();
   const std::uint64_t publish_ns = options_.stats_publish_ms * 1000000ULL;
@@ -635,8 +617,7 @@ void Daemon::service_loop() {
     }
     const std::uint32_t seen =
         header()->doorbell.load(std::memory_order_acquire);
-    bool progress = poll_requests(pending);
-    progress |= drain_completions(pending, /*block_one=*/false);
+    const bool progress = poll_requests();
 
     const std::uint64_t now = monotonic_ns();
     if (now - last_sweep >= sweep_ns) {
@@ -649,12 +630,13 @@ void Daemon::service_loop() {
     }
 
     if (draining_.load(std::memory_order_acquire)) {
-      // Graceful drain: no parking from here on.  Done when nothing is
-      // pending inside the Engine AND every live client's rings are empty —
-      // all submitted work answered, every answer consumed.  A consumer
-      // that never drains its ring (SIGSTOPped under load) hits the
-      // deadline instead: the drain aborts typed and counted, never hangs.
-      if (pending.empty() && rings_flushed()) {
+      // Graceful drain: no parking from here on.  Every poll round answers
+      // what it popped, so the drain is done once every live client's
+      // rings are empty — all submitted work answered, every answer
+      // consumed.  A consumer that never drains its ring (SIGSTOPped under
+      // load) hits the deadline instead: the drain aborts typed and
+      // counted, never hangs.
+      if (rings_flushed()) {
         header()->stats.drained.fetch_add(1, std::memory_order_relaxed);
         break;
       }
@@ -662,9 +644,7 @@ void Daemon::service_loop() {
         header()->stats.drain_aborted.fetch_add(1, std::memory_order_relaxed);
         break;
       }
-      if (!pending.empty()) {
-        drain_completions(pending, /*block_one=*/true);
-      } else if (!progress) {
+      if (!progress) {
         // Only consumers are left to act; poll their cursors gently.
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -672,13 +652,6 @@ void Daemon::service_loop() {
     }
     if (progress) continue;
 
-    if (!pending.empty()) {
-      // Engine work is in flight; completions, not doorbells, are the next
-      // event.  A short blocking poll keeps response latency tight without
-      // busy-spinning the service thread.
-      drain_completions(pending, /*block_one=*/true);
-      continue;
-    }
     // Idle: park on the doorbell until a client rings or the sweep is due.
     const std::uint64_t since_sweep = monotonic_ns() - last_sweep;
     const std::int64_t budget =
@@ -688,22 +661,6 @@ void Daemon::service_loop() {
     if (budget > 0) {
       spin_then_wait(header()->doorbell, seen, /*spins=*/4000, budget);
     }
-  }
-
-  // Shutdown: answer everything already inside the Engine, then let stop()
-  // publish the flag and wake the world.
-  for (PendingExec& p : pending) {
-    Status status = Status::kOk;
-    try {
-      p.future.get();
-    } catch (...) {
-      status = Status::kExecError;
-      header()->stats.exec_errors.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (status == Status::kOk) {
-      header()->stats.vectors.fetch_add(p.count, std::memory_order_relaxed);
-    }
-    complete(p.index, p.generation, p.seq, status);
   }
 
   if (draining_.load(std::memory_order_acquire)) {
@@ -736,7 +693,7 @@ bool Daemon::rings_flushed() const {
   return true;
 }
 
-bool Daemon::poll_requests(std::vector<PendingExec>& pending) {
+bool Daemon::poll_requests() {
   bool any = false;
   for (std::uint32_t s = 0; s < options_.slots; ++s) {
     SlotShared* cell = slot(s);
@@ -766,19 +723,19 @@ bool Daemon::poll_requests(std::vector<PendingExec>& pending) {
         strike(s, cell);
         break;
       }
-      handle_request(s, cell, gen, request, pending);
+      handle_request(s, cell, gen, request);
       if (cell->state.load(std::memory_order_acquire) != kActive ||
           cell->generation.load(std::memory_order_acquire) != gen) {
         break;  // the tenant was evicted mid-drain; its queue died with it
       }
     }
   }
+  serve_singles();
   return any;
 }
 
 void Daemon::handle_request(std::uint32_t index, SlotShared* cell,
-                            std::uint64_t gen, const Request& request,
-                            std::vector<PendingExec>& pending) {
+                            std::uint64_t gen, const Request& request) {
   SharedStats& stats = header()->stats;
   stats.requests.fetch_add(1, std::memory_order_relaxed);
   SlotLocal& local = slot_local_[index];
@@ -850,21 +807,9 @@ void Daemon::handle_request(std::uint32_t index, SlotShared* cell,
   const std::uint64_t size = std::uint64_t{1} << request.n;
   double* data = arena(index) + request.offset;
   if (request.count == 1) {
-    // Single vectors ride the Engine's coalescing submit() path: requests
-    // from different client processes for the same n merge into one batched
-    // run on the arbitrated backend.
-    try {
-      PendingExec exec;
-      exec.index = index;
-      exec.generation = gen;
-      exec.seq = request.seq;
-      exec.count = 1;
-      exec.future = engine_->submit(static_cast<int>(request.n), data);
-      pending.push_back(std::move(exec));
-    } catch (...) {
-      stats.exec_errors.fetch_add(1, std::memory_order_relaxed);
-      respond(index, cell, request.seq, Status::kExecError);
-    }
+    // Singles wait for the end of this poll round, where same-n singles
+    // from every client process merge into one batched run.
+    singles_.push_back({index, gen, request.seq, request.n, data});
     return;
   }
   // Client-side batches are already shaped for the batch path — run them
@@ -880,36 +825,33 @@ void Daemon::handle_request(std::uint32_t index, SlotShared* cell,
   }
 }
 
-bool Daemon::drain_completions(std::vector<PendingExec>& pending,
-                               bool block_one) {
-  bool any = false;
-  for (auto it = pending.begin(); it != pending.end();) {
-    const bool ready =
-        block_one
-            ? it->future.wait_for(std::chrono::microseconds(200)) ==
-                  std::future_status::ready
-            : it->future.wait_for(std::chrono::seconds(0)) ==
-                  std::future_status::ready;
-    block_one = false;  // only the first entry gets the blocking poll
-    if (!ready) {
-      ++it;
-      continue;
-    }
+void Daemon::serve_singles() {
+  std::sort(singles_.begin(), singles_.end(),
+            [](const Single& a, const Single& b) { return a.n < b.n; });
+  xs_.clear();
+  for (const Single& single : singles_) xs_.push_back(single.x);
+  SharedStats& stats = header()->stats;
+  for (std::size_t first = 0, last = 0; first < singles_.size(); first = last) {
+    const std::uint32_t n = singles_[first].n;
+    while (last < singles_.size() && singles_[last].n == n) ++last;
+    const std::size_t count = last - first;
     Status status = Status::kOk;
     try {
-      it->future.get();
+      engine_->execute_many(static_cast<int>(n), xs_.data() + first, count,
+                            ctx_);
+      stats.vectors.fetch_add(count, std::memory_order_relaxed);
     } catch (...) {
       status = Status::kExecError;
-      header()->stats.exec_errors.fetch_add(1, std::memory_order_relaxed);
+      stats.exec_errors.fetch_add(count, std::memory_order_relaxed);
     }
-    if (status == Status::kOk) {
-      header()->stats.vectors.fetch_add(it->count, std::memory_order_relaxed);
+    // complete(), not respond(): a slot evicted earlier in this round
+    // drops its answer on the generation check.
+    for (std::size_t i = first; i < last; ++i) {
+      const Single& single = singles_[i];
+      complete(single.index, single.generation, single.seq, status);
     }
-    complete(it->index, it->generation, it->seq, status);
-    it = pending.erase(it);
-    any = true;
   }
-  return any;
+  singles_.clear();
 }
 
 void Daemon::complete(std::uint32_t index, std::uint64_t gen,

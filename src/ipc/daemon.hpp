@@ -10,13 +10,14 @@
 //
 // The service loop pops requests from every active slot's ring, admits them
 // through a per-client trailing-window RateLimiter, validates their shape,
-// and routes them into the Engine: single-vector requests go through the
-// coalescing submit() path — concurrent requests from *different client
-// processes* for the same size merge into one batched run, the designed
-// payoff of the PR 5 execution contract — while client-side batches run
-// directly through the arbitrated execute_many.  All execution is in place
-// in the client's shm arena: no vector bytes are ever copied across the
-// process boundary.
+// and serves every admitted request synchronously on the service thread:
+// client-side batches run through the arbitrated execute_many as they are
+// popped, and the single-vector requests popped in one poll round are
+// grouped by size across slots, each group running as ONE pointer-array
+// execute_many call — so same-n singles from *different client processes*
+// merge into one batched run with no window and no thread hop.  All
+// execution reads and writes the client's shm arena: no vector bytes are
+// ever copied across the process boundary.
 //
 // Robustness is part of the contract:
 //   * Admission control — a bounded slot table; a client that finds no free
@@ -25,10 +26,10 @@
 //     requests answer kThrottled immediately, without execution, so one
 //     greedy client cannot queue out the others.
 //   * Dead-client reclamation — a pid-liveness sweep every sweep_ms frees
-//     slots whose owner died (SIGKILL included), resets their rings, and
-//     drops their in-flight completions by generation check.  One crashed
-//     client never wedges the daemon.
-//   * Clean shutdown — stop() drains in-flight work, answers what it can,
+//     slots whose owner died (SIGKILL included) and resets their rings; an
+//     answer for a slot that changed hands is dropped by generation check.
+//     One crashed client never wedges the daemon.
+//   * Clean shutdown — stop() lets the poll round in progress finish,
 //     publishes the shutdown flag, wakes every parked waiter, and unlinks
 //     the segment; blocked clients resolve to kDaemonGone instead of
 //     hanging.
@@ -135,7 +136,10 @@ struct DaemonOptions {
   bool standby = false;
 
   /// The serving Engine's configuration (candidate backends, strategy,
-  /// wisdom file, coalescing window, ...).
+  /// wisdom file, circuit breaker, telemetry, ...).  The daemon serves
+  /// singles on its service thread and merges the same-n singles of one
+  /// poll round itself, so the submit() coalescer's batch_window_us and
+  /// max_batch do not apply.
   api::EngineOptions engine;
 
   /// Defaults with every WHTLAB_IPC_* environment knob applied.
@@ -209,7 +213,6 @@ class Daemon {
     std::uint64_t requests = 0;
     std::uint64_t vectors = 0;
     std::uint64_t throttled = 0;
-    std::uint64_t bad_request = 0;
     std::uint64_t exec_errors = 0;
     std::uint64_t reclaimed = 0;
     std::uint64_t dropped = 0;
@@ -229,14 +232,27 @@ class Daemon {
 
  private:
   struct SlotLocal;  // daemon-private per-slot state (limiter, strikes, ...)
-  struct PendingExec;
+
+  /// An admitted single-vector request, held until the end of its poll
+  /// round.
+  struct Single {
+    std::uint32_t index = 0;
+    std::uint64_t generation = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t n = 0;
+    double* x = nullptr;
+  };
 
   void service_loop();
-  bool poll_requests(std::vector<PendingExec>& pending);
+  /// One poll round: pops every active slot's ring, runs batches as they
+  /// come, then serves the round's singles (serve_singles).  True when
+  /// anything was popped.
+  bool poll_requests();
   void handle_request(std::uint32_t index, SlotShared* slot,
-                      std::uint64_t gen, const Request& request,
-                      std::vector<PendingExec>& pending);
-  bool drain_completions(std::vector<PendingExec>& pending, bool block_one);
+                      std::uint64_t gen, const Request& request);
+  /// Groups the round's admitted singles by n across slots and runs each
+  /// group as one pointer-array execute_many, answering through complete().
+  void serve_singles();
   void complete(std::uint32_t index, std::uint64_t gen, std::uint64_t seq,
                 Status status);
   void respond(std::uint32_t index, SlotShared* slot, std::uint64_t seq,
@@ -299,7 +315,9 @@ class Daemon {
   Shm shm_;
   Shm stats_shm_;  ///< observer-only telemetry page ("<shm name>.stats")
   std::unique_ptr<api::Engine> engine_;
-  api::ExecContext ctx_;  ///< service-thread scratch for direct batch runs
+  api::ExecContext ctx_;  ///< service-thread scratch and staging for every run
+  std::vector<Single> singles_;  ///< this poll round's admitted singles
+  std::vector<double*> xs_;      ///< their vectors, grouped by n
   /// Daemon-private per-slot trust/budget state (limiter, credit bucket,
   /// strike ledger, last seq counter).  Lives here — never in the shared
   /// segment — so clients cannot rewrite their own budgets or rap sheets.

@@ -162,7 +162,6 @@ struct SharedStats {
   std::atomic<std::uint64_t> requests;     ///< popped from request rings
   std::atomic<std::uint64_t> vectors;      ///< transforms executed
   std::atomic<std::uint64_t> throttled;    ///< rejected by the rate limiter
-  std::atomic<std::uint64_t> bad_request;  ///< rejected by validation
   std::atomic<std::uint64_t> exec_errors;  ///< execution threw
   std::atomic<std::uint64_t> reclaimed;    ///< slots freed by the sweep
   std::atomic<std::uint64_t> dropped;      ///< completions with stale generation
@@ -313,9 +312,11 @@ struct StatsSeries {
   double p99;
 };
 
-/// Engine-level serving totals published alongside the series table.
+/// Serving totals published alongside the series table.  `requests` is the
+/// daemon's own count (SharedStats::requests: every request popped from a
+/// ring, refused ones included); the rest are the Engine's Stats.
 struct StatsTotals {
-  std::uint64_t requests;  ///< singles + submits since Engine construction
+  std::uint64_t requests;
   std::uint64_t vectors;
   std::uint64_t batches;
   std::uint64_t failures;

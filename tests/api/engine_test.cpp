@@ -169,6 +169,38 @@ TEST(Engine, ExecuteMatchesSharedTransformSerial) {
   EXPECT_EQ(engine.transform(10, "generated").get(), transform.get());
 }
 
+TEST(Engine, PointerArrayExecuteManyMatchesSharedTransform) {
+  EngineOptions options;
+  options.backends = {"generated", "simd", "fused"};
+  Engine engine(options);
+
+  constexpr int kN = 7;
+  const auto transform = engine.transform(kN, "generated");
+  ExecContext ctx;
+  for (const std::size_t count : {std::size_t{1}, std::size_t{8}}) {
+    // Separately allocated vectors: the gather path must stage, run and
+    // scatter each back to its own buffer.
+    std::vector<std::vector<double>> buffers;
+    std::vector<double*> xs;
+    for (std::size_t v = 0; v < count; ++v) {
+      buffers.push_back(random_vector(transform->size(), 40 + v));
+    }
+    std::vector<std::vector<double>> expected = buffers;
+    for (auto& e : expected) transform->execute(e.data());
+    for (auto& b : buffers) xs.push_back(b.data());
+
+    engine.execute_many(kN, xs.data(), count, ctx);
+    for (std::size_t v = 0; v < count; ++v) {
+      EXPECT_EQ(buffers[v], expected[v])
+          << "count " << count << " vector " << v;
+    }
+  }
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.singles, 1u);  // count 1: a plain single
+  EXPECT_EQ(stats.batches, 1u);  // count 8: ONE staged batch
+  EXPECT_EQ(stats.vectors, 9u);
+}
+
 TEST(Engine, CoalescesConcurrentSubmitsIntoOneBatch) {
   EngineOptions options;
   options.backends = {"generated"};

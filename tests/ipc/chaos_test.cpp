@@ -171,7 +171,8 @@ TEST(IpcChaos, VerifyingClientsSurviveDaemonKillRestartCycles) {
   ASSERT_EQ(::kill(final_daemon, SIGKILL), 0);
   int status = 0;
   ASSERT_EQ(::waitpid(final_daemon, &status, 0), final_daemon);
-  Shm::unlink(shm_name_for(endpoint));  // the last corpse's segment
+  Shm::unlink(shm_name_for(endpoint));  // the last corpse's segment ...
+  Shm::unlink(stats_shm_name_for(endpoint));  // ... and its stats page
 }
 
 /// Daemon child body for the crash-during-replay test: no fault injection
@@ -261,6 +262,7 @@ TEST(IpcChaos, ClientKilledDuringReplayIsSweptAndNeighboursStayExact) {
   ASSERT_EQ(::kill(daemon2, SIGKILL), 0);
   ASSERT_EQ(::waitpid(daemon2, &status, 0), daemon2);
   Shm::unlink(shm_name_for(endpoint));
+  Shm::unlink(stats_shm_name_for(endpoint));
 }
 
 }  // namespace

@@ -153,7 +153,8 @@ TEST(IpcCrash, SigkilledDaemonResolvesToTypedErrorNotHang) {
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(elapsed, std::chrono::seconds(10)) << "daemon death not detected";
 
-  Shm::unlink(shm_name_for(endpoint));  // the corpse's segment
+  Shm::unlink(shm_name_for(endpoint));  // the corpse's segment ...
+  Shm::unlink(stats_shm_name_for(endpoint));  // ... and its stats page
 }
 
 TEST(IpcCrash, DestructorDrainIsBounded) {
@@ -201,6 +202,7 @@ TEST(IpcCrash, DestructorDrainIsBounded) {
   int status = 0;
   ASSERT_EQ(::waitpid(daemon_pid, &status, 0), daemon_pid);
   Shm::unlink(shm_name_for(endpoint));
+  Shm::unlink(stats_shm_name_for(endpoint));
 }
 
 TEST(IpcCrash, StaleSegmentFromDeadDaemonIsTakenOver) {

@@ -1,13 +1,13 @@
 // End-to-end whtd protocol: Daemon + Client over a real shm segment.
 //
 // The headline guarantee is bit-exactness — every vector served through the
-// daemon (singles through the coalescing submit() path, batches through the
-// arbitrated execute_many) must equal the in-process Transform bit for bit,
-// including with >= 4 concurrent client *processes* racing each other.
-// Also here: admission control (typed kServerFull when the slot table is
-// full), per-client rate limiting (the throttled client gets typed
-// backpressure, its neighbour is unaffected), and typed client-side shape
-// errors.
+// daemon (singles merged per poll round, batches through the arbitrated
+// execute_many) must equal the in-process Transform bit for bit, including
+// with >= 4 concurrent client *processes* racing each other.  Also here:
+// cross-slot merging of same-size singles, admission control (typed
+// kServerFull when the slot table is full), per-client rate limiting (the
+// throttled client gets typed backpressure, its neighbour is unaffected),
+// and typed client-side shape errors.
 //
 // Fork discipline: client children are forked BEFORE the Daemon is
 // constructed, while this process is still single-threaded; the children
@@ -107,8 +107,8 @@ TEST(IpcServe, FourForkedClientsStayBitExact) {
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-      // Mixed shapes across children: singles (the coalescing path — same-n
-      // submits from different processes merge) and packed batches.
+      // Mixed shapes across children: singles (same-n singles from
+      // different processes merge) and packed batches.
       const int n = 6 + c % 3;
       const std::size_t count = (c % 2 == 0) ? 1 : 4;
       ::_exit(client_workload(endpoint, n, count, 12,
@@ -128,6 +128,44 @@ TEST(IpcServe, FourForkedClientsStayBitExact) {
   }
   const auto stats = daemon.stats();
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kClients * 12));
+  daemon.stop();
+}
+
+TEST(IpcServe, SameSizeSinglesFromTwoSlotsMergeIntoOneRun) {
+  const std::string endpoint = unique_endpoint("merge");
+  Daemon daemon(daemon_options(endpoint, 2));
+  // Not started yet: attach admits kWarming, so both singles sit in their
+  // rings until the first poll round pops them together.
+  constexpr int kN = 8;
+  auto first = Client::connect({.endpoint = endpoint});
+  auto second = Client::connect({.endpoint = endpoint});
+  const auto reference = api::Planner().backend("generated").plan(kN);
+  std::vector<std::vector<double>> inputs;
+  Client::Ticket tickets[2];
+  double* staged[2];
+  Client* clients[2] = {&first, &second};
+  for (int c = 0; c < 2; ++c) {
+    inputs.push_back(util::random_vector(std::size_t{1} << kN, 60 + c));
+    staged[c] = clients[c]->stage(kN);
+    std::memcpy(staged[c], inputs[c].data(),
+                inputs[c].size() * sizeof(double));
+    ASSERT_EQ(clients[c]->submit(kN, staged[c], 1, tickets[c]), Status::kOk);
+  }
+
+  daemon.start();
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_EQ(clients[c]->wait(tickets[c]), Status::kOk);
+    std::vector<double> expected = inputs[c];
+    reference.execute(expected.data());
+    EXPECT_EQ(std::memcmp(staged[c], expected.data(),
+                          expected.size() * sizeof(double)),
+              0)
+        << "client " << c << " not bit-exact";
+  }
+  const auto stats = daemon.engine().stats();
+  EXPECT_EQ(stats.batches, 1u) << "the two singles did not merge";
+  EXPECT_EQ(stats.singles, 0u);
+  EXPECT_EQ(stats.vectors, 2u);
   daemon.stop();
 }
 

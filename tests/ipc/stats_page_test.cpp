@@ -8,8 +8,9 @@
 // asserts structural invariants that a torn read would break: magic and
 // version intact, series table in bounds, NUL-terminated backend names,
 // min <= max and p50 <= p99 within every populated series, and — with
-// decay disabled — per-series counts and engine totals that only ever move
-// forward.
+// decay disabled — per-series counts and serving totals that only ever move
+// forward.  Once traffic stops, the published request total must equal the
+// requests sent.
 //
 // Fork discipline (as in ipc_serve_test): the child is forked BEFORE the
 // Daemon is constructed, while the process is single-threaded, and leaves
@@ -21,6 +22,7 @@
 
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 
@@ -110,14 +112,18 @@ TEST(IpcStatsPage, ForkedObserverNeverSeesATornSnapshot) {
   const int n = 6;
   const std::size_t doubles = std::size_t{1} << n;
   int status = 0;
+  std::uint64_t sent = 0;
   // Serve until the reader is satisfied (it needs 200 consistent snapshots
-  // with traffic in them) — bounded by the reader's own spin cap.
+  // with traffic in them) — bounded by the reader's own spin cap.  Singles
+  // and 2-vector batches alternate, so both serving paths feed the totals.
   for (int r = 0;; ++r) {
-    double* x = client.stage(n, 1);
-    const auto input =
-        util::random_vector(doubles, static_cast<std::uint64_t>(r) + 1);
-    std::memcpy(x, input.data(), doubles * sizeof(double));
-    ASSERT_EQ(client.transform(n, x, 1), Status::kOk);
+    const std::size_t count = 1 + r % 2;
+    double* x = client.stage(n, count);
+    const auto input = util::random_vector(doubles * count,
+                                           static_cast<std::uint64_t>(r) + 1);
+    std::memcpy(x, input.data(), input.size() * sizeof(double));
+    ASSERT_EQ(client.transform(n, x, count), Status::kOk);
+    ++sent;
     const pid_t done = ::waitpid(reader, &status, WNOHANG);
     if (done == reader) break;
     ASSERT_LT(r, 2000000) << "reader child never finished";
@@ -125,6 +131,18 @@ TEST(IpcStatsPage, ForkedObserverNeverSeesATornSnapshot) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0)
       << "reader invariant failed (see reader_main for the code)";
+
+  // Traffic has stopped: a later publish must carry exactly the requests
+  // sent — the daemon's own count, whichever Engine path served them.
+  const Shm shm = Shm::open_readonly(stats_shm_name_for(endpoint));
+  const auto* shared = static_cast<const StatsPage*>(shm.data());
+  auto page = std::make_unique<StatsPage>();
+  std::uint64_t published = 0;
+  for (int spin = 0; spin < 5000 && published != sent; ++spin) {
+    if (stats_read(*shared, *page)) published = page->header.totals.requests;
+    ::usleep(1000);
+  }
+  EXPECT_EQ(published, sent);
 }
 
 }  // namespace

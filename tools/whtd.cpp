@@ -68,9 +68,6 @@ whtlab::ipc::DaemonOptions options_from(const whtlab::util::Cli& cli) {
   options.drain_ms = static_cast<std::uint64_t>(
       cli.get_int("drain-ms", static_cast<std::int64_t>(options.drain_ms)));
   options.engine.wisdom_file = cli.get("wisdom", options.engine.wisdom_file);
-  options.engine.batch_window_us = static_cast<long>(cli.get_int(
-      "coalesce-window-us",
-      static_cast<std::int64_t>(options.engine.batch_window_us)));
   return options;
 }
 
@@ -90,8 +87,6 @@ int main(int argc, char** argv) {
   cli.add_flag("sweep-ms", "dead-client liveness sweep period, ms");
   cli.add_flag("drain-ms", "graceful-drain budget for SIGTERM/handoffs, ms");
   cli.add_flag("wisdom", "wisdom file for first-touch planning");
-  cli.add_flag("coalesce-window-us",
-               "engine batch-coalescing window, microseconds (0 = off)");
   cli.add_flag("pid-file", "write the serving pid here (current child under --supervise)");
   cli.add_flag("wedge-ms", "supervisor: heartbeat staleness that counts as wedged");
   cli.add_flag("max-restarts", "supervisor: give up after this many unstable restarts (0 = never)");

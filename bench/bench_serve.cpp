@@ -3,7 +3,7 @@
 // Hammer one shared wht::Engine from T client threads and count transforms
 // served per second — the production shape the concurrent-serving redesign
 // targets: immutable shared plans, re-entrant backends, serve-time backend
-// arbitration, and the submit() coalescer.  Four sections:
+// arbitration, and the submit() combiner.  Four sections:
 //
 //   decisions  the arbiter's backend choice (and every candidate's priced
 //              cost) per request shape — single vectors across the n range
@@ -13,18 +13,27 @@
 //              vs client threads (the CI scaling gate's shape)
 //   mixed      singles + batches across n in [--nmin, --nmax] per the
 //              ISSUE's mixed serving workload
-//   coalesce   submit() pipelines (coalescing batcher) vs the same load as
-//              synchronous singles
+//   coalesce   submit() pipelines (caller-runs combiner) vs the same load
+//              as synchronous singles
+//
+// Every section transforms the same buffers in place for seconds.  Since
+// H·H = 2^n·I, each buffer gets the exact 2^-n rescale after every second
+// transform, so the data stays finite; the run exits nonzero if any buffer
+// is non-finite at the end.  The rescale runs inside the timed loops, so
+// every cell pays one extra pass over the data per two requests.
 //
 // Noise convention (README): every cell is the best of --reps runs (we
 // measure capacity, so the max is the statistic — interference only ever
 // subtracts).  --assert-scaling R exits nonzero unless single-shape
 // throughput at --assert-threads clients is >= R x the 1-client value:
 // meaningless on single-core hosts, so the CI job (multi-core runners)
-// owns the gate.
+// owns the gate.  --assert-submit-ratio R exits nonzero unless the
+// 1-client coalesce cell's submit rate is >= R x its sync rate, which a
+// thread hop or a batching window on the submit() path fails.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +67,35 @@ std::vector<int> parse_int_list(const std::string& text) {
 }
 
 using util::random_vector;
+
+/// One buffer the bench transforms in place over and over.  H·H = 2^n·I,
+/// so every second transform is followed by the exact 2^-n rescale (a
+/// power of two, so no rounding), which keeps the data finite for any
+/// number of calls.  `vectors` back-to-back vectors of 2^n doubles.
+class Buffer {
+ public:
+  Buffer(int n, std::size_t vectors, std::uint64_t seed)
+      : data_(random_vector((std::uint64_t{1} << n) * vectors, seed)),
+        scale_(std::ldexp(1.0, -n)) {}
+
+  double* data() { return data_.data(); }
+
+  /// Call after each in-place transform of the whole buffer.
+  void transformed() {
+    if (++calls_ % 2 != 0) return;
+    for (double& v : data_) v *= scale_;
+  }
+
+  bool finite() const {
+    return std::all_of(data_.begin(), data_.end(),
+                       [](double v) { return std::isfinite(v); });
+  }
+
+ private:
+  std::vector<double> data_;
+  double scale_;
+  std::uint64_t calls_ = 0;
+};
 
 /// Runs `clients` threads against `work` for ~`seconds`; returns vectors/s.
 /// `work(tid)` serves one unit and returns the vectors it served.
@@ -215,6 +253,8 @@ int main(int argc, char** argv) {
   cli.add_flag("out", "output JSON path", "BENCH_serve.json");
   cli.add_flag("assert-scaling", "min rps ratio at --assert-threads vs 1", "0");
   cli.add_flag("assert-threads", "client count the scaling gate checks", "4");
+  cli.add_flag("assert-submit-ratio",
+               "min 1-client coalesce submit/sync rps ratio (0 = off)", "0");
   cli.add_bool("telemetry-overhead",
                "measure single-shape rps with telemetry on vs off");
   cli.add_flag("overhead-n",
@@ -237,11 +277,15 @@ int main(int argc, char** argv) {
   wht::EngineOptions options;
   options.strategy = wht::strategy_from_string(cli.get("strategy"));
   options.wisdom_file = cli.get("wisdom");
-  // Coalescer tuned to the offered load: a batch fills from one client's
-  // pipeline without waiting out the window (the window only pads tails).
-  options.max_batch = static_cast<std::size_t>(pipeline);
-  options.batch_window_us = 100;
   wht::Engine engine(options);
+  bool finite = true;  ///< every transformed buffer ended finite
+  const auto check_finite = [&finite](const char* section, int clients,
+                                      const Buffer& buffer) {
+    if (buffer.finite()) return;
+    std::fprintf(stderr, "bench_serve: non-finite data after %s clients=%d\n",
+                 section, clients);
+    finite = false;
+  };
 
   // --- decisions: price the request shapes (also pays planning + anchors
   // up front so the timed sections serve from warm caches) -----------------
@@ -265,20 +309,20 @@ int main(int argc, char** argv) {
   }
 
   // --- single: the scaling-gate shape -------------------------------------
-  const std::uint64_t gate_size = std::uint64_t{1} << gate_n;
   std::vector<double> single_rps;
   for (const int t : threads) {
-    std::vector<std::vector<double>> buffers;
-    for (int i = 0; i < t; ++i) {
-      buffers.push_back(random_vector(gate_size, 10 + i));
-    }
+    std::vector<Buffer> buffers;
+    for (int i = 0; i < t; ++i) buffers.emplace_back(gate_n, 1, 10 + i);
     single_rps.push_back(best_throughput(
         t, seconds, reps, [&engine, &buffers, gate_n](int tid) {
-          engine.execute(gate_n, buffers[static_cast<std::size_t>(tid)].data());
+          Buffer& buffer = buffers[static_cast<std::size_t>(tid)];
+          engine.execute(gate_n, buffer.data());
+          buffer.transformed();
           return std::uint64_t{1};
         }));
     std::printf("single  n=%-3d clients=%-2d  %10.0f req/s\n", gate_n, t,
                 single_rps.back());
+    for (const Buffer& buffer : buffers) check_finite("single", t, buffer);
   }
 
   // --- mixed: singles + batches across the n range ------------------------
@@ -287,18 +331,16 @@ int main(int argc, char** argv) {
   std::vector<double> mixed_rps;
   for (const int t : threads) {
     struct ClientState {
-      std::vector<std::vector<double>> singles;
-      std::vector<double> batch;
+      std::vector<Buffer> singles;
+      Buffer batched;  ///< `batch` vectors of 2^coalesce_n
       std::size_t next = 0;
     };
-    std::vector<ClientState> states(static_cast<std::size_t>(t));
+    std::vector<ClientState> states;
     for (int i = 0; i < t; ++i) {
-      auto& state = states[static_cast<std::size_t>(i)];
+      states.push_back({{}, Buffer(coalesce_n, batch, 30 + i)});
       for (const int n : mixed_sizes) {
-        state.singles.push_back(random_vector(std::uint64_t{1} << n, 20 + i));
+        states.back().singles.emplace_back(n, 1, 20 + i);
       }
-      state.batch =
-          random_vector((std::uint64_t{1} << coalesce_n) * batch, 30 + i);
     }
     mixed_rps.push_back(best_throughput(
         t, seconds, reps,
@@ -306,27 +348,34 @@ int main(int argc, char** argv) {
           auto& state = states[static_cast<std::size_t>(tid)];
           const std::size_t shape = state.next++ % (mixed_sizes.size() + 1);
           if (shape < mixed_sizes.size()) {
-            engine.execute(mixed_sizes[shape], state.singles[shape].data());
+            Buffer& single = state.singles[shape];
+            engine.execute(mixed_sizes[shape], single.data());
+            single.transformed();
             return std::uint64_t{1};
           }
-          engine.execute_many(coalesce_n, state.batch.data(), batch);
+          engine.execute_many(coalesce_n, state.batched.data(), batch);
+          state.batched.transformed();
           return static_cast<std::uint64_t>(batch);
         }));
     std::printf("mixed   n=[%d..%d] clients=%-2d  %10.0f req/s\n", nmin, nmax,
                 t, mixed_rps.back());
+    for (const ClientState& state : states) {
+      for (const Buffer& buffer : state.singles) {
+        check_finite("mixed", t, buffer);
+      }
+      check_finite("mixed", t, state.batched);
+    }
   }
 
   // --- coalesce: submit() pipelines vs synchronous singles ----------------
-  const std::uint64_t coalesce_size = std::uint64_t{1} << coalesce_n;
   std::vector<double> coalesce_rps;
   std::vector<double> sync_rps;
   for (const int t : threads) {
-    std::vector<std::vector<std::vector<double>>> buffers(
-        static_cast<std::size_t>(t));
+    std::vector<std::vector<Buffer>> buffers(static_cast<std::size_t>(t));
     for (int i = 0; i < t; ++i) {
       for (int p = 0; p < pipeline; ++p) {
-        buffers[static_cast<std::size_t>(i)].push_back(
-            random_vector(coalesce_size, 40 + i * pipeline + p));
+        buffers[static_cast<std::size_t>(i)].emplace_back(
+            coalesce_n, 1, 40 + i * pipeline + p);
       }
     }
     coalesce_rps.push_back(best_throughput(
@@ -340,16 +389,21 @@ int main(int argc, char** argv) {
                               mine[static_cast<std::size_t>(p)].data()));
           }
           for (auto& f : inflight) f.get();
+          for (Buffer& buffer : mine) buffer.transformed();
           return static_cast<std::uint64_t>(pipeline);
         }));
     sync_rps.push_back(best_throughput(
         t, seconds, reps, [&engine, &buffers, coalesce_n](int tid) {
-          engine.execute(coalesce_n,
-                         buffers[static_cast<std::size_t>(tid)][0].data());
+          Buffer& buffer = buffers[static_cast<std::size_t>(tid)][0];
+          engine.execute(coalesce_n, buffer.data());
+          buffer.transformed();
           return std::uint64_t{1};
         }));
     std::printf("coalesce n=%-3d clients=%-2d  submit %9.0f req/s   sync %9.0f req/s\n",
                 coalesce_n, t, coalesce_rps.back(), sync_rps.back());
+    for (const auto& mine : buffers) {
+      for (const Buffer& buffer : mine) check_finite("coalesce", t, buffer);
+    }
   }
 
   // --- telemetry overhead: recording cost on the hot path -----------------
@@ -365,7 +419,6 @@ int main(int argc, char** argv) {
   TelemetryOverhead overhead;
   if (cli.has("telemetry-overhead")) {
     const int overhead_n = static_cast<int>(cli.get_int("overhead-n", 12));
-    const std::uint64_t overhead_size = std::uint64_t{1} << overhead_n;
     const std::string pinned = engine.arbitrate(overhead_n, 1).backend;
     const auto make_probe = [&](bool telemetry) {
       wht::EngineOptions variant = options;
@@ -376,7 +429,7 @@ int main(int argc, char** argv) {
     };
     const auto probe_on = make_probe(true);
     const auto probe_off = make_probe(false);
-    std::vector<double> buffer = random_vector(overhead_size, 7);
+    Buffer buffer(overhead_n, 1, 7);
     // Short windows, many paired rounds: on this class of (virtualized)
     // host the noise is bursty steal time, so a 0.1 s on/off pair usually
     // lands inside one noise regime and the median over many pairs is far
@@ -386,6 +439,7 @@ int main(int argc, char** argv) {
     const auto time_probe = [&](wht::Engine& probe) {
       return throughput(1, window, [&probe, &buffer, overhead_n](int) {
         probe.execute(overhead_n, buffer.data());
+        buffer.transformed();
         return std::uint64_t{1};
       });
     };
@@ -393,6 +447,8 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 512; ++i) {
       probe_on->execute(overhead_n, buffer.data());
       probe_off->execute(overhead_n, buffer.data());
+      buffer.transformed();
+      buffer.transformed();
     }
     // The effect under test is ~100 ns/request, so this cell takes more
     // rounds than the throughput cells to let the median converge.
@@ -410,6 +466,7 @@ int main(int argc, char** argv) {
         "overhead %.2f%%\n",
         overhead_n, pinned.c_str(), overhead.on_rps, overhead.off_rps,
         overhead.overhead_pct());
+    check_finite("telemetry", 1, buffer);
   }
 
   const auto stats = engine.stats();
@@ -423,6 +480,11 @@ int main(int argc, char** argv) {
              coalesce_n, coalesce_rps, sync_rps, overhead, stats);
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
+
+  if (!finite) {
+    std::fprintf(stderr, "bench_serve: FAIL served data went non-finite\n");
+    return 1;
+  }
 
   const double gate = cli.get_double("assert-scaling", 0.0);
   if (gate > 0.0) {
@@ -445,6 +507,26 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "bench_serve: FAIL concurrent throughput %.2fx < %.2fx\n",
                    ratio, gate);
+      return 1;
+    }
+  }
+
+  const double submit_gate = cli.get_double("assert-submit-ratio", 0.0);
+  if (submit_gate > 0.0) {
+    const auto one = std::find(threads.begin(), threads.end(), 1);
+    if (one == threads.end()) {
+      std::fprintf(stderr,
+                   "bench_serve: --assert-submit-ratio needs 1 in --threads\n");
+      return 1;
+    }
+    const std::size_t i = static_cast<std::size_t>(one - threads.begin());
+    const double ratio =
+        sync_rps[i] > 0.0 ? coalesce_rps[i] / sync_rps[i] : 0.0;
+    std::printf("submit gate: 1-client submit = %.2fx of sync (need >= %.2f)\n",
+                ratio, submit_gate);
+    if (ratio < submit_gate) {
+      std::fprintf(stderr, "bench_serve: FAIL submit/sync %.2fx < %.2fx\n",
+                   ratio, submit_gate);
       return 1;
     }
   }

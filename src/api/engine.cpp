@@ -1,7 +1,6 @@
 #include "api/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <ctime>
@@ -46,6 +45,16 @@ bool all_finite(const double* x, std::size_t count, std::uint64_t size,
   return true;
 }
 
+/// The range gate every entry point runs before any shift by n or any
+/// cache state keyed by it.
+void check_n(int n) {
+  if (n < 1 || n > kMaxLog2Size) {
+    throw std::invalid_argument("wht::Engine: n out of [1, " +
+                                std::to_string(kMaxLog2Size) + "], got " +
+                                std::to_string(n));
+  }
+}
+
 /// Per-vector model cost for arbitration: the backend's own model when it
 /// has one ("fused" prices memory passes), the CombinedModel at its vector
 /// width otherwise — the same pricing rule the Planner applies, minus the
@@ -62,12 +71,6 @@ double model_unit_cost(const ExecutorBackend& backend, const core::Plan& plan) {
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   if (options_.threads < 1) {
     throw std::invalid_argument("wht::Engine: threads must be >= 1");
-  }
-  if (options_.max_batch < 1) {
-    throw std::invalid_argument("wht::Engine: max_batch must be >= 1");
-  }
-  if (options_.batch_window_us < 0) {
-    throw std::invalid_argument("wht::Engine: batch_window_us must be >= 0");
   }
   if (options_.quarantine_strikes < 0) {
     throw std::invalid_argument("wht::Engine: quarantine_strikes must be >= 0");
@@ -108,7 +111,6 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
       throw std::invalid_argument("wht::Engine: unknown candidate backend '" +
                                   name + "'");
     }
-    health_[name];  // breaker cells exist up front; never erased
   }
   if (options_.quarantine_strikes > 0 &&
       !registry.contains(kFallbackBackend)) {
@@ -116,17 +118,14 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
         "wht::Engine: quarantine needs the reference backend '" +
         std::string(kFallbackBackend) + "' in the registry");
   }
-}
-
-Engine::~Engine() {
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  // A dispatcher that never started cannot have left queued work behind
-  // (submit() starts it before enqueueing); promises die with the deque.
+  health_.resize(candidates_.size());  // breaker cells exist up front
+  fallback_column_ = static_cast<std::size_t>(
+      std::find(candidates_.begin(), candidates_.end(), kFallbackBackend) -
+      candidates_.begin());
+  const std::size_t slots = path_slot(candidates_.size() + 1, kSingle);
+  lines_per_stripe_ = (slots + 7) / 8;
+  counters_ = std::make_unique<CounterLine[]>(
+      static_cast<std::size_t>(telemetry::kStripes) * lines_per_stripe_);
 }
 
 Engine::Entry& Engine::slot(int n, const std::string& backend) {
@@ -183,6 +182,7 @@ void Engine::build_entry(Entry& e, int n, const std::string& backend) {
 
 std::shared_ptr<const Transform> Engine::transform(int n,
                                                    const std::string& backend) {
+  check_n(n);
   return entry(n, backend).transform;
 }
 
@@ -200,7 +200,7 @@ std::size_t Engine::prewarm() {
   std::set<std::pair<int, std::string>> shapes;
   for (const Wisdom::Key& key : wisdom.keys()) {
     if (key.cpu != cpu) continue;  // tuned for another host/SIMD level
-    if (key.n < 1 || key.n > 30) continue;
+    if (key.n < 1 || key.n > kMaxLog2Size) continue;
     if (std::find(candidates_.begin(), candidates_.end(), key.backend) ==
         candidates_.end()) {
       continue;
@@ -224,34 +224,40 @@ void Engine::flush_wisdom() {
   WisdomRegistry::global().flush(options_.wisdom_file);
 }
 
-Engine::Choice Engine::choose(int n, std::size_t count) {
+Engine::Entry* const* Engine::route(int n) {
+  Entry* const* cells = routes_[n].load(std::memory_order_acquire);
+  if (cells != nullptr) return cells;
+  // First touch of n: resolve every candidate's cell, then publish.  Racing
+  // first touches resolve the same cells; the one that loses the publish
+  // drops its copy and uses the winner's.
+  auto array = std::make_unique<Entry*[]>(candidates_.size());
+  for (std::size_t i = 0; i < candidates_.size(); ++i) {
+    array[i] = &slot(n, candidates_[i]);
+  }
+  if (routes_[n].compare_exchange_strong(cells, array.get(),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+    cells = array.get();
+    route_storage_[n] = std::move(array);
+  }
+  return cells;
+}
+
+Engine::Choice Engine::choose(int n, std::size_t count, Decision* decision) {
   if (count < 1) {
     throw std::invalid_argument("wht::Engine: request count must be >= 1");
   }
-  // One pass under the map lock for every cell, then per-entry fast paths
-  // (a single acquire-load once built).
-  std::vector<Entry*> cells;
-  cells.reserve(candidates_.size());
-  {
-    const std::lock_guard<std::mutex> lock(entries_mutex_);
-    for (const auto& name : candidates_) {
-      std::unique_ptr<Entry>& cell = entries_[{n, name}];
-      if (!cell) cell = std::make_unique<Entry>();
-      cells.push_back(cell.get());
-    }
-  }
+  Entry* const* cells = route(n);
   Choice choice;
-  choice.decision.cost = std::numeric_limits<double>::infinity();
   std::exception_ptr first_error;
   // Two passes at most: first honouring quarantine, then — only if the
   // breaker has sidelined every single candidate — ignoring it, because a
   // degraded answer beats refusing to serve.
   for (const bool honour_quarantine : {true, false}) {
     for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      const std::string& name = candidates_[i];
-      if (honour_quarantine && quarantine_blocked(name)) continue;
+      if (honour_quarantine && quarantine_blocked(i)) continue;
       try {
-        Entry& e = ensure_built(*cells[i], n, name);
+        Entry& e = ensure_built(*cells[i], n, candidates_[i]);
         // Per-vector price for this shape: the first-touch anchor (scaled
         // by batch_factor for the batch path), re-anchored toward the live
         // decayed mean of the *same shape's* series once it holds enough
@@ -275,11 +281,11 @@ Engine::Choice Engine::choose(int n, std::size_t count) {
           }
         }
         const double cost = per_vector * static_cast<double>(count);
-        choice.decision.candidates.push_back({name, cost});
-        if (cost < choice.decision.cost) {
-          choice.decision.cost = cost;
-          choice.decision.backend = name;
-          choice.winner = &e;
+        if (decision != nullptr) {
+          decision->candidates.push_back({candidates_[i], cost});
+        }
+        if (choice.winner == nullptr || cost < choice.cost) {
+          choice = {&e, i, cost};
         }
       } catch (...) {
         // A broken candidate must not take the whole size down while others
@@ -287,38 +293,45 @@ Engine::Choice Engine::choose(int n, std::size_t count) {
         if (!first_error) first_error = std::current_exception();
       }
     }
-    if (!choice.decision.candidates.empty()) break;
+    if (choice.winner != nullptr) break;
   }
-  if (choice.decision.candidates.empty()) {
+  if (choice.winner == nullptr) {
     if (first_error) std::rethrow_exception(first_error);
     throw std::logic_error("wht::Engine: no candidate backends");
   }
-  std::sort(choice.decision.candidates.begin(), choice.decision.candidates.end(),
-            [](const Decision::Candidate& a, const Decision::Candidate& b) {
-              return a.cost < b.cost;
-            });
+  if (decision != nullptr) {
+    decision->backend = candidates_[choice.id];
+    decision->cost = choice.cost;
+    std::sort(decision->candidates.begin(), decision->candidates.end(),
+              [](const Decision::Candidate& a, const Decision::Candidate& b) {
+                return a.cost < b.cost;
+              });
+  }
   return choice;
 }
 
 Engine::Decision Engine::arbitrate(int n, std::size_t count) {
-  return choose(n, count).decision;
+  check_n(n);
+  Decision decision;
+  choose(n, count, &decision);
+  return decision;
 }
 
-bool Engine::quarantine_blocked(const std::string& backend) {
+bool Engine::quarantine_blocked(std::size_t id) {
   if (!health_armed()) return false;
   const std::lock_guard<std::mutex> lock(health_mutex_);
-  const auto it = health_.find(backend);
-  if (it == health_.end() || !it->second.quarantined) return false;
+  const Health& h = health_[id];
+  if (!h.quarantined) return false;
   // Probation elapsed: the backend stays marked quarantined but the arbiter
   // lets this request through as a live-traffic probe.  Success clears the
   // breaker; failure re-trips it immediately (the trip left strikes at the
   // threshold, so one probe failure is enough — no fresh streak required).
-  return engine_monotonic_ns() < it->second.until_ns;
+  return engine_monotonic_ns() < h.until_ns;
 }
 
-void Engine::on_backend_failure(const std::string& backend) {
+void Engine::on_backend_failure(std::size_t id) {
   const std::lock_guard<std::mutex> lock(health_mutex_);
-  Health& h = health_[backend];
+  Health& h = health_[id];
   h.strikes += 1;
   if (h.strikes >= options_.quarantine_strikes) {
     h.quarantined = true;
@@ -327,14 +340,14 @@ void Engine::on_backend_failure(const std::string& backend) {
   }
 }
 
-void Engine::on_backend_success(const std::string& backend) {
+void Engine::on_backend_success(std::size_t id) {
   const std::lock_guard<std::mutex> lock(health_mutex_);
-  Health& h = health_[backend];
+  Health& h = health_[id];
   h.strikes = 0;
   h.quarantined = false;
 }
 
-void Engine::maybe_demote_for_drift(const std::string& backend, Entry& e) {
+void Engine::maybe_demote_for_drift(std::size_t id, Entry& e) {
   // The comparison needs both sides in cycles: a measured anchor and enough
   // live samples for the p99 to mean something.
   if (!options_.measure_costs || options_.reanchor_min_samples == 0) return;
@@ -344,7 +357,7 @@ void Engine::maybe_demote_for_drift(const std::string& backend, Entry& e) {
   if (p99 <= options_.drift_demote_factor * e.unit_cost) return;
   {
     const std::lock_guard<std::mutex> lock(health_mutex_);
-    Health& h = health_[backend];
+    Health& h = health_[id];
     if (h.quarantined) return;  // already demoted; probation owns re-entry
     h.quarantined = true;
     h.until_ns = engine_monotonic_ns() + options_.probation_ms * 1000000ULL;
@@ -355,12 +368,13 @@ void Engine::maybe_demote_for_drift(const std::string& backend, Entry& e) {
   e.telem_single->reset();
 }
 
-void Engine::run_guarded(Choice& choice, int n, double* x, std::size_t count,
-                         std::ptrdiff_t dist, ExecContext* ctx) {
+std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
+                                std::size_t count, std::ptrdiff_t dist,
+                                ExecContext* ctx) {
   const std::uint64_t size = std::uint64_t{1} << n;
-  const std::string backend = choice.decision.backend;
-  const bool resilient =
-      options_.quarantine_strikes > 0 && backend != kFallbackBackend;
+  const std::string& backend = candidates_[choice.id];
+  const bool reference = choice.id == fallback_column_;
+  const bool resilient = options_.quarantine_strikes > 0 && !reference;
   // Execution is in place, so a failed or corrupt run has already destroyed
   // the caller's input by the time the failure is visible.  The snapshot
   // is a local buffer on purpose: ctx staging may hold this very batch
@@ -426,18 +440,16 @@ void Engine::run_guarded(Choice& choice, int n, double* x, std::size_t count,
     // Success bookkeeping first: if this request was a post-probation
     // probe, it clears the quarantine *before* the drift check below can
     // legitimately re-trip it on fresh evidence.
-    if (health_armed() && backend != kFallbackBackend) {
-      on_backend_success(backend);
-    }
+    if (health_armed() && !reference) on_backend_success(choice.id);
     if (telem != nullptr && timed) {
       telem->record(elapsed / count);
       if (count == 1 && options_.drift_demote_factor > 0.0) {
-        maybe_demote_for_drift(backend, *choice.winner);
+        maybe_demote_for_drift(choice.id, *choice.winner);
       }
     }
-    return;
+    return choice.id;
   }
-  on_backend_failure(backend);
+  on_backend_failure(choice.id);
   for (std::size_t v = 0; v < count; ++v) {
     std::memcpy(x + static_cast<std::ptrdiff_t>(v) * dist,
                 snapshot.data() + v * size, size * sizeof(double));
@@ -445,56 +457,70 @@ void Engine::run_guarded(Choice& choice, int n, double* x, std::size_t count,
   // The reference backend's own failures propagate: there is nothing left
   // to fall back to, and masking them would hide real breakage.
   run(*entry(n, kFallbackBackend).transform);
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.failures += 1;
-    stats_.fallbacks += count;
-  }
-  choice.decision.backend = kFallbackBackend;
+  bump(kFailures, 1);
+  bump(kFallbacks, count);
+  return fallback_column_;
 }
 
-void Engine::record(const std::string& backend, std::uint64_t vectors,
-                    bool batch, bool from_submit) {
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.vectors += vectors;
-  if (batch) {
-    stats_.batches += 1;
-    if (from_submit && vectors >= 2) stats_.coalesced += vectors;
-  } else if (!from_submit) {
-    stats_.singles += 1;
+void Engine::bump(std::size_t slot, std::uint64_t by) {
+  CounterLine* stripe =
+      &counters_[telemetry::stripe_index() * lines_per_stripe_];
+  stripe[slot / 8].slot[slot % 8].fetch_add(by, std::memory_order_relaxed);
+}
+
+std::uint64_t Engine::total(std::size_t slot) const {
+  std::uint64_t sum = 0;
+  for (int s = 0; s < telemetry::kStripes; ++s) {
+    const CounterLine& line =
+        counters_[static_cast<std::size_t>(s) * lines_per_stripe_ + slot / 8];
+    sum += line.slot[slot % 8].load(std::memory_order_relaxed);
   }
-  stats_.per_backend[backend] += vectors;
+  return sum;
+}
+
+void Engine::record(std::size_t column, std::uint64_t vectors, bool batch,
+                    bool from_submit) {
+  const Path path = batch ? (from_submit ? kCoalesced : kBatched)
+                          : (from_submit ? kSubmitSingle : kSingle);
+  bump(path_slot(column, path), vectors);
+  if (batch) bump(kBatches, 1);
 }
 
 void Engine::execute(int n, double* x) {
-  Choice choice = choose(n, 1);
-  run_guarded(choice, n, x, 1,
-              static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), nullptr);
-  record(choice.decision.backend, 1, false, false);
+  check_n(n);
+  const Choice choice = choose(n, 1);
+  record(run_guarded(choice, n, x, 1,
+                     static_cast<std::ptrdiff_t>(std::uint64_t{1} << n),
+                     nullptr),
+         1, false, false);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count) {
+  check_n(n);
   execute_many(n, x, count, static_cast<std::ptrdiff_t>(std::uint64_t{1} << n));
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count,
                           std::ptrdiff_t dist) {
+  check_n(n);
   if (count == 0) return;
-  Choice choice = choose(n, count);
-  run_guarded(choice, n, x, count, dist, nullptr);
-  record(choice.decision.backend, count, count > 1, false);
+  const Choice choice = choose(n, count);
+  record(run_guarded(choice, n, x, count, dist, nullptr), count, count > 1,
+         false);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count,
                           std::ptrdiff_t dist, ExecContext& ctx) {
+  check_n(n);
   if (count == 0) return;
-  Choice choice = choose(n, count);
-  run_guarded(choice, n, x, count, dist, &ctx);
-  record(choice.decision.backend, count, count > 1, false);
+  const Choice choice = choose(n, count);
+  record(run_guarded(choice, n, x, count, dist, &ctx), count, count > 1,
+         false);
 }
 
 void Engine::execute_many(int n, double* const* xs, std::size_t count,
                           ExecContext& ctx) {
+  check_n(n);
   execute_gathered(n, xs, count, ctx, /*from_submit=*/false);
 }
 
@@ -517,14 +543,14 @@ void Engine::execute_gathered(int n, double* const* xs, std::size_t count,
   const bool staged = count > 1 && size * count <= kMaxStagedDoubles;
   // Price the shape that will actually run: a group too large to stage
   // serves as independent single-vector requests.
-  Choice choice = choose(n, staged ? count : 1);
+  const Choice choice = choose(n, staged ? count : 1);
   if (!staged) {
     for (std::size_t v = 0; v < count; ++v) {
-      // Per-vector copy: run_guarded may reroute ONE vector to the
-      // fallback without disturbing the winner the rest still use.
-      Choice per = choice;
-      run_guarded(per, n, xs[v], 1, static_cast<std::ptrdiff_t>(size), &ctx);
-      record(per.decision.backend, 1, false, from_submit);
+      // run_guarded may reroute ONE vector to the fallback; the rest still
+      // run on the winner.
+      record(run_guarded(choice, n, xs[v], 1,
+                         static_cast<std::ptrdiff_t>(size), &ctx),
+             1, false, from_submit);
     }
     return;
   }
@@ -536,94 +562,57 @@ void Engine::execute_gathered(int n, double* const* xs, std::size_t count,
   for (std::size_t v = 0; v < count; ++v) {
     std::memcpy(stage + v * size, xs[v], size * sizeof(double));
   }
-  run_guarded(choice, n, stage, count, static_cast<std::ptrdiff_t>(size), &ctx);
+  const std::size_t served = run_guarded(
+      choice, n, stage, count, static_cast<std::ptrdiff_t>(size), &ctx);
   for (std::size_t v = 0; v < count; ++v) {
     std::memcpy(xs[v], stage + v * size, size * sizeof(double));
   }
-  record(choice.decision.backend, count, true, from_submit);
-}
-
-void Engine::ensure_dispatcher() {
-  // Called with queue_mutex_ held.
-  if (dispatcher_started_) return;
-  dispatcher_started_ = true;
-  dispatcher_ = std::thread([this] { dispatcher_main(); });
+  record(served, count, true, from_submit);
 }
 
 std::future<void> Engine::submit(int n, double* x) {
-  if (n < 1) throw std::invalid_argument("wht::Engine: n must be >= 1");
-  Pending pending;
-  pending.n = n;
-  pending.x = x;
-  std::future<void> future = pending.promise.get_future();
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (stop_) {
-      throw std::logic_error("wht::Engine: submit after shutdown");
-    }
-    ensure_dispatcher();
-    queue_.push_back(std::move(pending));
-  }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.submitted += 1;
-  }
-  queue_cv_.notify_all();
-  return future;
-}
-
-void Engine::dispatcher_main() {
+  check_n(n);
+  bump(kSubmitted, 1);
   std::unique_lock<std::mutex> lock(queue_mutex_);
-  for (;;) {
-    queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stop_) return;  // drained: exit only with an empty queue
-      continue;
-    }
-    // Coalescing window: serve the oldest request's size, merging every
-    // same-size request that is queued now or arrives before the window
-    // closes (or the batch fills), into one dispatch.
-    const int n = queue_.front().n;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.batch_window_us);
-    auto same_n = [this, n] {
-      std::size_t matching = 0;
-      for (const Pending& p : queue_) matching += (p.n == n);
-      return matching;
-    };
-    while (!stop_ && same_n() < options_.max_batch &&
-           queue_cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
-    }
-    std::vector<Pending> group;
-    group.reserve(std::min<std::size_t>(options_.max_batch, queue_.size()));
-    for (auto it = queue_.begin();
-         it != queue_.end() && group.size() < options_.max_batch;) {
-      if (it->n == n) {
-        group.push_back(std::move(*it));
+  queue_.push_back({n, x, {}});
+  std::future<void> future = queue_.back().promise.get_future();
+  if (combining_) return future;  // the active combiner will serve it
+  // Flat combining (Hendler et al., SPAA 2010): this caller serves the
+  // queue — oldest request's size first, every queued request of that size
+  // merged into one group — until it finds the queue empty.  Clearing the
+  // flag under the same lock that found it empty means a request is either
+  // seen by this loop or finds no combiner and serves itself: none strands.
+  combining_ = true;
+  while (!queue_.empty()) {
+    const int group_n = queue_.front().n;
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      if (it->n == group_n) {
+        group_.push_back(std::move(*it));
         it = queue_.erase(it);
       } else {
         ++it;
       }
     }
     lock.unlock();
-    serve_group(std::move(group));
+    serve_group();
     lock.lock();
   }
+  combining_ = false;
+  return future;
 }
 
-void Engine::serve_group(std::vector<Pending> group) {
-  std::vector<double*> xs;
-  xs.reserve(group.size());
-  for (const Pending& p : group) xs.push_back(p.x);
+void Engine::serve_group() {
   try {
-    execute_gathered(group.front().n, xs.data(), xs.size(), dispatcher_ctx_,
-                     /*from_submit=*/true);
-    for (Pending& p : group) p.promise.set_value();
+    group_xs_.clear();
+    for (const Pending& p : group_) group_xs_.push_back(p.x);
+    execute_gathered(group_.front().n, group_xs_.data(), group_xs_.size(),
+                     combiner_ctx_, /*from_submit=*/true);
+    for (Pending& p : group_) p.promise.set_value();
   } catch (...) {
     const std::exception_ptr error = std::current_exception();
-    for (Pending& p : group) p.promise.set_exception(error);
+    for (Pending& p : group_) p.promise.set_exception(error);
   }
+  group_.clear();
 }
 
 telemetry::Snapshot Engine::telemetry_snapshot() const {
@@ -632,14 +621,29 @@ telemetry::Snapshot Engine::telemetry_snapshot() const {
 
 Engine::Stats Engine::stats() const {
   Stats snapshot;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    snapshot = stats_;
+  snapshot.submitted = total(kSubmitted);
+  snapshot.batches = total(kBatches);
+  snapshot.failures = total(kFailures);
+  snapshot.fallbacks = total(kFallbacks);
+  for (std::size_t column = 0; column <= candidates_.size(); ++column) {
+    std::uint64_t vectors = 0;
+    for (const Path path : {kSingle, kSubmitSingle, kBatched, kCoalesced}) {
+      const std::uint64_t served = total(path_slot(column, path));
+      if (path == kSingle) snapshot.singles += served;
+      if (path == kCoalesced) snapshot.coalesced += served;
+      vectors += served;
+    }
+    if (vectors == 0) continue;
+    snapshot.vectors += vectors;
+    snapshot.per_backend[column < candidates_.size() ? candidates_[column]
+                                                     : kFallbackBackend] =
+        vectors;
   }
   const std::lock_guard<std::mutex> lock(health_mutex_);
-  for (const auto& [name, h] : health_) {
-    if (h.trips > 0) snapshot.quarantine_trips[name] = h.trips;
-    if (h.quarantined) snapshot.quarantined.push_back(name);
+  for (std::size_t id = 0; id < candidates_.size(); ++id) {
+    const Health& h = health_[id];
+    if (h.trips > 0) snapshot.quarantine_trips[candidates_[id]] = h.trips;
+    if (h.quarantined) snapshot.quarantined.push_back(candidates_[id]);
   }
   return snapshot;
 }

@@ -8,8 +8,8 @@
 //   wht::Engine engine;
 //   engine.execute(16, x);             // single vector, arbitrated backend
 //   engine.execute_many(10, xs, 64);   // batch, arbitrated batch path
-//   auto done = engine.submit(10, y);  // async; concurrent same-size
-//   done.get();                        //   submits coalesce into one batch
+//   auto done = engine.submit(10, y);  // future-returning; overlapping
+//   done.get();                        //   same-size submits merge
 //
 //   * Shared plan cache — one immutable Transform per (n, backend), planned
 //     on first touch through the wht::Planner (wisdom-backed when
@@ -24,19 +24,23 @@
 //     measure-or-model autotuning idea, applied across backends at serve
 //     time: "fused" wins big single vectors (memory passes), "simd" wins
 //     tiny-n batches (interleave), per the models — not per a hardcode.
-//   * Coalescing batcher — submit() queues the request and returns a
-//     future; a dispatcher thread merges every same-size request that
-//     arrives within a short window (or until max_batch) into ONE
-//     run_many call on the arbitrated batch backend.  Under concurrent
-//     load, independent callers transparently form batches big enough for
-//     the interleaved/fan-out paths to pay off.
+//   * Caller-runs coalescing — submit() queues the request; the first
+//     submitter that finds no combiner active becomes it and serves every
+//     queued same-size group as ONE run_many call on the arbitrated batch
+//     backend, on its own thread, until the queue is empty (flat
+//     combining).  A lone submit() therefore runs before it returns, while
+//     callers that overlap one another transparently form batches big
+//     enough for the interleaved/fan-out paths to pay off.
+//
+// The warm serve path takes no Engine mutex while the circuit breaker is
+// disarmed: each size's candidate cells are published once through an
+// atomic route pointer, and the Stats counters are striped relaxed atomics.
 //
 // All public methods are thread-safe; one Engine is meant to be shared by
 // an entire process (construct it once, serve from everywhere).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -45,11 +49,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/exec_context.hpp"
+#include "api/planner.hpp"
 #include "api/transform.hpp"
 #include "perf/measure.hpp"
 #include "telemetry/registry.hpp"
@@ -92,12 +96,6 @@ struct EngineOptions {
 
   /// Protocol for the anchor measurements (kept deliberately cheap).
   perf::MeasureOptions measure{/*warmup=*/1, /*repetitions=*/3};
-
-  /// Coalescer: a forming batch dispatches at this many requests ...
-  std::size_t max_batch = 32;
-
-  /// ... or this long after its first request arrived, whichever is first.
-  long batch_window_us = 200;
 
   /// Backend circuit breaker: after this many consecutive serving-time
   /// failures (an exception out of the backend, or a non-finite output
@@ -159,7 +157,10 @@ struct EngineOptions {
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
-  ~Engine();  ///< drains the submit queue, joins the dispatcher
+  /// Nothing to drain: a submit() request is served before the combining
+  /// call returns.  Destroy the Engine only once every thread's calls into
+  /// it have returned.
+  ~Engine() = default;
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -177,12 +178,16 @@ class Engine {
   };
 
   /// Prices every candidate backend for a request of `count` vectors of
-  /// 2^n doubles and returns the ranking.  First touch of an (n, backend)
-  /// pair plans (and, by default, anchor-measures) it; later calls are one
-  /// short map lookup plus arithmetic on the cached per-unit costs — no
-  /// re-planning, no re-measurement.  A candidate whose first-touch build
-  /// throws is skipped for this decision and retried on the next;
-  /// arbitrate itself throws only when every candidate fails.
+  /// 2^n doubles and returns the ranking — the same pricing loop the serve
+  /// paths route by.  First touch of an (n, backend) pair plans (and, by
+  /// default, anchor-measures) it; later calls are arithmetic on the cached
+  /// per-unit costs — no re-planning, no re-measurement.  A candidate whose
+  /// first-touch build throws is skipped for this decision and retried on
+  /// the next; arbitrate itself throws only when every candidate fails.
+  ///
+  /// Every entry point taking `n` (arbitrate, transform, execute,
+  /// execute_many, submit) throws std::invalid_argument for n outside
+  /// [1, kMaxLog2Size] before touching any state.
   Decision arbitrate(int n, std::size_t count = 1);
 
   /// The shared immutable Transform for (n, backend); planned on first
@@ -229,19 +234,26 @@ class Engine {
   /// arbitrated batch: stages them contiguously in ctx.staging(), runs ONE
   /// run_many, scatters the results back.  A group whose staging would
   /// exceed 2^21 doubles serves per-vector in place instead; count 1 is a
-  /// plain single on the caller's context.  The submit() dispatcher and
-  /// the whtd daemon's same-n singles both merge through here.
+  /// plain single on the caller's context.  submit()'s combiner and the
+  /// whtd daemon's same-n singles both merge through here.
   void execute_many(int n, double* const* xs, std::size_t count,
                     ExecContext& ctx);
 
-  /// Queues one in-place transform of x[0 .. 2^n) and returns immediately;
-  /// the future resolves when it ran.  Concurrent submits of the same n
-  /// coalesce into one arbitrated run_many (the dispatcher stages them
-  /// contiguously, runs the batch, scatters results back).  Planning or
-  /// execution errors surface through the future.
+  /// Queues one in-place transform of x[0 .. 2^n); the future resolves
+  /// when it ran.  If no other submit() is combining, the caller becomes
+  /// the combiner: it serves the queue — its own request and any other
+  /// callers' requests queued meanwhile, each same-size group as ONE
+  /// arbitrated run_many — until the queue is empty, then returns.  A lone
+  /// submit() has therefore run, on the calling thread, by the time it
+  /// returns; a submit() that overlaps an active combiner returns at once
+  /// and the combiner serves it.  Planning or execution errors surface
+  /// through the future.
   std::future<void> submit(int n, double* x);
 
-  /// Serving counters (monotonic since construction).
+  /// Serving counters (monotonic since construction).  Each is exact, but
+  /// a snapshot taken mid-traffic sums the stripes one counter at a time,
+  /// so its fields can be torn across one another (e.g. `vectors` already
+  /// counting a batch that `batches` does not yet).
   struct Stats {
     std::uint64_t vectors = 0;       ///< transforms served, all paths
     std::uint64_t singles = 0;       ///< synchronous execute() requests
@@ -269,22 +281,24 @@ class Engine {
   const std::vector<std::string>& candidates() const { return candidates_; }
 
  private:
-  struct Entry {
+  /// Cache-line aligned with the fields the serve path reads first, so
+  /// pricing a candidate touches one line.
+  struct alignas(64) Entry {
     /// Lock-free ready flag: once true, transform/unit_cost are immutable
     /// and readable without the build mutex (release/acquire pairing).
     /// Build failures cache nothing — the next touch retries, so one
     /// transient error (ENOSPC during a wisdom write, an OOM during an
     /// anchor measurement) never poisons a size for the Engine's lifetime.
     std::atomic<bool> ready{false};
-    std::mutex build_mutex;
-    std::shared_ptr<const Transform> transform;
     double unit_cost = 0.0;  ///< per-vector serve cost (cycles or model units)
+    std::shared_ptr<const Transform> transform;
     /// Live telemetry series for this (n, backend), resolved once at build
     /// so the hot recording path never touches the registry lock (series
     /// addresses are stable for the Engine's lifetime).  Null when
     /// telemetry is off.
     telemetry::Accumulator* telem_single = nullptr;
     telemetry::Accumulator* telem_batch = nullptr;
+    std::mutex build_mutex;
   };
 
   struct Pending {
@@ -302,17 +316,23 @@ class Engine {
   Entry& ensure_built(Entry& e, int n, const std::string& backend);
   void build_entry(Entry& e, int n, const std::string& backend);
 
-  /// arbitrate() plus the winning entry — the serve paths use this so the
-  /// request is priced and routed with ONE pass over the cells (no second
-  /// locked map lookup on the hot path).
-  struct Choice {
-    Decision decision;
-    Entry* winner = nullptr;
-  };
-  Choice choose(int n, std::size_t count);
+  /// The candidates' cells for n, in candidates_ order: one acquire load
+  /// once published (first touch resolves them through slot()).
+  Entry* const* route(int n);
 
-  /// Circuit-breaker bookkeeping per candidate backend.  Entries are
-  /// created in the constructor and never erased; all fields are guarded by
+  /// The arbiter's pick for one request shape: the winning entry and its
+  /// candidate id (index into candidates_, also its Stats column).
+  struct Choice {
+    Entry* winner = nullptr;
+    std::size_t id = 0;
+    double cost = 0.0;  ///< predicted cost of the whole request
+  };
+  /// The one pricing loop: allocation-free on the serve paths; arbitrate()
+  /// passes `decision` to have every priced candidate ranked into it.
+  Choice choose(int n, std::size_t count, Decision* decision = nullptr);
+
+  /// Circuit-breaker bookkeeping per candidate id.  Cells are created in
+  /// the constructor and never erased; all fields are guarded by
   /// health_mutex_.
   struct Health {
     int strikes = 0;          ///< consecutive serving-time failures
@@ -321,11 +341,11 @@ class Engine {
     std::uint64_t trips = 0;     ///< times quarantine engaged
   };
 
-  /// True while `backend` is quarantined and its probation has not elapsed
-  /// (after probation the arbiter lets live traffic re-probe it).
-  bool quarantine_blocked(const std::string& backend);
-  void on_backend_failure(const std::string& backend);
-  void on_backend_success(const std::string& backend);
+  /// True while candidate `id` is quarantined and its probation has not
+  /// elapsed (after probation the arbiter lets live traffic re-probe it).
+  bool quarantine_blocked(std::size_t id);
+  void on_backend_failure(std::size_t id);
+  void on_backend_success(std::size_t id);
   /// True when *any* breaker can engage — consecutive-failure quarantine or
   /// telemetry drift demotion — so success/probe bookkeeping runs.
   bool health_armed() const {
@@ -336,29 +356,59 @@ class Engine {
   /// enough samples, a live p99 beyond drift_demote_factor x the anchor
   /// quarantines the backend for one probation and resets the series (the
   /// re-probe prices from the anchor, not the degraded history).
-  void maybe_demote_for_drift(const std::string& backend, Entry& e);
+  void maybe_demote_for_drift(std::size_t id, Entry& e);
 
   /// Runs the chosen transform; with the breaker armed, absorbs a backend
   /// failure (exception, injected fault, or non-finite output from a finite
   /// input when verify_finite) by striking the backend, restoring the input
-  /// from a snapshot, and re-running on the reference backend.  Updates
-  /// choice.decision.backend to the backend that actually served.
-  void run_guarded(Choice& choice, int n, double* x, std::size_t count,
-                   std::ptrdiff_t dist, ExecContext* ctx);
+  /// from a snapshot, and re-running on the reference backend.  Returns the
+  /// Stats column of the backend that actually served.
+  std::size_t run_guarded(const Choice& choice, int n, double* x,
+                          std::size_t count, std::ptrdiff_t dist,
+                          ExecContext* ctx);
 
-  void record(const std::string& backend, std::uint64_t vectors,
-              bool batch, bool from_submit);
+  /// Counts `vectors` served on `column` by one run (a batch when `batch`;
+  /// `from_submit` marks runs of submit()ted requests).
+  void record(std::size_t column, std::uint64_t vectors, bool batch,
+              bool from_submit);
 
   /// The pointer-array execute_many body; `from_submit` only steers which
   /// Stats tallies the run lands in.
   void execute_gathered(int n, double* const* xs, std::size_t count,
                         ExecContext& ctx, bool from_submit);
 
-  void dispatcher_main();
-  /// Runs one coalesced group through execute_gathered and resolves its
-  /// promises.
-  void serve_group(std::vector<Pending> group);
-  void ensure_dispatcher();
+  /// Runs the combiner's group_ through execute_gathered, resolves its
+  /// promises (with the error, if the group threw) and empties it.
+  void serve_group();
+
+  /// Stats counter slots per stripe: these tallies, then, per column (one
+  /// per candidate id, plus one for the reference backend when it is not a
+  /// candidate: fallback_column_), the vectors each serve path delivered —
+  /// so a single-vector request bumps exactly one counter.
+  enum Tally : std::size_t {
+    kSubmitted,
+    kBatches,
+    kFailures,
+    kFallbacks,
+    kTallies
+  };
+  enum Path : std::size_t {
+    kSingle,        ///< execute(), or execute_many of one vector
+    kSubmitSingle,  ///< a submit() served on its own
+    kBatched,       ///< execute_many batches
+    kCoalesced,     ///< submit()s merged into one batch
+    kPaths
+  };
+  static std::size_t path_slot(std::size_t column, Path path) {
+    return kTallies + column * kPaths + path;
+  }
+  struct alignas(64) CounterLine {
+    std::atomic<std::uint64_t> slot[8];
+  };
+  /// Adds `by` to `slot` on the calling thread's stripe (relaxed).
+  void bump(std::size_t slot, std::uint64_t by);
+  /// `slot` summed over every stripe.
+  std::uint64_t total(std::size_t slot) const;
 
   EngineOptions options_;
   std::vector<std::string> candidates_;
@@ -366,20 +416,28 @@ class Engine {
 
   std::mutex entries_mutex_;  ///< guards the map structure, not the builds
   std::map<std::pair<int, std::string>, std::unique_ptr<Entry>> entries_;
+  /// Per-n routes, published once through routes_[n] and never rebuilt:
+  /// cells are stable and carry their own ready flag.  route_storage_[n]
+  /// owns the array and is written only by the thread that published it.
+  std::unique_ptr<Entry*[]> route_storage_[kMaxLog2Size + 1];
+  std::atomic<Entry* const*> routes_[kMaxLog2Size + 1];
 
   std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<Pending> queue_;
-  bool stop_ = false;
-  bool dispatcher_started_ = false;
-  std::thread dispatcher_;
-  ExecContext dispatcher_ctx_;  ///< staging + scratch for coalesced batches
+  std::deque<Pending> queue_;  ///< guarded by queue_mutex_
+  bool combining_ = false;     ///< guarded by queue_mutex_
+  /// Owned by the active combiner — the submit() call that set combining_
+  /// — until it clears the flag: the group being served, its pointers, and
+  /// the context its batches stage in.
+  std::vector<Pending> group_;
+  std::vector<double*> group_xs_;
+  ExecContext combiner_ctx_;
 
   mutable std::mutex health_mutex_;
-  std::map<std::string, Health> health_;
+  std::vector<Health> health_;  ///< per candidate id
 
-  mutable std::mutex stats_mutex_;
-  Stats stats_;
+  std::size_t fallback_column_ = 0;
+  std::size_t lines_per_stripe_ = 0;
+  std::unique_ptr<CounterLine[]> counters_;  ///< kStripes x lines_per_stripe_
 };
 
 /// One-line human-readable rendering of a stats snapshot — the export used

@@ -21,9 +21,6 @@ namespace {
 /// (a(10) is already ~10^6 plans; see search/exhaustive.hpp).
 constexpr int kMaxExhaustive = 8;
 
-/// Largest transform the planner will build: 2^26 doubles = 512 MiB.
-constexpr int kMaxLog2Size = 26;
-
 /// Model-driven pricing for the backend the Transform will own: a backend
 /// supplying its own cost_model() (e.g. "fused", which prices memory
 /// passes of the lowered schedule) is taken at its word; otherwise the

@@ -44,6 +44,10 @@
 
 namespace whtlab::api {
 
+/// Largest transform the planner will build: 2^26 doubles = 512 MiB.  The
+/// Engine rejects requests beyond it before touching any state.
+inline constexpr int kMaxLog2Size = 26;
+
 class Planner {
  public:
   Planner() = default;

@@ -138,8 +138,8 @@ struct DaemonOptions {
   /// The serving Engine's configuration (candidate backends, strategy,
   /// wisdom file, circuit breaker, telemetry, ...).  The daemon serves
   /// singles on its service thread and merges the same-n singles of one
-  /// poll round itself, so the submit() coalescer's batch_window_us and
-  /// max_batch do not apply.
+  /// poll round itself through the pointer-array execute_many, so it never
+  /// calls submit().
   api::EngineOptions engine;
 
   /// Defaults with every WHTLAB_IPC_* environment knob applied.

@@ -201,17 +201,18 @@ struct alignas(64) Cell {
   }
 };
 
+}  // namespace detail
+
 /// Small dense thread index for striping (hashing std::thread::id gives no
 /// distribution guarantee; a counter round-robins threads across stripes,
-/// so up to kStripes recorders never collide).
+/// so up to kStripes recorders never collide).  Shared with the Engine's
+/// striped serving counters.
 inline unsigned stripe_index() {
   static std::atomic<unsigned> next{0};
   thread_local const unsigned index =
       next.fetch_add(1, std::memory_order_relaxed);
   return index & (kStripes - 1);
 }
-
-}  // namespace detail
 
 class Accumulator {
  public:
@@ -229,7 +230,7 @@ class Accumulator {
   }
 
   void record(std::uint64_t value) {
-    cells_[detail::stripe_index()].record(
+    cells_[stripe_index()].record(
         value, decay_mask_.load(std::memory_order_relaxed));
   }
 

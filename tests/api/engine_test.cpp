@@ -1,18 +1,23 @@
 // wht::Engine: shared plan cache, serve-time backend arbitration by request
-// shape, the coalescing submit batcher, and thread-safety of the whole
-// serving surface (runs under the TSan CI job).
+// shape, the caller-runs submit() combiner, the n-range gate, and
+// thread-safety of the whole serving surface, exact striped counters
+// included (runs under the TSan CI job).
 #include "api/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <functional>
 #include <future>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "api/executor_backend.hpp"
+#include "api/planner.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "util/rng.hpp"
@@ -76,8 +81,59 @@ EngineOptions scripted_options() {
   return options;
 }
 
-TEST(EngineArbitration, BrokenCandidateIsSkippedNotFatal) {
-  ensure_scripted_backends();
+/// Test-owned knobs of the "scripted-gate" backend: while g_gate_closed is
+/// set every run() parks (counting itself in g_gate_parked) until it
+/// clears; while g_gate_fail is set every run() throws.
+std::atomic<bool> g_gate_closed{false};
+std::atomic<int> g_gate_parked{0};
+std::atomic<bool> g_gate_fail{false};
+
+/// Correct executor the test can freeze or break mid-serve, so combiner
+/// interleavings are forced rather than raced for.
+class GateBackend final : public ExecutorBackend {
+ public:
+  const std::string& name() const override { return name_; }
+
+  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
+           ExecContext& /*ctx*/) const override {
+    if (g_gate_fail.load()) throw std::runtime_error("gate backend failed");
+    if (g_gate_closed.load()) {
+      g_gate_parked.fetch_add(1);
+      while (g_gate_closed.load()) std::this_thread::yield();
+    }
+    core::execute_node(plan.root(), x, stride,
+                       core::codelet_table(core::CodeletBackend::kGenerated));
+  }
+
+  std::function<double(const core::Plan&)> cost_model() const override {
+    return [](const core::Plan&) { return 1.0; };
+  }
+
+ private:
+  std::string name_ = "scripted-gate";
+};
+
+EngineOptions gate_options() {
+  auto& registry = BackendRegistry::global();
+  if (!registry.contains("scripted-gate")) {
+    registry.register_factory("scripted-gate", [](const BackendOptions&) {
+      return std::make_unique<GateBackend>();
+    });
+  }
+  g_gate_closed.store(false);
+  g_gate_parked.store(0);
+  g_gate_fail.store(false);
+  EngineOptions options;
+  options.backends = {"scripted-gate"};
+  options.measure_costs = false;  // first touch must not run the backend
+  return options;
+}
+
+bool is_ready(const std::future<void>& future) {
+  return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+void ensure_broken_backend() {
   auto& registry = BackendRegistry::global();
   if (!registry.contains("scripted-broken")) {
     registry.register_factory(
@@ -85,6 +141,11 @@ TEST(EngineArbitration, BrokenCandidateIsSkippedNotFatal) {
           throw std::runtime_error("backend hardware went away");
         });
   }
+}
+
+TEST(EngineArbitration, BrokenCandidateIsSkippedNotFatal) {
+  ensure_scripted_backends();
+  ensure_broken_backend();
   EngineOptions options;
   options.backends = {"scripted-single", "scripted-broken"};
   options.measure_costs = false;
@@ -201,42 +262,132 @@ TEST(Engine, PointerArrayExecuteManyMatchesSharedTransform) {
   EXPECT_EQ(stats.vectors, 9u);
 }
 
-TEST(Engine, CoalescesConcurrentSubmitsIntoOneBatch) {
-  EngineOptions options;
-  options.backends = {"generated"};
-  options.measure_costs = false;
-  options.max_batch = 8;
-  options.batch_window_us = 300000;  // plenty: the batch must fill, not time out
-  Engine engine(options);
-
+TEST(Engine, CombinerMergesOverlappingSubmitsIntoOneBatch) {
+  Engine engine(gate_options());
   constexpr int kN = 6;
   const std::uint64_t size = 1u << kN;
+  const auto transform = engine.transform(kN, "scripted-gate");
+  engine.arbitrate(kN, 7);  // first touch paid before the gate closes
   const auto input = random_vector(size, 4);
   auto reference = input;
-  engine.transform(kN, "generated")->execute(reference.data());
+  transform->execute(reference.data());
 
-  std::vector<std::vector<double>> buffers(8, input);
+  // Thread A's lone submit() becomes the combiner and parks in the backend.
+  g_gate_closed.store(true);
+  auto first = input;
+  std::future<void> first_done;
+  std::thread combiner(
+      [&] { first_done = engine.submit(kN, first.data()); });
+  while (g_gate_parked.load() == 0) std::this_thread::yield();
+
+  // Overlapping submits find the combiner active: each queues and returns
+  // at once with its future still pending.
+  std::vector<std::vector<double>> buffers(7, input);
   std::vector<std::future<void>> futures;
-  for (auto& buffer : buffers) futures.push_back(engine.submit(kN, buffer.data()));
-  for (auto& future : futures) future.get();
+  for (auto& buffer : buffers) {
+    futures.push_back(engine.submit(kN, buffer.data()));
+    EXPECT_FALSE(is_ready(futures.back()));
+  }
+  const auto before = engine.stats();
 
+  // Released, the combiner finishes its own request, then serves the seven
+  // as ONE batch before its submit() returns.
+  g_gate_closed.store(false);
+  combiner.join();
+  ASSERT_TRUE(is_ready(first_done));
+  first_done.get();
+  EXPECT_EQ(first, reference);
+  for (auto& future : futures) {
+    ASSERT_TRUE(is_ready(future)) << "the combiner returned with work queued";
+    future.get();
+  }
   for (const auto& buffer : buffers) EXPECT_EQ(buffer, reference);
+  const auto after = engine.stats();
+  EXPECT_EQ(after.submitted, 8u);
+  EXPECT_EQ(after.batches, before.batches + 1);  // ONE run_many for all seven
+  EXPECT_EQ(after.coalesced, 7u);
+  EXPECT_EQ(after.vectors, 8u);
+}
+
+TEST(Engine, LoneSubmitHasRunWhenItReturns) {
+  Engine engine(gate_options());
+  constexpr int kN = 7;
+  const auto input = random_vector(1u << kN, 8);
+  auto reference = input;
+  engine.transform(kN, "scripted-gate")->execute(reference.data());
+  for (int i = 0; i < 3; ++i) {
+    auto x = input;
+    auto done = engine.submit(kN, x.data());
+    ASSERT_TRUE(is_ready(done)) << "no thread hop, no window";
+    done.get();
+    EXPECT_EQ(x, reference);
+  }
   const auto stats = engine.stats();
-  EXPECT_EQ(stats.submitted, 8u);
-  EXPECT_EQ(stats.batches, 1u);   // ONE run_many served all eight
-  EXPECT_EQ(stats.coalesced, 8u);
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.coalesced, 0u);
+}
+
+TEST(Engine, ThrowingGroupLeavesTheEngineServing) {
+  Engine engine(gate_options());
+  constexpr int kN = 5;
+  engine.arbitrate(kN, 1);
+  auto x = random_vector(1u << kN, 9);
+  g_gate_fail.store(true);
+  auto failed = engine.submit(kN, x.data());
+  ASSERT_TRUE(is_ready(failed));
+  EXPECT_THROW(failed.get(), std::runtime_error);
+
+  // The failed group released the combiner role: the next submit() serves.
+  g_gate_fail.store(false);
+  auto y = random_vector(1u << kN, 10);
+  auto reference = y;
+  engine.transform(kN, "scripted-gate")->execute(reference.data());
+  auto done = engine.submit(kN, y.data());
+  ASSERT_TRUE(is_ready(done));
+  done.get();
+  EXPECT_EQ(y, reference);
 }
 
 TEST(Engine, SubmitErrorsSurfaceThroughTheFuture) {
+  ensure_broken_backend();
+  EngineOptions options;
+  options.backends = {"scripted-broken"};
+  options.measure_costs = false;
+  Engine engine(options);
+  double dummy = 0.0;
+  auto future = engine.submit(4, &dummy);  // every candidate fails to build
+  EXPECT_THROW(future.get(), std::runtime_error);
+  EXPECT_THROW(engine.submit(30, &dummy), std::invalid_argument);
+  EXPECT_THROW(engine.submit(0, &dummy), std::invalid_argument);
+}
+
+TEST(Engine, RejectsOutOfRangeSizesAtEveryEntryPoint) {
   EngineOptions options;
   options.backends = {"generated"};
   options.measure_costs = false;
-  options.batch_window_us = 0;
   Engine engine(options);
-  double dummy = 0.0;
-  auto future = engine.submit(30, &dummy);  // planner rejects n > 26
-  EXPECT_THROW(future.get(), std::invalid_argument);
-  EXPECT_THROW(engine.submit(0, &dummy), std::invalid_argument);
+  double buffer[2] = {1.0, 2.0};
+  double* xs[1] = {buffer};
+  ExecContext ctx;
+  // Each bad n is refused before any shift by it (UBSan: shift exponent)
+  // and before any cache cell is created for it.
+  for (const int n : {-1, 0, kMaxLog2Size + 1, 64}) {
+    EXPECT_THROW(engine.execute(n, buffer), std::invalid_argument) << n;
+    EXPECT_THROW(engine.execute_many(n, buffer, 1), std::invalid_argument) << n;
+    EXPECT_THROW(engine.execute_many(n, buffer, 1, 2), std::invalid_argument)
+        << n;
+    EXPECT_THROW(engine.execute_many(n, buffer, 1, 2, ctx),
+                 std::invalid_argument)
+        << n;
+    EXPECT_THROW(engine.execute_many(n, xs, 1, ctx), std::invalid_argument)
+        << n;
+    EXPECT_THROW(engine.submit(n, buffer), std::invalid_argument) << n;
+    EXPECT_THROW(engine.arbitrate(n, 1), std::invalid_argument) << n;
+    EXPECT_THROW(engine.transform(n, "generated"), std::invalid_argument) << n;
+  }
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.vectors, 0u);
+  EXPECT_EQ(stats.submitted, 0u);
 }
 
 TEST(Engine, RejectsUnknownCandidates) {
@@ -249,35 +400,75 @@ TEST(Engine, ConcurrentMixedServingIsCorrect) {
   EngineOptions options;
   options.backends = {"generated", "simd"};
   options.measure_costs = false;
-  options.batch_window_us = 100;
   Engine engine(options);
 
   constexpr int kN = 9;
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 12;
+  constexpr std::size_t kBatch = 4;
   const std::uint64_t size = 1u << kN;
   const auto input = random_vector(size, 5);
   auto reference = input;
   engine.transform(kN, engine.arbitrate(kN, 1).backend)->execute(reference.data());
 
+  // Every thread cycles execute / execute_many / submit, so the striped
+  // counters, the route table and the combiner all race each other.
   std::atomic<int> mismatches{0};
   std::vector<std::thread> clients;
-  for (int t = 0; t < 8; ++t) {
+  for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t]() {
       std::vector<double> work(size);
-      for (int i = 0; i < 5; ++i) {
-        work = input;
-        if ((t + i) % 2 == 0) {
-          engine.execute(kN, work.data());
-        } else {
-          engine.submit(kN, work.data()).get();
+      std::vector<double> batch(size * kBatch);
+      for (int i = 0; i < kRounds; ++i) {
+        switch ((t + i) % 3) {
+          case 0:
+            work = input;
+            engine.execute(kN, work.data());
+            if (work != reference) mismatches.fetch_add(1);
+            break;
+          case 1:
+            for (std::size_t v = 0; v < kBatch; ++v) {
+              std::copy(input.begin(), input.end(), batch.begin() + v * size);
+            }
+            engine.execute_many(kN, batch.data(), kBatch);
+            for (std::size_t v = 0; v < kBatch; ++v) {
+              if (!std::equal(reference.begin(), reference.end(),
+                              batch.begin() + v * size)) {
+                mismatches.fetch_add(1);
+              }
+            }
+            break;
+          default:
+            work = input;
+            engine.submit(kN, work.data()).get();
+            if (work != reference) mismatches.fetch_add(1);
+            break;
         }
-        if (work != reference) mismatches.fetch_add(1);
       }
     });
   }
   for (auto& client : clients) client.join();
   EXPECT_EQ(mismatches.load(), 0);
+
+  std::uint64_t singles = 0, many = 0, submits = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kRounds; ++i) {
+      const int kind = (t + i) % 3;
+      singles += kind == 0;
+      many += kind == 1;
+      submits += kind == 2;
+    }
+  }
   const auto stats = engine.stats();
-  EXPECT_EQ(stats.vectors, 8u * 5u);
+  EXPECT_EQ(stats.vectors, singles + many * kBatch + submits);
+  EXPECT_EQ(stats.singles, singles);
+  EXPECT_EQ(stats.submitted, submits);
+  EXPECT_GE(stats.batches, many);
+  std::uint64_t per_backend = 0;
+  for (const auto& [backend, vectors] : stats.per_backend) {
+    per_backend += vectors;
+  }
+  EXPECT_EQ(per_backend, stats.vectors);
 }
 
 }  // namespace

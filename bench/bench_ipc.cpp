@@ -511,20 +511,6 @@ Cell run_baseline(wht::Engine& engine, const Shape& shape, double seconds) {
   return cell;
 }
 
-std::vector<int> parse_int_list(const std::string& text) {
-  std::vector<int> out;
-  std::string current;
-  for (const char c : text + ",") {
-    if (c == ',') {
-      if (!current.empty()) out.push_back(std::stoi(current));
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  return out;
-}
-
 void print_cells(std::FILE* out, const char* name,
                  const std::vector<Cell>& cells, const Cell& baseline,
                  bool last) {
@@ -568,7 +554,7 @@ int main(int argc, char** argv) {
   if (endpoint.empty()) {
     endpoint = "bench-ipc-" + std::to_string(static_cast<long>(getpid()));
   }
-  const std::vector<int> clients = parse_int_list(cli.get("clients"));
+  const std::vector<int> clients = cli.get_int_list("clients");
   const int single_n = static_cast<int>(cli.get_int("n", 10));
   const int batch_n = static_cast<int>(cli.get_int("batch-n", 8));
   const auto batch = static_cast<std::size_t>(cli.get_int("batch", 16));

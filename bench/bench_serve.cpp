@@ -52,20 +52,6 @@ namespace {
 
 using namespace whtlab;
 
-std::vector<int> parse_int_list(const std::string& text) {
-  std::vector<int> out;
-  std::string current;
-  for (const char c : text + ",") {
-    if (c == ',') {
-      if (!current.empty()) out.push_back(std::stoi(current));
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  return out;
-}
-
 using util::random_vector;
 
 /// One buffer the bench transforms in place over and over.  H·H = 2^n·I,
@@ -264,7 +250,7 @@ int main(int argc, char** argv) {
                "0");
   if (!cli.parse(argc, argv)) return 2;
 
-  const std::vector<int> threads = parse_int_list(cli.get("threads"));
+  const std::vector<int> threads = cli.get_int_list("threads");
   const int nmin = static_cast<int>(cli.get_int("nmin", 10));
   const int nmax = static_cast<int>(cli.get_int("nmax", 22));
   const int gate_n = static_cast<int>(cli.get_int("gate-n", 10));

@@ -72,10 +72,13 @@ struct EngineOptions {
   /// anything costlier).
   Strategy strategy = Strategy::kEstimate;
 
-  /// Per-request worker-thread budget handed to the backends (batch fan-out)
-  /// and to the arbiter's batch pricing.  Serving throughput scales with
-  /// *caller* threads on the shared transforms regardless; keep this 1
-  /// unless individual requests are latency-critical.
+  /// Per-request worker-thread budget handed to the backends and to the
+  /// arbiter's batch pricing: batches fan whole vectors out, and "fused"
+  /// also splits one vector larger than its largest cache block across the
+  /// threads (the first-touch anchor measures that split, so the arbiter
+  /// prices it).  Serving throughput scales with *caller* threads on the
+  /// shared transforms regardless; keep this 1 unless individual requests
+  /// are latency-critical.
   int threads = 1;
 
   /// Largest unrolled leaf for planning (Planner::max_leaf).

@@ -168,9 +168,12 @@ class FusedBackend final : public ExecutorBackend {
 
   const std::string& name() const override { return name_; }
 
+  /// threads_ > 1 splits one vector beyond the largest cache block across
+  /// threads (simd::execute_fused); smaller vectors run on the caller.
   void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
            ExecContext& /*ctx*/) const override {
-    simd::execute_fused(schedule_for(plan), x, stride);
+    simd::execute_fused(schedule_for(plan), x, stride, simd::active_level(),
+                        threads_);
   }
 
   void run_many(const core::Plan& plan, double* x, std::size_t count,

@@ -30,6 +30,7 @@
 //                   to flat blocked passes (core/schedule.hpp) run by the
 //                   fused SIMD kernels (simd/fused_executor.hpp) — the
 //                   memory-bound big-n engine; threads fan out batch chunks
+//                   and split one vector beyond the largest cache block
 #pragma once
 
 #include <cstddef>
@@ -49,7 +50,8 @@ namespace whtlab::api {
 
 /// Knobs a factory may honour when instantiating a backend.
 struct BackendOptions {
-  int threads = 1;  ///< worker threads ("parallel", "simd", "fused" batches)
+  int threads = 1;  ///< worker threads ("parallel"; "simd" batches; "fused"
+                    ///< batches and single vectors beyond the cache blocks)
   core::CodeletBackend codelets = core::CodeletBackend::kGenerated;
 };
 

@@ -60,8 +60,8 @@ class Planner {
   /// "generated", or "parallel" when threads() > 1.
   Planner& backend(std::string name);
 
-  /// Worker threads for the parallel backend.  Values > 1 switch the
-  /// default backend to "parallel".
+  /// Worker threads handed to the backend (BackendOptions::threads).
+  /// Values > 1 switch the default backend to "parallel".
   Planner& threads(int count);
 
   /// Codelet flavour used by the sequential/parallel backends.

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <thread>
 
+#include "util/cpu_relax.hpp"
 #include "util/fault.hpp"
 
 #if defined(__linux__)
@@ -16,17 +17,7 @@
 
 namespace whtlab::ipc {
 
-namespace {
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
-}  // namespace
+using util::cpu_relax;
 
 #if defined(__linux__)
 

@@ -49,10 +49,12 @@ struct KernelSet {
   /// `runs` contiguous 2^u-double runs (requires 2^u >= width);
   /// fused_lockstep_pass retires stages [stage, stage+k) over one
   /// contiguous block as radix-2^k register tiles at stride 2^stage,
-  /// `width` columns per step (requires 2^stage >= width).
+  /// `width` columns per step (requires 2^stage >= width), on columns
+  /// [0, columns) of every tile span — 2^stage for the whole pass, a
+  /// multiple of `width` below it when threads split the pass by columns.
   void (*fused_unit_pass)(int u, double* x, std::uint64_t runs) = nullptr;
-  void (*fused_lockstep_pass)(int k, int stage, double* x,
-                              std::uint64_t block) = nullptr;
+  void (*fused_lockstep_pass)(int k, int stage, double* x, std::uint64_t block,
+                              std::uint64_t columns) = nullptr;
 
   /// Gather/scatter strided leaf: WHT(2^k) on x[0], x[stride], ...,
   /// 2^k >= width, any stride > 1.  nullptr where the ISA cannot express it

@@ -353,7 +353,8 @@ inline void radix_cols(double* x, std::ptrdiff_t s) {
 }
 
 template <int W, int M>
-void lockstep_pass_radix(double* x, std::uint64_t s, std::uint64_t block) {
+void lockstep_pass_radix(double* x, std::uint64_t s, std::uint64_t block,
+                         std::uint64_t columns) {
   // Prefetch distance in doubles (8 cache lines ahead on each of the M row
   // streams).  A radix-16/32 pass walks more concurrent strided streams
   // than the hardware prefetchers track, so the kernel asks for its own
@@ -363,8 +364,8 @@ void lockstep_pass_radix(double* x, std::uint64_t s, std::uint64_t block) {
   const std::uint64_t span = s * M;
   for (std::uint64_t j = 0; j < block; j += span) {
     double* base = x + j;
-    for (std::uint64_t t = 0; t < s; t += W) {
-      if (t + kPrefetchAhead < s) {
+    for (std::uint64_t t = 0; t < columns; t += W) {
+      if (t + kPrefetchAhead < columns) {
         for (int i = 0; i < M; ++i) {
           __builtin_prefetch(base + t + kPrefetchAhead + i * s, 1);
         }
@@ -378,34 +379,38 @@ void lockstep_pass_radix(double* x, std::uint64_t s, std::uint64_t block) {
 /// doubles: stages [stage, stage+k) as radix-2^k tiles at stride 2^stage,
 /// W columns per kernel call (requires 2^stage >= W; the column loop walks
 /// contiguous addresses, so a pass is one streaming sweep of the block).
+/// Only columns [0, columns) of every 2^(stage+k) span are processed
+/// (`columns` a multiple of W, at most 2^stage): a thread handed x offset
+/// by c runs columns [c, c + columns) of the pass.
 /// Radix-16/32 are the streaming shapes: 16/32 vectors live per tile (the
 /// whole register file at radix-32 / width-8; narrower ISAs spill to
 /// L1-resident stack, which is still far cheaper than the memory sweep the
 /// wider radix saves).
 template <int W>
-void fused_lockstep_pass(int k, int stage, double* x, std::uint64_t block) {
+void fused_lockstep_pass(int k, int stage, double* x, std::uint64_t block,
+                         std::uint64_t columns) {
   const std::uint64_t s = std::uint64_t{1} << stage;
   switch (k) {
     case 1:
-      lockstep_pass_radix<W, 2>(x, s, block);
+      lockstep_pass_radix<W, 2>(x, s, block, columns);
       return;
     case 2:
-      lockstep_pass_radix<W, 4>(x, s, block);
+      lockstep_pass_radix<W, 4>(x, s, block, columns);
       return;
     case 3:
-      lockstep_pass_radix<W, 8>(x, s, block);
+      lockstep_pass_radix<W, 8>(x, s, block, columns);
       return;
     case 4:
-      lockstep_pass_radix<W, 16>(x, s, block);
+      lockstep_pass_radix<W, 16>(x, s, block, columns);
       return;
     case 5:
-      lockstep_pass_radix<W, 32>(x, s, block);
+      lockstep_pass_radix<W, 32>(x, s, block, columns);
       return;
     default:
       // Beyond the widest unrolled tile: route through the generic
       // lockstep leaf (runtime trip counts, stack-array temporaries).
       for (std::uint64_t j = 0; j < block; j += s << k) {
-        for (std::uint64_t t = 0; t < s; t += W) {
+        for (std::uint64_t t = 0; t < columns; t += W) {
           leaf_lockstep<W>(k, x + j + t, static_cast<std::ptrdiff_t>(s));
         }
       }

@@ -91,4 +91,18 @@ double Cli::get_double(const std::string& name, double fallback) const {
   return std::stod(text);
 }
 
+std::vector<int> Cli::get_int_list(const std::string& name) const {
+  std::vector<int> out;
+  std::string current;
+  for (const char c : get(name) + ",") {
+    if (c == ',') {
+      if (!current.empty()) out.push_back(std::stoi(current));
+      current.clear();
+    } else {
+      current += c;
+    }
+  }
+  return out;
+}
+
 }  // namespace whtlab::util

@@ -30,6 +30,8 @@ class Cli {
   std::string get(const std::string& name, const std::string& fallback = "") const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
+  /// Comma-separated integers ("1,2,4"); empty entries are skipped.
+  std::vector<int> get_int_list(const std::string& name) const;
 
   /// Positional arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }

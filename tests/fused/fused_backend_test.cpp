@@ -5,11 +5,16 @@
 // is bitwise (ASSERT_EQ on doubles): the fused passes retire the same
 // butterflies in the same stage order, so there is no tolerance to hide a
 // blocking or indexing bug behind.  The whole suite also runs under the CI
-// ASan/UBSan job, which is what catches tile overruns.
+// ASan/UBSan job, which is what catches tile overruns, and the FusedThreads
+// suite under the TSan job, which is what checks the split's counters.
 #include "simd/fused_executor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "api/wht.hpp"
@@ -47,6 +52,51 @@ class ForcedLevel {
   explicit ForcedLevel(SimdLevel level) { force_level(level); }
   ~ForcedLevel() { reset_forced_level(); }
 };
+
+/// An explicit geometry and a size at which its schedule has at least two
+/// top-level rounds, so execute_fused with threads > 1 splits the vector.
+struct SplitCase {
+  core::BlockingConfig config;
+  int n;
+};
+
+/// Together these hit every kind of chunk the split cuts: ranges of whole
+/// blocks (even and uneven), column ranges of one block and of several,
+/// column ranges capped by few column groups, multi-pass L2 rounds, a chain
+/// of radix-2 streaming rounds, and a radix-2^7 streaming pass (the
+/// kernels' generic column loop).
+std::vector<SplitCase> split_cases() {
+  return {
+      {{3, 2, 5, 8, 2}, 12},  // 16 L2 blocks, then 4-block and 1-block passes
+      {{4, 3, 6, 9, 3}, 14},
+      {{3, 1, 4, 6, 1}, 10},  // four radix-2 streaming rounds
+      {{3, 1, 3, 4, 1}, 6},   // 2 and 4 column groups per block at width 8
+      {{3, 3, 5, 7, 7}, 14},  // one radix-2^7 streaming pass
+  };
+}
+
+/// The 2^n-point WHT of `input` through the scalar tree executor.
+std::vector<double> serial_reference(const std::vector<double>& input) {
+  std::vector<double> out = input;
+  const int n = static_cast<int>(std::bit_width(input.size())) - 1;
+  core::execute(core::Plan::right_recursive(n), out.data());
+  return out;
+}
+
+/// Runs `schedule` on a copy of `input` at `threads` and asserts the result
+/// equals `expect` bit for bit.
+void expect_split_matches(const core::Schedule& schedule,
+                          const std::vector<double>& input,
+                          const std::vector<double>& expect, SimdLevel level,
+                          int threads, const std::string& label) {
+  util::AlignedBuffer x(input.size());
+  for (std::size_t i = 0; i < input.size(); ++i) x[i] = input[i];
+  execute_fused(schedule, x.data(), 1, level, threads);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    ASSERT_EQ(x[i], expect[i]) << label << " level=" << to_string(level)
+                               << " threads=" << threads << " i=" << i;
+  }
+}
 
 class FusedParityTest : public ::testing::TestWithParam<SimdLevel> {};
 
@@ -136,6 +186,56 @@ TEST_P(FusedParityTest, StridedFallsBackAndKeepsGapsUntouched) {
   }
 }
 
+TEST_P(FusedParityTest, SplitMatchesSerialOnMultiRoundSchedules) {
+  const SimdLevel level = GetParam();
+  for (const SplitCase& c : split_cases()) {
+    const core::Schedule schedule = core::lower_size(c.n, c.config);
+    ASSERT_GE(core::sweep_count(schedule), 2);
+    const std::vector<double> input = util::random_vector(
+        std::uint64_t{1} << c.n, static_cast<std::uint64_t>(c.n));
+    const std::vector<double> expect = serial_reference(input);
+    const std::string label =
+        "n=" + std::to_string(c.n) + " l1=" +
+        std::to_string(c.config.l1_block_log2) +
+        " l2=" + std::to_string(c.config.l2_block_log2) +
+        " stream=" + std::to_string(c.config.stream_radix_log2);
+    for (int threads : {2, 3, 4}) {
+      expect_split_matches(schedule, input, expect, level, threads, label);
+    }
+  }
+}
+
+TEST_P(FusedParityTest, SplitMatchesSerialAtProbedBlocking) {
+  const SimdLevel level = GetParam();
+  for (int n : {18, 20, 21}) {
+    const core::Schedule schedule = core::lower_size(n, detect_blocking());
+    const std::vector<double> input = util::random_vector(
+        std::uint64_t{1} << n, static_cast<std::uint64_t>(n) + 7);
+    const std::vector<double> expect = serial_reference(input);
+    for (int threads : {2, 3, 4}) {
+      expect_split_matches(schedule, input, expect, level, threads,
+                           "probed n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST_P(FusedParityTest, SplitStridedFallsBackAndKeepsGapsUntouched) {
+  const SimdLevel level = GetParam();
+  const SplitCase c = split_cases().front();
+  const core::Schedule schedule = core::lower_size(c.n, c.config);
+  const std::uint64_t size = std::uint64_t{1} << c.n;
+  const std::vector<double> input = util::random_vector(size, 61);
+  const std::vector<double> expect = serial_reference(input);
+  util::AlignedBuffer strided(2 * size);
+  strided.fill(-9.0);
+  for (std::uint64_t i = 0; i < size; ++i) strided[2 * i] = input[i];
+  execute_fused(schedule, strided.data(), 2, level, 3);
+  for (std::uint64_t i = 0; i < size; ++i) {
+    ASSERT_EQ(strided[2 * i], expect[i]) << "i=" << i;
+    ASSERT_EQ(strided[2 * i + 1], -9.0) << "gap clobbered at i=" << i;
+  }
+}
+
 TEST_P(FusedParityTest, ExecuteManyBatchesWithPadding) {
   const SimdLevel level = GetParam();
   const ForcedLevel forced(level);
@@ -220,6 +320,23 @@ TEST(FusedBackendFacade, ExecuteCopyMatchesGenerated) {
   EXPECT_EQ(out_fused, out_scalar);
 }
 
+TEST(FusedBackendFacade, TwoThreadSingleAtTwentyMatchesGenerated) {
+  auto fused_t = api::Planner().backend("fused").threads(2).plan(20);
+  auto scalar_t = api::Planner().fixed(fused_t.plan()).plan();
+  ASSERT_EQ(fused_t.backend_name(), "fused");
+  const std::vector<double> in = util::random_vector(fused_t.size(), 43);
+  std::vector<double> fused_x = in;
+  std::vector<double> scalar_x = in;
+  fused_t.execute(fused_x.data());
+  scalar_t.execute(scalar_x.data());
+  EXPECT_EQ(fused_x, scalar_x);
+  std::vector<double> out_fused(fused_t.size());
+  std::vector<double> out_scalar(fused_t.size());
+  fused_t.execute_copy(in.data(), out_fused.data());
+  scalar_t.execute_copy(in.data(), out_scalar.data());
+  EXPECT_EQ(out_fused, out_scalar);
+}
+
 TEST(FusedBackendFacade, SuppliesItsOwnCostModelToThePlanner) {
   auto backend = api::BackendRegistry::global().create("fused");
   const auto model = backend->cost_model();
@@ -252,6 +369,37 @@ TEST(FusedBackendFacade, ThreadsFanOutBatchChunks) {
     core::execute(plan, reference.data() + v * plan.size());
   }
   EXPECT_EQ(batch, reference);
+}
+
+// Four callers share one multi-round schedule, each splitting its own
+// vector over 2 threads: the claim and done counters of concurrent splits
+// must neither race nor leak across calls (the CI TSan job runs this).
+TEST(FusedThreads, ConcurrentCallersEachSplitOneSharedSchedule) {
+  const core::Schedule schedule = core::lower_size(16, {3, 3, 6, 10, 2});
+  ASSERT_GE(core::sweep_count(schedule), 2);
+  const SimdLevel level = active_level();
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&, c] {
+      const std::vector<double> input = util::random_vector(
+          std::uint64_t{1} << 16, static_cast<std::uint64_t>(c));
+      const std::vector<double> expect = serial_reference(input);
+      util::AlignedBuffer x(input.size());
+      for (int rep = 0; rep < 20; ++rep) {
+        for (std::size_t i = 0; i < input.size(); ++i) x[i] = input[i];
+        execute_fused(schedule, x.data(), 1, level, 2);
+        for (std::size_t i = 0; i < input.size(); ++i) {
+          if (x[i] != expect[i]) {
+            ++mismatches;
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

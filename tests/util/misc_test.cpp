@@ -123,6 +123,16 @@ TEST(Cli, DefaultsApply) {
   EXPECT_EQ(cli.get_double("samples", 0.0), 100.0);
 }
 
+TEST(Cli, IntListSkipsEmptyEntries) {
+  Cli cli;
+  cli.add_flag("threads", "list", "1,2,4");
+  cli.add_flag("none", "empty list");
+  const char* argv[] = {"prog", "--none", ",,"};
+  ASSERT_TRUE(cli.parse(3, const_cast<char**>(argv)));
+  EXPECT_EQ(cli.get_int_list("threads"), (std::vector<int>{1, 2, 4}));
+  EXPECT_TRUE(cli.get_int_list("none").empty());
+}
+
 TEST(Cli, UnknownFlagFails) {
   Cli cli;
   const char* argv[] = {"prog", "--bogus"};

@@ -3,8 +3,9 @@
 // Measures the whtd shared-memory path end to end: a forked daemon process
 // owns the Engine, C forked client processes connect through the shm
 // protocol and hammer it with blocking round trips.  Reported per cell:
-// requests/s, vectors/s, and p50/p99 round-trip latency from merged
-// per-client log2 histograms.  Shapes:
+// requests/s, vectors/s, and p50/p99 round-trip latency from the clients'
+// merged telemetry::Accumulator histograms (log2 buckets: a percentile is
+// its bucket's upper bound, 2^b - 1 ns).  Shapes:
 //
 //   single  one 2^n vector per request (round-trip latency shape; the
 //           daemon merges same-n singles popped in one poll round, so
@@ -18,14 +19,19 @@
 // cost" directly.  Fork discipline: the daemon child is forked FIRST and
 // clients are forked from a parent that never starts a thread; the
 // in-process baseline runs last, after all forking is done.
+//
+// Every loop transforms the same buffers in place for seconds.  Since
+// H·H = 2^n·I, each buffer gets the exact 2^-n rescale after every second
+// transform, so the data stays finite; the run exits 1 if any buffer ends
+// non-finite.
 #include <csignal>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -33,6 +39,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "api/wht.hpp"
@@ -40,6 +48,7 @@
 #include "ipc/daemon.hpp"
 #include "ipc/shm.hpp"
 #include "ipc/supervisor.hpp"
+#include "telemetry/accumulator.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -47,17 +56,17 @@ namespace {
 
 using namespace whtlab;
 
-constexpr int kBuckets = 64;
-
 /// What one client child reports back over its result pipe.
 struct ClientReport {
   std::uint64_t requests = 0;
   std::uint64_t vectors = 0;
   std::uint64_t errors = 0;
-  std::uint64_t max_ns = 0;        // worst single round trip (exact)
-  std::uint64_t reconnects = 0;    // re-handshakes (handoff mode)
-  std::uint64_t latency_ns[kBuckets] = {};  // log2 round-trip histogram
+  std::uint64_t reconnects = 0;  // re-handshakes (handoff mode)
+  std::uint64_t nonfinite = 0;   // buffers that ended non-finite
+  telemetry::Stats latency;      // round trips, ns
 };
+static_assert(std::is_trivially_copyable_v<ClientReport>,
+              "ClientReport crosses the result pipe as raw bytes");
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -66,28 +75,33 @@ std::uint64_t now_ns() {
           .count());
 }
 
-void record_latency(ClientReport& report, std::uint64_t ns) {
-  const int bucket =
-      std::min(kBuckets - 1, static_cast<int>(std::bit_width(ns | 1)) - 1);
-  ++report.latency_ns[bucket];
-  if (ns > report.max_ns) report.max_ns = ns;
-}
+/// `count` vectors of 2^n doubles at `data`, transformed in place over and
+/// over.  H·H = 2^n·I, so every second transform is followed by the exact
+/// 2^-n rescale (a power of two, so no rounding), which keeps the data
+/// finite for any number of requests.
+struct Staged {
+  int n = 0;
+  std::size_t count = 1;
+  double* data = nullptr;
+  std::uint64_t calls = 0;
 
-/// Percentile (0..1) from a merged log2 histogram, as the bucket's upper
-/// bound in microseconds — a <= bound, honest about bucket resolution.
-double percentile_us(const std::uint64_t (&buckets)[kBuckets], double q) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t b : buckets) total += b;
-  if (total == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total));
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += buckets[i];
-    if (seen > target) {
-      return static_cast<double>(std::uint64_t{1} << (i + 1)) / 1000.0;
-    }
+  /// Call after each in-place transform of the whole buffer.
+  void transformed() {
+    if (++calls % 2 != 0) return;
+    const double scale = std::ldexp(1.0, -n);
+    for (std::size_t i = 0; i < (count << n); ++i) data[i] *= scale;
   }
-  return 18446744073709551616.0 / 1000.0;  // 2^64 ns — "off the histogram"
+
+  bool finite() const {
+    return std::all_of(data, data + (count << n),
+                       [](double v) { return std::isfinite(v); });
+  }
+};
+
+/// Fills `staged` with seeded random data.
+void fill(const Staged& staged, std::uint64_t seed) {
+  const auto data = util::random_vector(staged.count << staged.n, seed);
+  std::memcpy(staged.data, data.data(), data.size() * sizeof(double));
 }
 
 struct Shape {
@@ -96,47 +110,44 @@ struct Shape {
   std::size_t batch = 1;
 };
 
+/// The (n, count) of every buffer a shape's requests cycle through.
+std::vector<std::pair<int, std::size_t>> buffers_of(const Shape& shape) {
+  if (shape.name == "single") return {{shape.n, 1}};
+  if (shape.name == "batch") return {{shape.n, shape.batch}};
+  return {{shape.n - 2, 1}, {shape.n, 1}, {shape.n + 2, 1},  // mixed
+          {shape.n, shape.batch}};
+}
+
 /// One client child's serving loop: connect, stage once, round-trip until
 /// the deadline, report.  Runs in a forked process; only _exit leaves it.
 ClientReport run_client(const std::string& endpoint, const Shape& shape,
                         double seconds) {
   ClientReport report;
+  telemetry::Accumulator latency;
   auto client = ipc::Client::connect({.endpoint = endpoint});
-  struct Staged {
-    int n;
-    std::size_t count;
-    double* data;
-  };
   std::vector<Staged> staged;
-  if (shape.name == "single") {
-    staged.push_back({shape.n, 1, client.stage(shape.n)});
-  } else if (shape.name == "batch") {
-    staged.push_back({shape.n, shape.batch, client.stage(shape.n, shape.batch)});
-  } else {  // mixed
-    for (const int n : {shape.n - 2, shape.n, shape.n + 2}) {
-      staged.push_back({n, 1, client.stage(n)});
-    }
-    staged.push_back({shape.n, shape.batch, client.stage(shape.n, shape.batch)});
-  }
-  for (const Staged& s : staged) {
-    const auto data = util::random_vector(s.count << s.n, 7 + s.n);
-    std::memcpy(s.data, data.data(), data.size() * sizeof(double));
+  for (const auto& [n, count] : buffers_of(shape)) {
+    staged.push_back({n, count, client.stage(n, count)});
+    fill(staged.back(), 7 + n);
   }
   const std::uint64_t deadline =
       now_ns() + static_cast<std::uint64_t>(seconds * 1e9);
   std::size_t next = 0;
   while (now_ns() < deadline) {
-    const Staged& s = staged[next++ % staged.size()];
+    Staged& s = staged[next++ % staged.size()];
     const std::uint64_t t0 = now_ns();
     const ipc::Status status = client.transform(s.n, s.data, s.count);
     if (status != ipc::Status::kOk) {
       ++report.errors;
       continue;
     }
-    record_latency(report, now_ns() - t0);
+    latency.record(now_ns() - t0);
+    s.transformed();
     ++report.requests;
     report.vectors += s.count;
   }
+  for (const Staged& s : staged) report.nonfinite += s.finite() ? 0 : 1;
+  report.latency = latency.snapshot();
   return report;
 }
 
@@ -149,6 +160,7 @@ struct Cell {
   double max_us = 0.0;
   std::uint64_t errors = 0;
   std::uint64_t reconnects = 0;
+  std::uint64_t nonfinite = 0;
 };
 
 /// Handoff-mode client: a reconnect-enabled verified stream for a fixed
@@ -156,6 +168,7 @@ struct Cell {
 ClientReport run_handoff_client(const std::string& endpoint, int n,
                                 double seconds) {
   ClientReport report;
+  telemetry::Accumulator latency;
   ipc::Client::Options options;
   options.endpoint = endpoint;
   options.timeout_ms = 5000;
@@ -164,37 +177,49 @@ ClientReport run_handoff_client(const std::string& endpoint, int n,
   options.backoff_initial_ms = 2;
   options.backoff_max_ms = 100;
   auto client = ipc::Client::connect(options);
-  double* x = client.stage(n);
-  const auto data = util::random_vector(std::size_t{1} << n, 7 + n);
-  std::memcpy(x, data.data(), data.size() * sizeof(double));
+  Staged x{n, 1, client.stage(n)};
+  fill(x, 7 + n);
   const std::uint64_t deadline =
       now_ns() + static_cast<std::uint64_t>(seconds * 1e9);
   while (now_ns() < deadline) {
     const std::uint64_t t0 = now_ns();
-    const ipc::Status status = client.transform(n, x);
+    const ipc::Status status = client.transform(n, x.data);
     if (status != ipc::Status::kOk) {
       ++report.errors;
       continue;
     }
-    record_latency(report, now_ns() - t0);
+    latency.record(now_ns() - t0);
+    x.transformed();
     ++report.requests;
     ++report.vectors;
   }
+  report.nonfinite = x.finite() ? 0 : 1;
   report.reconnects = client.reconnects();
+  report.latency = latency.snapshot();
   return report;
 }
 
-/// Merges one child's report into a cell (histogram merged separately).
+/// Merges one child's report into a cell and the cell's latency histogram.
 void merge_report(Cell& cell, const ClientReport& report,
-                  std::uint64_t (&merged)[kBuckets], std::uint64_t& requests,
+                  telemetry::Stats& merged, std::uint64_t& requests,
                   std::uint64_t& vectors) {
   requests += report.requests;
   vectors += report.vectors;
   cell.errors += report.errors;
   cell.reconnects += report.reconnects;
-  cell.max_us = std::max(cell.max_us,
-                         static_cast<double>(report.max_ns) / 1000.0);
-  for (int i = 0; i < kBuckets; ++i) merged[i] += report.latency_ns[i];
+  cell.nonfinite += report.nonfinite;
+  merged.merge(report.latency);
+}
+
+/// Fills the cell's rates and latencies from the merged reports.
+void finish_cell(Cell& cell, const telemetry::Stats& latency,
+                 std::uint64_t requests, std::uint64_t vectors,
+                 double elapsed) {
+  cell.rps = static_cast<double>(requests) / elapsed;
+  cell.vps = static_cast<double>(vectors) / elapsed;
+  cell.p50_us = latency.percentile(0.50) / 1000.0;
+  cell.p99_us = latency.percentile(0.99) / 1000.0;
+  cell.max_us = static_cast<double>(latency.max) / 1000.0;
 }
 
 /// Forks `clients` children against the daemon and merges their reports.
@@ -235,7 +260,7 @@ Cell run_cell(const std::string& endpoint, const Shape& shape, int clients,
 
   Cell cell;
   cell.clients = clients;
-  std::uint64_t merged[kBuckets] = {};
+  telemetry::Stats merged;
   std::uint64_t requests = 0, vectors = 0;
   for (std::size_t c = 0; c < pids.size(); ++c) {
     ClientReport report;
@@ -256,11 +281,8 @@ Cell run_cell(const std::string& endpoint, const Shape& shape, int clients,
     }
     merge_report(cell, report, merged, requests, vectors);
   }
-  const double elapsed = static_cast<double>(now_ns() - t0) / 1e9;
-  cell.rps = static_cast<double>(requests) / elapsed;
-  cell.vps = static_cast<double>(vectors) / elapsed;
-  cell.p50_us = percentile_us(merged, 0.50);
-  cell.p99_us = percentile_us(merged, 0.99);
+  finish_cell(cell, merged, requests, vectors,
+              static_cast<double>(now_ns() - t0) / 1e9);
   return cell;
 }
 
@@ -305,7 +327,7 @@ Cell run_handoff_cell(const std::string& endpoint, int n, int clients,
 
   Cell cell;
   cell.clients = clients;
-  std::uint64_t merged[kBuckets] = {};
+  telemetry::Stats merged;
   std::uint64_t requests = 0, vectors = 0;
   for (std::size_t c = 0; c < pids.size(); ++c) {
     ClientReport report;
@@ -326,11 +348,8 @@ Cell run_handoff_cell(const std::string& endpoint, int n, int clients,
     }
     merge_report(cell, report, merged, requests, vectors);
   }
-  const double elapsed = static_cast<double>(now_ns() - t0) / 1e9;
-  cell.rps = static_cast<double>(requests) / elapsed;
-  cell.vps = static_cast<double>(vectors) / elapsed;
-  cell.p50_us = percentile_us(merged, 0.50);
-  cell.p99_us = percentile_us(merged, 0.99);
+  finish_cell(cell, merged, requests, vectors,
+              static_cast<double>(now_ns() - t0) / 1e9);
   return cell;
 }
 
@@ -428,6 +447,10 @@ int run_handoff_bench(const std::string& endpoint, int n, int clients,
     std::fprintf(stderr, "bench_ipc: supervisor exited abnormally\n");
     return 1;
   }
+  if (steady.nonfinite + restart.nonfinite > 0) {
+    std::fprintf(stderr, "bench_ipc: FAIL served data went non-finite\n");
+    return 1;
+  }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -461,53 +484,36 @@ int run_handoff_bench(const std::string& endpoint, int n, int clients,
 
 /// In-process Engine baseline for the same shape, one thread.
 Cell run_baseline(wht::Engine& engine, const Shape& shape, double seconds) {
-  struct Buffer {
-    int n;
-    std::size_t count;
-    std::vector<double> data;
-  };
-  std::vector<Buffer> buffers;
-  if (shape.name == "single") {
-    buffers.push_back({shape.n, 1, util::random_vector(std::uint64_t{1} << shape.n, 3)});
-  } else if (shape.name == "batch") {
-    buffers.push_back(
-        {shape.n, shape.batch,
-         util::random_vector(static_cast<std::uint64_t>(shape.batch) << shape.n, 3)});
-  } else {
-    for (const int n : {shape.n - 2, shape.n, shape.n + 2}) {
-      buffers.push_back({n, 1, util::random_vector(std::uint64_t{1} << n, 3)});
-    }
-    buffers.push_back(
-        {shape.n, shape.batch,
-         util::random_vector(static_cast<std::uint64_t>(shape.batch) << shape.n, 3)});
+  std::vector<std::vector<double>> storage;
+  std::vector<Staged> buffers;
+  for (const auto& [n, count] : buffers_of(shape)) {
+    storage.emplace_back(count << n);
+    buffers.push_back({n, count, storage.back().data()});
+    fill(buffers.back(), 3);
   }
-  Cell cell;
-  cell.clients = 0;
-  std::uint64_t merged[kBuckets] = {};
-  ClientReport report;
+  telemetry::Accumulator latency;
   const std::uint64_t deadline =
       now_ns() + static_cast<std::uint64_t>(seconds * 1e9);
   std::size_t next = 0;
   std::uint64_t requests = 0, vectors = 0;
   const std::uint64_t t0 = now_ns();
   while (now_ns() < deadline) {
-    Buffer& b = buffers[next++ % buffers.size()];
+    Staged& b = buffers[next++ % buffers.size()];
     const std::uint64_t r0 = now_ns();
     if (b.count == 1) {
-      engine.execute(b.n, b.data.data());
+      engine.execute(b.n, b.data);
     } else {
-      engine.execute_many(b.n, b.data.data(), b.count);
+      engine.execute_many(b.n, b.data, b.count);
     }
-    record_latency(report, now_ns() - r0);
+    latency.record(now_ns() - r0);
+    b.transformed();
     ++requests;
     vectors += b.count;
   }
-  const double elapsed = static_cast<double>(now_ns() - t0) / 1e9;
-  for (int i = 0; i < kBuckets; ++i) merged[i] = report.latency_ns[i];
-  cell.rps = static_cast<double>(requests) / elapsed;
-  cell.vps = static_cast<double>(vectors) / elapsed;
-  cell.p50_us = percentile_us(merged, 0.50);
-  cell.p99_us = percentile_us(merged, 0.99);
+  Cell cell;
+  for (const Staged& b : buffers) cell.nonfinite += b.finite() ? 0 : 1;
+  finish_cell(cell, latency.snapshot(), requests, vectors,
+              static_cast<double>(now_ns() - t0) / 1e9);
   return cell;
 }
 
@@ -656,5 +662,17 @@ int main(int argc, char** argv) {
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
+
+  std::uint64_t nonfinite = 0;
+  for (const std::vector<Cell>& cells : results) {
+    for (const Cell& cell : cells) nonfinite += cell.nonfinite;
+  }
+  for (const Cell& cell : baselines) nonfinite += cell.nonfinite;
+  if (nonfinite > 0) {
+    std::fprintf(stderr,
+                 "bench_ipc: FAIL %llu served buffer(s) went non-finite\n",
+                 static_cast<unsigned long long>(nonfinite));
+    return 1;
+  }
   return 0;
 }

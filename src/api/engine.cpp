@@ -13,6 +13,7 @@
 #include "api/planner.hpp"
 #include "api/wisdom.hpp"
 #include "model/combined_model.hpp"
+#include "perf/measure.hpp"
 #include "simd/cpu_features.hpp"
 #include "util/env.hpp"
 #include "util/fault.hpp"
@@ -26,6 +27,11 @@ namespace fault = util::fault;
 /// The quarantine fallback: the reference backend every other execution
 /// path is parity-tested against, always present in the registry.
 constexpr const char* kFallbackBackend = "generated";
+
+/// The first-touch anchor measurement, kept deliberately cheap: it runs on
+/// the first request of every (n, backend).
+constexpr perf::MeasureOptions kAnchorProtocol{/*warmup=*/1,
+                                               /*repetitions=*/3};
 
 std::uint64_t engine_monotonic_ns() {
   struct timespec ts {};
@@ -78,26 +84,8 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   if (options_.quarantine_strikes > 0 && options_.probation_ms < 1) {
     throw std::invalid_argument("wht::Engine: probation_ms must be >= 1");
   }
-  if (options_.reanchor_blend < 0.0 || options_.reanchor_blend > 1.0) {
-    throw std::invalid_argument(
-        "wht::Engine: reanchor_blend must be in [0, 1]");
-  }
-  if (options_.drift_demote_factor < 0.0) {
-    throw std::invalid_argument(
-        "wht::Engine: drift_demote_factor must be >= 0");
-  }
-  if (options_.drift_demote_factor > 0.0 && options_.probation_ms < 1) {
-    throw std::invalid_argument(
-        "wht::Engine: drift demotion needs probation_ms >= 1");
-  }
-  // WHTLAB_TELEMETRY=0 reproduces pre-telemetry behavior exactly: no
-  // recording, no re-anchoring, no drift demotion.
   if (util::env_int("WHTLAB_TELEMETRY", options_.telemetry ? 1 : 0) == 0) {
     options_.telemetry = false;
-  }
-  if (!options_.telemetry) {
-    options_.reanchor_min_samples = 0;
-    options_.drift_demote_factor = 0.0;
   }
   telemetry_.set_decay_window(options_.telemetry_decay_window);
   candidates_ = options_.backends;
@@ -155,21 +143,16 @@ void Engine::build_entry(Entry& e, int n, const std::string& backend) {
   Planner planner;
   planner.strategy(options_.strategy)
       .backend(backend)
-      .threads(options_.threads)
-      .max_leaf(options_.max_leaf);
-  if (!options_.wisdom_file.empty()) {
-    planner.wisdom_file(options_.wisdom_file);
-    planner.calibrate(options_.calibrate);
-  }
+      .threads(options_.threads);
+  if (!options_.wisdom_file.empty()) planner.wisdom_file(options_.wisdom_file);
   auto transform = std::make_shared<Transform>(planner.plan(n));
   if (options_.measure_costs) {
     // Anchor to cycles so "fused" model units and CombinedModel units are
     // comparable across backends: one short measurement per (n, backend),
     // paid at first touch, cached for the Engine's lifetime.
-    e.unit_cost =
-        measure_with_backend(transform->backend(), transform->plan(),
-                             options_.measure)
-            .cycles();
+    e.unit_cost = measure_with_backend(transform->backend(), transform->plan(),
+                                       kAnchorProtocol)
+                      .cycles();
   } else {
     e.unit_cost = model_unit_cost(transform->backend(), transform->plan());
   }
@@ -258,27 +241,12 @@ Engine::Choice Engine::choose(int n, std::size_t count, Decision* decision) {
       if (honour_quarantine && quarantine_blocked(i)) continue;
       try {
         Entry& e = ensure_built(*cells[i], n, candidates_[i]);
-        // Per-vector price for this shape: the first-touch anchor (scaled
-        // by batch_factor for the batch path), re-anchored toward the live
-        // decayed mean of the *same shape's* series once it holds enough
-        // samples — so a backend whose measured-at-first-touch cost has
-        // drifted is repriced from what it actually costs now.
+        // Per-vector price for this shape: the first-touch anchor, scaled
+        // by batch_factor for the batch path.
         double per_vector = e.unit_cost;
         if (count > 1) {
           per_vector *= e.transform->backend().batch_factor(
               e.transform->plan(), count, options_.threads);
-        }
-        if (options_.reanchor_min_samples > 0) {
-          telemetry::Accumulator* live =
-              count > 1 ? e.telem_batch : e.telem_single;
-          if (live != nullptr &&
-              live->count() >= options_.reanchor_min_samples) {
-            const double mean = live->mean();
-            if (mean > 0.0) {
-              per_vector = options_.reanchor_blend * mean +
-                           (1.0 - options_.reanchor_blend) * per_vector;
-            }
-          }
         }
         const double cost = per_vector * static_cast<double>(count);
         if (decision != nullptr) {
@@ -347,27 +315,6 @@ void Engine::on_backend_success(std::size_t id) {
   h.quarantined = false;
 }
 
-void Engine::maybe_demote_for_drift(std::size_t id, Entry& e) {
-  // The comparison needs both sides in cycles: a measured anchor and enough
-  // live samples for the p99 to mean something.
-  if (!options_.measure_costs || options_.reanchor_min_samples == 0) return;
-  if (e.telem_single == nullptr || e.unit_cost <= 0.0) return;
-  if (e.telem_single->count() < options_.reanchor_min_samples) return;
-  const double p99 = e.telem_single->percentile(0.99);
-  if (p99 <= options_.drift_demote_factor * e.unit_cost) return;
-  {
-    const std::lock_guard<std::mutex> lock(health_mutex_);
-    Health& h = health_[id];
-    if (h.quarantined) return;  // already demoted; probation owns re-entry
-    h.quarantined = true;
-    h.until_ns = engine_monotonic_ns() + options_.probation_ms * 1000000ULL;
-    h.trips += 1;
-  }
-  // Fresh epoch for the series: the post-probation probe is judged on new
-  // observations, not on the degraded history that tripped this demotion.
-  e.telem_single->reset();
-}
-
 std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
                                 std::size_t count, std::ptrdiff_t dist,
                                 ExecContext* ctx) {
@@ -407,7 +354,6 @@ std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
                        : choice.winner->telem_single)
           : nullptr;
   std::uint64_t elapsed = 0;
-  bool timed = false;
   bool failed = false;
   try {
     if (fault::enabled() && fault::point("engine.exec." + backend)) {
@@ -416,10 +362,7 @@ std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
     }
     const std::uint64_t begin = telem ? telemetry::now_ticks() : 0;
     run(*choice.winner->transform);
-    if (telem) {
-      elapsed = telemetry::now_ticks() - begin;
-      timed = true;
-    }
+    if (telem) elapsed = telemetry::now_ticks() - begin;
     if (fault::enabled() && fault::point("engine.corrupt." + backend)) {
       x[0] = std::numeric_limits<double>::quiet_NaN();
     }
@@ -437,16 +380,8 @@ std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
     failed = true;
   }
   if (!failed) {
-    // Success bookkeeping first: if this request was a post-probation
-    // probe, it clears the quarantine *before* the drift check below can
-    // legitimately re-trip it on fresh evidence.
     if (health_armed() && !reference) on_backend_success(choice.id);
-    if (telem != nullptr && timed) {
-      telem->record(elapsed / count);
-      if (count == 1 && options_.drift_demote_factor > 0.0) {
-        maybe_demote_for_drift(choice.id, *choice.winner);
-      }
-    }
+    if (telem != nullptr) telem->record(elapsed / count);
     return choice.id;
   }
   on_backend_failure(choice.id);

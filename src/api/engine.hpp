@@ -55,7 +55,6 @@
 #include "api/exec_context.hpp"
 #include "api/planner.hpp"
 #include "api/transform.hpp"
-#include "perf/measure.hpp"
 #include "telemetry/registry.hpp"
 
 namespace whtlab::api {
@@ -81,24 +80,15 @@ struct EngineOptions {
   /// are latency-critical.
   int threads = 1;
 
-  /// Largest unrolled leaf for planning (Planner::max_leaf).
-  int max_leaf = core::kMaxUnrolled;
-
   /// Wisdom file consulted/updated by first-touch planning ("" = none).
   std::string wisdom_file;
 
-  /// Host-calibrate backend cost models during first-touch planning
-  /// (requires wisdom_file; see Planner::calibrate).
-  bool calibrate = false;
-
   /// Anchor each (n, backend) model cost to measured cycles (one short
-  /// measurement at first touch) so arbitration compares cycles with
-  /// cycles.  Off = raw model units (only meaningful when every candidate's
-  /// model shares units — e.g. custom backends in tests).
+  /// measurement at first touch: one warmup run, median of three) so
+  /// arbitration compares cycles with cycles.  Off = raw model units (only
+  /// meaningful when every candidate's model shares units — e.g. custom
+  /// backends in tests).
   bool measure_costs = true;
-
-  /// Protocol for the anchor measurements (kept deliberately cheap).
-  perf::MeasureOptions measure{/*warmup=*/1, /*repetitions=*/3};
 
   /// Backend circuit breaker: after this many consecutive serving-time
   /// failures (an exception out of the backend, or a non-finite output
@@ -124,37 +114,16 @@ struct EngineOptions {
   /// Online telemetry: every served request records its observed
   /// cycles-per-vector into a per-(n, backend, single/batch) accumulator
   /// table (telemetry/registry.hpp), exported via telemetry_snapshot().
+  /// Telemetry only observes: the arbiter prices every shape from its
+  /// first-touch anchor alone, so routing is the same with it on or off.
   /// Recording is a handful of relaxed atomic ops per request; the
   /// WHTLAB_TELEMETRY=0 environment knob (applied at construction) turns it
-  /// off, which also disables re-anchoring and drift demotion below.
+  /// off.
   bool telemetry = true;
 
   /// Records per stripe between histogram halvings — the EWMA horizon of
   /// the live series (accumulator.hpp).  0 = never decay (lifetime stats).
   std::uint64_t telemetry_decay_window = 4096;
-
-  /// Live re-anchoring: once a series holds at least this many
-  /// observations, the arbiter prices that (shape, backend) from a blend of
-  /// the live decayed mean and the first-touch anchor instead of the anchor
-  /// alone — the paper's measure-don't-model lesson applied continuously at
-  /// serve time.  0 (default) never re-anchors: arbitration is exactly the
-  /// pre-telemetry behavior.  Only meaningful with measure_costs (anchors
-  /// must be in cycles for the blend to be unit-consistent).
-  std::uint64_t reanchor_min_samples = 0;
-
-  /// Weight of the live mean in the re-anchored price (0 = anchor only,
-  /// 1 = live only).
-  double reanchor_blend = 0.5;
-
-  /// Drift circuit breaker: demote a backend whose live single-vector p99
-  /// exceeds this factor times its first-touch anchor (frequency scaling,
-  /// cache pressure, co-tenancy...), using the quarantine/probation
-  /// machinery — the arbiter stops routing to it for probation_ms, then
-  /// lets live traffic re-probe it against a reset series.  0 (default)
-  /// never demotes.  Like re-anchoring, requires telemetry + measure_costs;
-  /// checked once the series holds reanchor_min_samples observations (which
-  /// must be > 0 for the check to arm).
-  double drift_demote_factor = 0.0;
 };
 
 class Engine {
@@ -349,17 +318,8 @@ class Engine {
   bool quarantine_blocked(std::size_t id);
   void on_backend_failure(std::size_t id);
   void on_backend_success(std::size_t id);
-  /// True when *any* breaker can engage — consecutive-failure quarantine or
-  /// telemetry drift demotion — so success/probe bookkeeping runs.
-  bool health_armed() const {
-    return options_.quarantine_strikes > 0 ||
-           options_.drift_demote_factor > 0.0;
-  }
-  /// Drift check on the recording path: once the single-vector series holds
-  /// enough samples, a live p99 beyond drift_demote_factor x the anchor
-  /// quarantines the backend for one probation and resets the series (the
-  /// re-probe prices from the anchor, not the degraded history).
-  void maybe_demote_for_drift(std::size_t id, Entry& e);
+  /// True when the breaker can engage, so success/probe bookkeeping runs.
+  bool health_armed() const { return options_.quarantine_strikes > 0; }
 
   /// Runs the chosen transform; with the breaker armed, absorbs a backend
   /// failure (exception, injected fault, or non-finite output from a finite

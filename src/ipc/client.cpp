@@ -582,23 +582,8 @@ Status Client::transform_copy(int n, double* data, std::size_t count) {
 }
 
 Client::DaemonStats Client::stats() const {
-  DaemonStats out;
-  if (!attached_ || !shm_.valid()) return out;
-  const SharedStats& s = header()->stats;
-  out.requests = s.requests.load(std::memory_order_relaxed);
-  out.vectors = s.vectors.load(std::memory_order_relaxed);
-  out.throttled = s.throttled.load(std::memory_order_relaxed);
-  out.exec_errors = s.exec_errors.load(std::memory_order_relaxed);
-  out.reclaimed = s.reclaimed.load(std::memory_order_relaxed);
-  out.dropped = s.dropped.load(std::memory_order_relaxed);
-  out.protocol_errors = s.protocol_errors.load(std::memory_order_relaxed);
-  out.evictions = s.evictions.load(std::memory_order_relaxed);
-  out.shed_expired = s.shed_expired.load(std::memory_order_relaxed);
-  out.credit_stalls = s.credit_stalls.load(std::memory_order_relaxed);
-  out.drained = s.drained.load(std::memory_order_relaxed);
-  out.drain_aborted = s.drain_aborted.load(std::memory_order_relaxed);
-  out.drain_refused = s.drain_refused.load(std::memory_order_relaxed);
-  return out;
+  if (!attached_ || !shm_.valid()) return {};
+  return load_counters(header()->stats);
 }
 
 Lifecycle Client::daemon_lifecycle() const {

@@ -157,21 +157,7 @@ class Client {
 
   /// The daemon's live shared counters (read straight from the segment —
   /// the stats-export path; no request round-trip).
-  struct DaemonStats {
-    std::uint64_t requests = 0;
-    std::uint64_t vectors = 0;
-    std::uint64_t throttled = 0;
-    std::uint64_t exec_errors = 0;
-    std::uint64_t reclaimed = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t protocol_errors = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t shed_expired = 0;
-    std::uint64_t credit_stalls = 0;
-    std::uint64_t drained = 0;
-    std::uint64_t drain_aborted = 0;
-    std::uint64_t drain_refused = 0;
-  };
+  using DaemonStats = DaemonCounters;
   DaemonStats stats() const;
 
   /// The daemon-published advisory credit balance for this slot (pacing

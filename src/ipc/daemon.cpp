@@ -122,25 +122,10 @@ DaemonOptions DaemonOptions::from_env() {
       env_u64("WHTLAB_IPC_PROBATION_MS", 2000, 1, 86400000);
   options.engine.verify_finite =
       env_u64("WHTLAB_IPC_VERIFY", 1, 0, 1) != 0;
-  // Live re-anchoring knobs (engine.hpp): conservative defaults — recording
-  // on, re-anchoring and drift demotion off until explicitly armed.
   // (WHTLAB_TELEMETRY=0 itself is read by the Engine constructor.)
   options.engine.telemetry_decay_window =
       env_u64("WHTLAB_TELEMETRY_DECAY",
               options.engine.telemetry_decay_window, 0, std::uint64_t{1} << 32);
-  options.engine.reanchor_min_samples =
-      env_u64("WHTLAB_TELEMETRY_REANCHOR",
-              options.engine.reanchor_min_samples, 0, std::uint64_t{1} << 32);
-  options.engine.reanchor_blend =
-      static_cast<double>(env_u64(
-          "WHTLAB_TELEMETRY_BLEND_PCT",
-          static_cast<std::uint64_t>(options.engine.reanchor_blend * 100.0),
-          0, 100)) /
-      100.0;
-  options.engine.drift_demote_factor = static_cast<double>(
-      env_u64("WHTLAB_TELEMETRY_DRIFT",
-              static_cast<std::uint64_t>(options.engine.drift_demote_factor),
-              0, 1000000));
   return options;
 }
 
@@ -551,39 +536,8 @@ void Daemon::promote(std::uint64_t wait_ms) {
 }
 
 Daemon::Stats Daemon::stats() const {
-  Stats out;
-  if (!shm_.valid()) return out;
-  const SharedStats& s = header()->stats;
-  out.requests = s.requests.load(std::memory_order_relaxed);
-  out.vectors = s.vectors.load(std::memory_order_relaxed);
-  out.throttled = s.throttled.load(std::memory_order_relaxed);
-  out.exec_errors = s.exec_errors.load(std::memory_order_relaxed);
-  out.reclaimed = s.reclaimed.load(std::memory_order_relaxed);
-  out.dropped = s.dropped.load(std::memory_order_relaxed);
-  out.protocol_errors = s.protocol_errors.load(std::memory_order_relaxed);
-  out.evictions = s.evictions.load(std::memory_order_relaxed);
-  out.shed_expired = s.shed_expired.load(std::memory_order_relaxed);
-  out.credit_stalls = s.credit_stalls.load(std::memory_order_relaxed);
-  out.drained = s.drained.load(std::memory_order_relaxed);
-  out.drain_aborted = s.drain_aborted.load(std::memory_order_relaxed);
-  out.drain_refused = s.drain_refused.load(std::memory_order_relaxed);
-  return out;
-}
-
-std::string to_string(const Daemon::Stats& stats) {
-  return "requests=" + std::to_string(stats.requests) +
-         " vectors=" + std::to_string(stats.vectors) +
-         " throttled=" + std::to_string(stats.throttled) +
-         " exec_errors=" + std::to_string(stats.exec_errors) +
-         " reclaimed=" + std::to_string(stats.reclaimed) +
-         " dropped=" + std::to_string(stats.dropped) +
-         " protocol_errors=" + std::to_string(stats.protocol_errors) +
-         " evictions=" + std::to_string(stats.evictions) +
-         " shed_expired=" + std::to_string(stats.shed_expired) +
-         " credit_stalls=" + std::to_string(stats.credit_stalls) +
-         " drained=" + std::to_string(stats.drained) +
-         " drain_aborted=" + std::to_string(stats.drain_aborted) +
-         " drain_refused=" + std::to_string(stats.drain_refused);
+  if (!shm_.valid()) return {};
+  return load_counters(header()->stats);
 }
 
 void Daemon::service_loop() {

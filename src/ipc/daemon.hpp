@@ -208,22 +208,8 @@ class Daemon {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// Snapshot of the shared counters (also readable by any process that
-  /// maps the segment — Client::daemon_stats, `whtd --stats`).
-  struct Stats {
-    std::uint64_t requests = 0;
-    std::uint64_t vectors = 0;
-    std::uint64_t throttled = 0;
-    std::uint64_t exec_errors = 0;
-    std::uint64_t reclaimed = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t protocol_errors = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t shed_expired = 0;
-    std::uint64_t credit_stalls = 0;
-    std::uint64_t drained = 0;
-    std::uint64_t drain_aborted = 0;
-    std::uint64_t drain_refused = 0;
-  };
+  /// maps the segment — Client::stats, `whtd --stats`).
+  using Stats = DaemonCounters;
   Stats stats() const;
 
   api::Engine& engine() { return *engine_; }
@@ -335,9 +321,5 @@ class Daemon {
   bool name_released_ = false;    ///< drain ceded the name to a successor
   bool stopped_ = false;  ///< stop() ran to completion (segment unlinked)
 };
-
-/// One-line counter rendering for log lines (`whtd --stats`,
-/// --stats-interval-ms): "requests=N vectors=N ... credit_stalls=N".
-std::string to_string(const Daemon::Stats& stats);
 
 }  // namespace whtlab::ipc

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <ctime>
+#include <string>
 
 #include "ipc/shm.hpp"
 
@@ -32,6 +33,25 @@ const char* to_string(Lifecycle lifecycle) {
     case kStopped: return "stopped";
   }
   return "unknown";
+}
+
+DaemonCounters load_counters(const SharedStats& shared) {
+  DaemonCounters out;
+#define WHTLAB_IPC_COUNTER_LOAD(name) \
+  out.name = shared.name.load(std::memory_order_relaxed);
+  WHTLAB_IPC_COUNTERS(WHTLAB_IPC_COUNTER_LOAD)
+#undef WHTLAB_IPC_COUNTER_LOAD
+  return out;
+}
+
+std::string to_string(const DaemonCounters& counters) {
+  std::string line;
+#define WHTLAB_IPC_COUNTER_TEXT(name) \
+  line += " " #name "=";              \
+  line += std::to_string(counters.name);
+  WHTLAB_IPC_COUNTERS(WHTLAB_IPC_COUNTER_TEXT)
+#undef WHTLAB_IPC_COUNTER_TEXT
+  return line.substr(1);  // drop the leading separator
 }
 
 bool stats_read(const StatsPage& shared, StatsPage& out, int retries) {

@@ -155,26 +155,51 @@ struct SlotShared {
 
 // --- daemon stats, exported through the segment -----------------------------
 
+/// The daemon's serving counters, listed once.  SharedStats, DaemonCounters,
+/// load_counters() and to_string() are all generated from this list, in
+/// this order — the shm layout and the `whtd --stats` line both follow it.
+#define WHTLAB_IPC_COUNTERS(X)                                   \
+  X(requests)        /* popped from request rings */             \
+  X(vectors)         /* transforms executed */                   \
+  X(throttled)       /* rejected by the rate limiter */          \
+  X(exec_errors)     /* execution threw */                       \
+  X(reclaimed)       /* slots freed by the liveness sweep */     \
+  X(dropped)         /* completions with a stale generation */   \
+  X(protocol_errors) /* wire violations (validate.hpp) */        \
+  X(evictions)       /* slots evicted for repeat offense */      \
+  X(shed_expired)    /* past-deadline requests shed */           \
+  X(credit_stalls)   /* requests refused for credits */          \
+  X(drained)         /* graceful drains completed */             \
+  X(drain_aborted)   /* drains cut off at the deadline */        \
+  X(drain_refused)   /* requests answered kDraining */
+
 /// Live serving counters the daemon maintains in the control header, so any
 /// process that can map the segment (clients, `whtd --stats`, ops tooling)
 /// reads a consistent-enough snapshot without a request round-trip.
 struct SharedStats {
-  std::atomic<std::uint64_t> requests;     ///< popped from request rings
-  std::atomic<std::uint64_t> vectors;      ///< transforms executed
-  std::atomic<std::uint64_t> throttled;    ///< rejected by the rate limiter
-  std::atomic<std::uint64_t> exec_errors;  ///< execution threw
-  std::atomic<std::uint64_t> reclaimed;    ///< slots freed by the sweep
-  std::atomic<std::uint64_t> dropped;      ///< completions with stale generation
-  /// Trust-boundary + overload counters (PR 8).
-  std::atomic<std::uint64_t> protocol_errors;  ///< wire violations (validate.hpp)
-  std::atomic<std::uint64_t> evictions;    ///< slots evicted for repeat offense
-  std::atomic<std::uint64_t> shed_expired;  ///< past-deadline requests shed
-  std::atomic<std::uint64_t> credit_stalls;  ///< requests refused for credits
-  /// Lifecycle counters (protocol v4).
-  std::atomic<std::uint64_t> drained;        ///< graceful drains completed
-  std::atomic<std::uint64_t> drain_aborted;  ///< drains cut off at the deadline
-  std::atomic<std::uint64_t> drain_refused;  ///< requests answered kDraining
+#define WHTLAB_IPC_COUNTER_ATOMIC(name) std::atomic<std::uint64_t> name;
+  WHTLAB_IPC_COUNTERS(WHTLAB_IPC_COUNTER_ATOMIC)
+#undef WHTLAB_IPC_COUNTER_ATOMIC
 };
+
+// SharedStats is shm ABI: a new counter changes sizeof(ControlHeader) and
+// so abi_tag(); bump kVersion with it.
+static_assert(sizeof(SharedStats) == 13 * sizeof(std::uint64_t));
+
+/// Plain snapshot of SharedStats (Daemon::Stats, Client::DaemonStats).
+struct DaemonCounters {
+#define WHTLAB_IPC_COUNTER_FIELD(name) std::uint64_t name = 0;
+  WHTLAB_IPC_COUNTERS(WHTLAB_IPC_COUNTER_FIELD)
+#undef WHTLAB_IPC_COUNTER_FIELD
+};
+
+/// Every counter, each loaded relaxed (fields may be torn across one
+/// another mid-traffic; each is exact).
+DaemonCounters load_counters(const SharedStats& shared);
+
+/// One-line rendering for log lines (`whtd --stats`, --stats-interval-ms):
+/// "requests=N vectors=N ... drain_refused=N", in list order.
+std::string to_string(const DaemonCounters& counters);
 
 // --- control header ---------------------------------------------------------
 

@@ -1,7 +1,7 @@
 // telemetry::Accumulator — lock-free online running stats for the serving
 // path (extension; the paper's lesson that modeled cost drifts from measured
-// cost applies at serve time too, so the Engine needs cheap live
-// observations to re-anchor its arbiter).
+// cost applies at serve time too, so the Engine records cheap live
+// observations next to the first-touch anchors its arbiter prices from).
 //
 // One Accumulator tracks a single series of non-negative integer
 // observations (cycles per vector on the Engine's hot path):
@@ -9,13 +9,13 @@
 //   * count / sum / sum-of-squares  -> mean, variance, stddev;
 //   * min / max                     -> lifetime extremes (never decayed);
 //   * a fixed 64-bucket log2-scaled histogram -> p50/p99/any quantile
-//     without allocation (bucket b holds values with bit_width == b, the
-//     same power-of-two quantisation bench_ipc uses for its latencies);
+//     without allocation (bucket b holds values with bit_width == b;
+//     bench_ipc records its round trips into the same buckets);
 //   * epoch-based decay: every `decay_window` records a stripe halves its
 //     count/sum/sumsq/buckets, so the running mean and the percentiles are
-//     exponentially weighted toward the most recent epoch (this IS the
-//     "live EWMA" the Engine re-anchors from — there is no separate EWMA
-//     cell to update on the hot path).
+//     exponentially weighted toward the most recent epoch (this IS the live
+//     EWMA that observers such as `whtd_stat` read — there is no separate
+//     EWMA cell to update on the hot path).
 //
 // Recording is wait-free-ish (a handful of relaxed fetch_adds; min/max
 // degrade to a CAS only when they actually change) and the storage is
@@ -174,15 +174,6 @@ struct alignas(64) Cell {
     }
   }
 
-  void reset() {
-    count.store(0, std::memory_order_relaxed);
-    sum.store(0, std::memory_order_relaxed);
-    sumsq.store(0.0, std::memory_order_relaxed);
-    min.store(~std::uint64_t{0}, std::memory_order_relaxed);
-    max.store(0, std::memory_order_relaxed);
-    for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
-  }
-
   void load_into(Stats& out) const {
     Stats part;
     part.count = count.load(std::memory_order_relaxed);
@@ -240,40 +231,8 @@ class Accumulator {
     return out;
   }
 
-  /// Cheap observation count (stripe sum; no histogram walk).
-  std::uint64_t count() const {
-    std::uint64_t total = 0;
-    for (const auto& cell : cells_) {
-      total += cell.count.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  /// Cheap decayed running mean — the live EWMA the arbiter blends with its
-  /// first-touch anchor.  Returns 0 for an empty series.
-  double mean() const {
-    std::uint64_t total = 0;
-    std::uint64_t sum = 0;
-    for (const auto& cell : cells_) {
-      total += cell.count.load(std::memory_order_relaxed);
-      sum += cell.sum.load(std::memory_order_relaxed);
-    }
-    return total == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(total);
-  }
-
-  double percentile(double q) const { return snapshot().percentile(q); }
-
   void decay() {
     for (auto& cell : cells_) cell.decay();
-  }
-
-  /// Clears the series to a fresh epoch (used when the Engine demotes a
-  /// backend: the probation probe re-prices from the anchor, not from the
-  /// degraded history).  Racing recorders may land one observation across
-  /// the reset; monitoring-grade.
-  void reset() {
-    for (auto& cell : cells_) cell.reset();
   }
 
  private:

@@ -192,6 +192,33 @@ void run_replay_daemon(const std::string& endpoint) {
   }
 }
 
+/// Polls the endpoint's current segment until `pid` holds an active slot
+/// there; false after `timeout_ms`.
+bool wait_for_tenant(const std::string& endpoint, pid_t pid, int timeout_ms) {
+  for (int waited = 0; waited < timeout_ms; ++waited) {
+    try {
+      const Shm shm = Shm::open_readonly(shm_name_for(endpoint));
+      const auto* header = static_cast<const ControlHeader*>(shm.data());
+      if (shm.size() >= sizeof(ControlHeader) && header->magic == kMagic) {
+        const Layout layout{header->slot_count, header->arena_doubles};
+        for (std::uint32_t i = 0;
+             i < layout.slot_count && shm.size() >= layout.total_bytes();
+             ++i) {
+          const SlotShared* slot = layout.slot(shm.data(), i);
+          if (slot->state.load() == kActive &&
+              slot->pid.load() == static_cast<std::uint32_t>(pid)) {
+            return true;
+          }
+        }
+      }
+    } catch (const std::exception&) {
+      // Mid-takeover: the name is briefly absent.
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
 TEST(IpcChaos, ClientKilledDuringReplayIsSweptAndNeighboursStayExact) {
   // The nastiest client death: not idle, but mid-recovery — a --reconnect
   // client that lost its daemon, re-handshook against the successor, and is
@@ -223,14 +250,16 @@ TEST(IpcChaos, ClientKilledDuringReplayIsSweptAndNeighboursStayExact) {
   int status = 0;
   ASSERT_EQ(::waitpid(daemon1, &status, 0), daemon1);
 
-  // Daemon 2 takes the stale segment over; the clients' 2 ms initial
-  // backoff means they re-handshake and replay almost immediately — which
-  // is exactly when the victim dies.
+  // Daemon 2 takes the stale segment over; the victim dies as soon as it
+  // has re-handshook against it, while it replays.  It paces requests
+  // 100 ms apart and re-handshakes lazily, so a fixed delay could kill it
+  // before it holds a slot here, leaving no corpse for the sweep.
   const pid_t daemon2 = ::fork();
   ASSERT_GE(daemon2, 0);
   if (daemon2 == 0) run_replay_daemon(endpoint);
   ASSERT_TRUE(Client::wait_for_daemon(endpoint, 15000));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(wait_for_tenant(endpoint, victim, 10000))
+      << "the victim never re-handshook against daemon 2";
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
   ASSERT_EQ(::waitpid(victim, &status, 0), victim);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);

@@ -7,7 +7,7 @@
 // cross-slot merging of same-size singles, admission control (typed
 // kServerFull when the slot table is full), per-client rate limiting (the
 // throttled client gets typed backpressure, its neighbour is unaffected),
-// and typed client-side shape errors.
+// typed client-side shape errors, and the daemon counter line.
 //
 // Fork discipline: client children are forked BEFORE the Daemon is
 // constructed, while this process is still single-threaded; the children
@@ -251,6 +251,20 @@ TEST(IpcServe, SecondDaemonOnLiveEndpointRefused) {
     EXPECT_EQ(e.status(), Status::kServerFull);
   }
   daemon.stop();
+}
+
+TEST(IpcServe, CounterLineNamesEachCounterOnceInListOrder) {
+  // Distinct values, so a counter loaded into the wrong field or printed
+  // twice shows.  The line is the `whtd --stats` format.
+  SharedStats shared{};
+  std::uint64_t next = 1;
+#define WHTLAB_TEST_STORE_DISTINCT(name) shared.name.store(next++);
+  WHTLAB_IPC_COUNTERS(WHTLAB_TEST_STORE_DISTINCT)
+#undef WHTLAB_TEST_STORE_DISTINCT
+  EXPECT_EQ(to_string(load_counters(shared)),
+            "requests=1 vectors=2 throttled=3 exec_errors=4 reclaimed=5 "
+            "dropped=6 protocol_errors=7 evictions=8 shed_expired=9 "
+            "credit_stalls=10 drained=11 drain_aborted=12 drain_refused=13");
 }
 
 }  // namespace

@@ -43,21 +43,27 @@ std::string unique_endpoint(const char* tag) {
 /// name the invariant that failed (they surface in the waitpid status).
 int reader_main(const std::string& endpoint) {
   const std::string name = stats_shm_name_for(endpoint);
-  // The daemon binds the page during construction; wait for it.
-  for (int spin = 0; !Shm::exists(name); ++spin) {
-    if (spin > 10000) return 30;  // daemon never appeared
+  // The daemon binds the page during construction; wait for it.  Shm::create
+  // names the page before it sizes it, and the daemon stamps the header
+  // after that, so a page that exists can still be empty (a zero-length
+  // mmap fails) or unstamped: poll until it opens full-size with its magic.
+  static StatsPage page;  // ~18 KiB; keep the child's stack small
+  Shm shm;
+  for (int spin = 0;; ++spin) {
+    if (spin > 10000) return 30;  // the page never appeared
+    try {
+      shm = Shm::open_readonly(name);
+      if (shm.size() >= sizeof(StatsPage) &&
+          stats_read(*static_cast<const StatsPage*>(shm.data()), page) &&
+          page.header.magic == kStatsMagic) {
+        break;
+      }
+    } catch (...) {
+    }
     ::usleep(1000);
   }
-  Shm shm;
-  try {
-    shm = Shm::open_readonly(name);
-  } catch (...) {
-    return 31;
-  }
-  if (shm.size() < sizeof(StatsPage)) return 32;
   const auto* shared = static_cast<const StatsPage*>(shm.data());
 
-  static StatsPage page;  // ~18 KiB; keep the child's stack small
   std::map<std::tuple<std::int32_t, std::string, std::uint32_t>,
            std::uint64_t>
       last_count;

@@ -2,9 +2,8 @@
 //
 // The contract under test: count/sum/min/max/buckets are EXACT under any
 // interleaving (integer fetch_add and monotone CAS lose nothing), the log2
-// percentile is monotone and within its power-of-two quantisation, decay
-// halves the aging fields without touching the lifetime extremes, and
-// reset() opens a fresh epoch.
+// percentile is monotone and within its power-of-two quantisation, and
+// decay halves the aging fields without touching the lifetime extremes.
 #include "telemetry/accumulator.hpp"
 
 #include <gtest/gtest.h>
@@ -26,8 +25,6 @@ TEST(TelemetryAccumulator, RecordsBasicMoments) {
   EXPECT_DOUBLE_EQ(s.sum, 100.0);
   EXPECT_DOUBLE_EQ(s.mean(), 25.0);
   EXPECT_NEAR(s.variance(), 125.0, 1e-9);  // population variance of 10..40
-  EXPECT_DOUBLE_EQ(acc.mean(), 25.0);
-  EXPECT_EQ(acc.count(), 4u);
 }
 
 TEST(TelemetryAccumulator, EmptySeriesIsDefined) {
@@ -37,7 +34,6 @@ TEST(TelemetryAccumulator, EmptySeriesIsDefined) {
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   EXPECT_DOUBLE_EQ(s.percentile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
 }
 
 TEST(TelemetryAccumulator, PercentileIsMonotoneAndWithinQuantisation) {
@@ -105,22 +101,10 @@ TEST(TelemetryAccumulator, DecayWindowTriggersAutomatically) {
   // Single thread lands on one stripe: its 64th record halves the stripe,
   // so the running count must stay bounded well under the record total.
   for (int i = 0; i < 10000; ++i) acc.record(50);
-  EXPECT_LT(acc.count(), 10000u);
-  EXPECT_GT(acc.count(), 0u);
-  EXPECT_NEAR(acc.mean(), 50.0, 1.0) << "constant series keeps its mean";
-}
-
-TEST(TelemetryAccumulator, ResetOpensAFreshEpoch) {
-  Accumulator acc;
-  for (int i = 0; i < 10; ++i) acc.record(12345);
-  acc.reset();
   const Stats s = acc.snapshot();
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.max, 0u);
-  EXPECT_DOUBLE_EQ(s.sum, 0.0);
-  acc.record(5);
-  EXPECT_EQ(acc.count(), 1u);
-  EXPECT_EQ(acc.snapshot().min, 5u) << "old min must not survive the reset";
+  EXPECT_LT(s.count, 10000u);
+  EXPECT_GT(s.count, 0u);
+  EXPECT_NEAR(s.mean(), 50.0, 1.0) << "constant series keeps its mean";
 }
 
 TEST(TelemetryAccumulator, EightThreadConcurrentRecordIsBitStable) {

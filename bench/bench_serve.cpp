@@ -3,7 +3,7 @@
 // Hammer one shared wht::Engine from T client threads and count transforms
 // served per second — the production shape the concurrent-serving redesign
 // targets: immutable shared plans, re-entrant backends, serve-time backend
-// arbitration, and the submit() combiner.  Four sections:
+// arbitration, and the submit() combiner.  Six sections:
 //
 //   decisions  the arbiter's backend choice (and every candidate's priced
 //              cost) per request shape — single vectors across the n range
@@ -11,6 +11,13 @@
 //              sensitivity ("fused" big singles, "simd" tiny batches)
 //   single     homogeneous single-vector serving at --gate-n: requests/sec
 //              vs client threads (the CI scaling gate's shape)
+//   sync       the same synchronous singles at the three small sizes
+//              around --coalesce-n, where per-request overhead (locks,
+//              dispatch, telemetry) rather than the kernel sets the rate
+//   engine_minus_raw  per size of the sync section, one client's
+//              Engine::execute against the arbitrated backend's
+//              Transform::execute on a caller-owned context, in paired
+//              rounds: what the Engine layer adds per request, in ns
 //   mixed      singles + batches across n in [--nmin, --nmax] per the
 //              ISSUE's mixed serving workload
 //   coalesce   submit() pipelines (caller-runs combiner) vs the same load
@@ -45,6 +52,7 @@
 
 #include "api/wht.hpp"
 #include "simd/cpu_features.hpp"
+#include "stats/descriptive.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -129,6 +137,22 @@ struct ShapeDecision {
   wht::Engine::Decision decision;
 };
 
+/// One sync-section size: requests/sec per client-thread count.
+struct SyncCell {
+  int n = 0;
+  std::vector<double> rps;
+};
+
+/// engine_minus_raw cell: per-request ns of the two arms, each the median
+/// over rounds, and the median of the per-round differences.
+struct EngineMinusRaw {
+  int n = 0;
+  std::string backend;  ///< the arbitrated single-vector backend
+  double engine_ns = 0.0;
+  double raw_ns = 0.0;
+  double diff_ns = 0.0;
+};
+
 /// --telemetry-overhead cell: the same single-vector workload through two
 /// fresh engines, telemetry on vs off.
 struct TelemetryOverhead {
@@ -146,18 +170,15 @@ struct TelemetryOverhead {
     if (round_pcts.empty()) {
       return off_rps > 0.0 ? (off_rps - on_rps) / off_rps * 100.0 : 0.0;
     }
-    std::vector<double> sorted = round_pcts;
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t mid = sorted.size() / 2;
-    return sorted.size() % 2 == 1
-               ? sorted[mid]
-               : 0.5 * (sorted[mid - 1] + sorted[mid]);
+    return stats::median(round_pcts);
   }
 };
 
 void print_json(std::FILE* out, const std::vector<ShapeDecision>& decisions,
                 const std::vector<int>& threads, int gate_n,
                 const std::vector<double>& single_rps,
+                const std::vector<SyncCell>& sync,
+                const std::vector<EngineMinusRaw>& minus_raw,
                 const std::vector<double>& mixed_rps, int coalesce_n,
                 const std::vector<double>& coalesce_rps,
                 const std::vector<double>& sync_rps,
@@ -199,7 +220,22 @@ void print_json(std::FILE* out, const std::vector<ShapeDecision>& decisions,
   std::fprintf(out, "],\n");
   std::fprintf(out, "  \"single\": {\"n\": %d, ", gate_n);
   print_series("rps", single_rps);
-  std::fprintf(out, "},\n  \"mixed\": {");
+  std::fprintf(out, "},\n  \"sync\": [");
+  for (std::size_t i = 0; i < sync.size(); ++i) {
+    std::fprintf(out, "%s\n    {\"n\": %d, ", i ? "," : "", sync[i].n);
+    print_series("rps", sync[i].rps);
+    std::fprintf(out, "}");
+  }
+  std::fprintf(out, "\n  ],\n  \"engine_minus_raw\": [");
+  for (std::size_t i = 0; i < minus_raw.size(); ++i) {
+    const EngineMinusRaw& cell = minus_raw[i];
+    std::fprintf(out,
+                 "%s\n    {\"n\": %d, \"backend\": \"%s\", \"engine_ns\": "
+                 "%.1f, \"raw_ns\": %.1f, \"diff_ns\": %.1f}",
+                 i ? "," : "", cell.n, cell.backend.c_str(), cell.engine_ns,
+                 cell.raw_ns, cell.diff_ns);
+  }
+  std::fprintf(out, "\n  ],\n  \"mixed\": {");
   print_series("rps", mixed_rps);
   std::fprintf(out, "},\n  \"coalesce\": {\"n\": %d, ", coalesce_n);
   print_series("submit_rps", coalesce_rps);
@@ -275,12 +311,15 @@ int main(int argc, char** argv) {
 
   // --- decisions: price the request shapes (also pays planning + anchors
   // up front so the timed sections serve from warm caches) -----------------
+  std::vector<int> small_sizes;  ///< batch decisions, sync, engine_minus_raw
+  for (const int n : {coalesce_n - 2, coalesce_n, coalesce_n + 2}) {
+    if (n >= 2) small_sizes.push_back(n);
+  }
   std::vector<ShapeDecision> decisions;
   for (int n = nmin; n <= nmax; n += 4) {
     decisions.push_back({n, 1, engine.arbitrate(n, 1)});
   }
-  for (const int n : {coalesce_n - 2, coalesce_n, coalesce_n + 2}) {
-    if (n < 2) continue;
+  for (const int n : small_sizes) {
     decisions.push_back({n, batch, engine.arbitrate(n, batch)});
   }
   decisions.push_back({gate_n, 1, engine.arbitrate(gate_n, 1)});
@@ -294,21 +333,85 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
+  // Synchronous execute() singles at n from t clients, each on its own
+  // buffer: the single and sync sections, and coalesce's sync half.
+  const auto sync_singles = [&](const char* section, int n, int t) {
+    std::vector<Buffer> buffers;
+    for (int i = 0; i < t; ++i) buffers.emplace_back(n, 1, 10 + i);
+    const double rps = best_throughput(
+        t, seconds, reps, [&engine, &buffers, n](int tid) {
+          Buffer& buffer = buffers[static_cast<std::size_t>(tid)];
+          engine.execute(n, buffer.data());
+          buffer.transformed();
+          return std::uint64_t{1};
+        });
+    for (const Buffer& buffer : buffers) check_finite(section, t, buffer);
+    return rps;
+  };
+
   // --- single: the scaling-gate shape -------------------------------------
   std::vector<double> single_rps;
   for (const int t : threads) {
-    std::vector<Buffer> buffers;
-    for (int i = 0; i < t; ++i) buffers.emplace_back(gate_n, 1, 10 + i);
-    single_rps.push_back(best_throughput(
-        t, seconds, reps, [&engine, &buffers, gate_n](int tid) {
-          Buffer& buffer = buffers[static_cast<std::size_t>(tid)];
-          engine.execute(gate_n, buffer.data());
-          buffer.transformed();
-          return std::uint64_t{1};
-        }));
+    single_rps.push_back(sync_singles("single", gate_n, t));
     std::printf("single  n=%-3d clients=%-2d  %10.0f req/s\n", gate_n, t,
                 single_rps.back());
-    for (const Buffer& buffer : buffers) check_finite("single", t, buffer);
+  }
+
+  // --- sync: small-n singles, where per-request overhead sets the rate ----
+  std::vector<SyncCell> sync;
+  for (const int n : small_sizes) {
+    sync.push_back({n, {}});
+    for (const int t : threads) {
+      sync.back().rps.push_back(sync_singles("sync", n, t));
+      std::printf("sync    n=%-3d clients=%-2d  %10.0f req/s\n", n, t,
+                  sync.back().rps.back());
+    }
+  }
+
+  // --- engine_minus_raw: what the Engine adds per request ----------------
+  // One client, paired rounds as in the telemetry cell below: each round
+  // times both arms back to back, alternating which goes first, so they
+  // share the round's noise.  Both arms pay the same buffer rescale, which
+  // the difference cancels.
+  std::vector<EngineMinusRaw> minus_raw;
+  for (const int n : small_sizes) {
+    EngineMinusRaw cell;
+    cell.n = n;
+    cell.backend = engine.arbitrate(n, 1).backend;
+    const auto raw = engine.transform(n, cell.backend);
+    wht::ExecContext ctx;  // caller-owned, as a serving loop holds one
+    Buffer buffer(n, 1, 50);
+    const auto ns_per_request = [&](bool through_engine) {
+      const double rps =
+          throughput(1, std::min(seconds, 0.05), [&](int) {
+            if (through_engine) {
+              engine.execute(n, buffer.data());
+            } else {
+              raw->execute(buffer.data(), 1, ctx);
+            }
+            buffer.transformed();
+            return std::uint64_t{1};
+          });
+      return 1e9 / rps;
+    };
+    std::vector<double> engine_ns, raw_ns, diff_ns;
+    for (int round = 0; round < std::max(reps * 8, 24); ++round) {
+      const bool engine_first = round % 2 == 0;
+      const double first = ns_per_request(engine_first);
+      const double second = ns_per_request(!engine_first);
+      engine_ns.push_back(engine_first ? first : second);
+      raw_ns.push_back(engine_first ? second : first);
+      diff_ns.push_back(engine_ns.back() - raw_ns.back());
+    }
+    cell.engine_ns = stats::median(engine_ns);
+    cell.raw_ns = stats::median(raw_ns);
+    cell.diff_ns = stats::median(diff_ns);
+    std::printf(
+        "engine-raw n=%-3d backend=%-10s  engine %7.1f ns   raw %7.1f ns   "
+        "diff %6.1f ns\n",
+        n, cell.backend.c_str(), cell.engine_ns, cell.raw_ns, cell.diff_ns);
+    check_finite("engine_minus_raw", 1, buffer);
+    minus_raw.push_back(cell);
   }
 
   // --- mixed: singles + batches across the n range ------------------------
@@ -378,13 +481,7 @@ int main(int argc, char** argv) {
           for (Buffer& buffer : mine) buffer.transformed();
           return static_cast<std::uint64_t>(pipeline);
         }));
-    sync_rps.push_back(best_throughput(
-        t, seconds, reps, [&engine, &buffers, coalesce_n](int tid) {
-          Buffer& buffer = buffers[static_cast<std::size_t>(tid)][0];
-          engine.execute(coalesce_n, buffer.data());
-          buffer.transformed();
-          return std::uint64_t{1};
-        }));
+    sync_rps.push_back(sync_singles("coalesce", coalesce_n, t));
     std::printf("coalesce n=%-3d clients=%-2d  submit %9.0f req/s   sync %9.0f req/s\n",
                 coalesce_n, t, coalesce_rps.back(), sync_rps.back());
     for (const auto& mine : buffers) {
@@ -462,8 +559,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_serve: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  print_json(out, decisions, threads, gate_n, single_rps, mixed_rps,
-             coalesce_n, coalesce_rps, sync_rps, overhead, stats);
+  print_json(out, decisions, threads, gate_n, single_rps, sync, minus_raw,
+             mixed_rps, coalesce_n, coalesce_rps, sync_rps, overhead, stats);
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
 

@@ -32,9 +32,10 @@
 //     callers that overlap one another transparently form batches big
 //     enough for the interleaved/fan-out paths to pay off.
 //
-// The warm serve path takes no Engine mutex while the circuit breaker is
-// disarmed: each size's candidate cells are published once through an
-// atomic route pointer, and the Stats counters are striped relaxed atomics.
+// The warm serve path takes no Engine or Transform mutex while the circuit
+// breaker is disarmed: each size's candidate cells are published once
+// through an atomic route pointer, the Stats counters are striped relaxed
+// atomics, and context-less calls run on the calling thread's ExecContext.
 //
 // All public methods are thread-safe; one Engine is meant to be shared by
 // an entire process (construct it once, serve from everywhere).
@@ -196,7 +197,7 @@ class Engine {
   void execute_many(int n, double* x, std::size_t count, std::ptrdiff_t dist);
 
   /// External-submitter hooks: the caller owns the per-call context instead
-  /// of the Transform's internal pool — the shape for serving layers that
+  /// of borrowing the calling thread's — the shape for serving layers that
   /// drive the Engine from their own threads with their own arenas (the
   /// whtd daemon executes straight on shared-memory staging this way).
   void execute_many(int n, double* x, std::size_t count, std::ptrdiff_t dist,

@@ -14,21 +14,14 @@
 //                    staging data can still invoke a scratch-using backend;
 //   * op counts      the "instrumented" backend's tallies for the run.
 //
-// A context is NOT thread-safe; give each call chain its own.  ContextPool
-// does that for callers who don't want to manage contexts: a checkout/
-// return freelist whose size is bounded by peak concurrency (never by how
-// many threads have ever existed — a thread-per-request server reuses the
-// same few contexts forever), plus a small per-thread tally slot so the
-// instrumented backend's counts stay readable per thread after the context
-// goes back to the pool.
+// A context is NOT thread-safe; give each call chain its own.  Callers who
+// don't want to manage contexts pass none: the Transform then borrows the
+// calling thread's one context (transform.cpp), and a call that re-enters a
+// context-less Transform call on the same thread runs on a fresh local
+// context, so the outer call's scratch is never aliased.
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "core/instrumented.hpp"
 #include "util/scratch_arena.hpp"
@@ -73,60 +66,6 @@ class ExecContext {
   util::ScratchArena staging_;
   core::OpCounts counts_{};
   bool has_counts_ = false;
-};
-
-/// Checkout/return cache of ExecContexts for callers that don't pass their
-/// own: acquire() leases a context for one call (creating one only when
-/// every existing context is leased out), the lease's destructor returns
-/// it.  Contexts — and their grown arenas — are therefore bounded by peak
-/// concurrent calls and reused across any number of threads.  tallies()
-/// keeps the last instrumented-run op counts per *thread* (a few dozen
-/// bytes each), so Transform::last_op_counts keeps its per-thread meaning
-/// after the context itself has moved on.
-class ContextPool {
- public:
-  ContextPool() = default;
-  ContextPool(const ContextPool&) = delete;
-  ContextPool& operator=(const ContextPool&) = delete;
-
-  class Lease {
-   public:
-    explicit Lease(const ContextPool& pool) : pool_(pool), ctx_(pool.take()) {}
-    ~Lease() { pool_.give_back(std::move(ctx_)); }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    ExecContext& context() { return *ctx_; }
-
-   private:
-    const ContextPool& pool_;
-    std::unique_ptr<ExecContext> ctx_;
-  };
-
-  Lease acquire() const { return Lease(*this); }
-
-  /// Publishes `counts` as the calling thread's latest instrumented
-  /// tallies (Transform copies them out of the lease before returning it).
-  void record_tallies(const core::OpCounts& counts) const;
-
-  /// The calling thread's latest recorded tallies, or nullptr.  The
-  /// pointer stays valid until this thread's next pooled execute — or, on
-  /// servers churning through >1024 instrumented-serving threads, until the
-  /// bounded per-thread cache resets (exec_context.cpp); copy the counts
-  /// out rather than holding the pointer across other threads' serving.
-  const core::OpCounts* tallies() const;
-
-  /// Contexts created so far = peak concurrent leases (observability).
-  std::size_t size() const;
-
- private:
-  std::unique_ptr<ExecContext> take() const;
-  void give_back(std::unique_ptr<ExecContext> ctx) const;
-
-  mutable std::mutex mutex_;
-  mutable std::vector<std::unique_ptr<ExecContext>> free_;
-  mutable std::size_t created_ = 0;
-  mutable std::map<std::thread::id, core::OpCounts> tallies_;
 };
 
 }  // namespace whtlab::api

@@ -1,6 +1,7 @@
 #include "api/executor_backend.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -232,26 +233,41 @@ class FusedBackend final : public ExecutorBackend {
     return config;
   }
 
-  /// Schedules depend only on (size, blocking) — immutable derived state,
-  /// memoized under a lock so concurrent first-touch runs lower once.  The
-  /// returned reference stays valid after the lock drops: map nodes are
-  /// stable, entries are never erased or rewritten.
+  /// Schedules depend only on (size, blocking) — immutable derived state.
+  /// Each size lowers once, under schedule_mutex_ so racing first runs
+  /// lower it once, and is then published through schedules_[n]: every
+  /// later run is one acquire load.  Published schedules are never
+  /// replaced or freed before the backend.
   const core::Schedule& schedule_for(const core::Plan& plan) const {
     const int n = plan.log2_size();
-    const std::lock_guard<std::mutex> lock(schedule_mutex_);
-    auto it = schedules_.find(n);
-    if (it == schedules_.end()) {
-      it = schedules_.emplace(n, core::lower_plan(plan, blocking_)).first;
+    if (n >= kScheduleSlots) {
+      throw std::invalid_argument("fused: plan size 2^" + std::to_string(n) +
+                                  " is not addressable");
     }
-    return it->second;
+    if (const core::Schedule* schedule =
+            schedules_[n].load(std::memory_order_acquire)) {
+      return *schedule;
+    }
+    const std::lock_guard<std::mutex> lock(schedule_mutex_);
+    if (!lowered_[n]) {
+      lowered_[n] = std::make_unique<const core::Schedule>(
+          core::lower_plan(plan, blocking_));
+      schedules_[n].store(lowered_[n].get(), std::memory_order_release);
+    }
+    return *lowered_[n];
   }
+
+  /// One slot per log2 size a 64-bit element count can address.
+  static constexpr int kScheduleSlots = 64;
 
   std::string name_ = "fused";
   int threads_;
   core::BlockingConfig blocking_;
   std::optional<model::BlockedCalibration> calibration_;
   mutable std::mutex schedule_mutex_;
-  mutable std::map<int, core::Schedule> schedules_;
+  /// Owns every lowered schedule; guarded by schedule_mutex_.
+  mutable std::unique_ptr<const core::Schedule> lowered_[kScheduleSlots];
+  mutable std::atomic<const core::Schedule*> schedules_[kScheduleSlots];
 };
 
 }  // namespace

@@ -1,10 +1,35 @@
 #include "api/transform.hpp"
 
+#include <atomic>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
 namespace whtlab::api {
+
+namespace {
+
+/// Per thread: the context every context-less Transform call on the thread
+/// borrows, and the op tallies of the thread's latest context-less
+/// instrumented call with the id of the Transform that made it.
+struct ThreadSlot {
+  ExecContext ctx;
+  bool borrowed = false;  ///< a context-less call on this thread holds ctx
+  std::uint64_t tally_owner = 0;  ///< Transform id; 0 = no tallies yet
+  core::OpCounts tallies{};
+};
+
+ThreadSlot& thread_slot() {
+  thread_local ThreadSlot slot;
+  return slot;
+}
+
+std::uint64_t next_transform_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
 
 const char* to_string(Strategy strategy) {
   switch (strategy) {
@@ -40,20 +65,47 @@ Transform::Transform(core::Plan plan, std::unique_ptr<ExecutorBackend> backend,
     : plan_(std::move(plan)),
       backend_(std::move(backend)),
       backend_name_(backend_->name()),
-      contexts_(std::make_unique<ContextPool>()),
+      id_(next_transform_id()),
       info_(std::move(info)) {}
 
 void Transform::ensure_valid() const {
   if (!valid()) throw std::logic_error("wht::Transform: not planned");
 }
 
+template <typename Run>
+void Transform::with_thread_context(Run&& run) const {
+  ThreadSlot& slot = thread_slot();
+  const auto keep_tallies = [this, &slot](const ExecContext& ctx) {
+    if (const core::OpCounts* counts = ctx.last_op_counts()) {
+      slot.tallies = *counts;
+      slot.tally_owner = id_;
+    }
+  };
+  if (slot.borrowed) {
+    // Re-entered from inside a context-less call on this thread (a backend
+    // calling back into a Transform): the outer call still owns slot.ctx.
+    ExecContext fresh;
+    run(fresh);
+    keep_tallies(fresh);
+    return;
+  }
+  struct Borrow {
+    explicit Borrow(bool& flag) : borrowed(flag) { borrowed = true; }
+    ~Borrow() { borrowed = false; }
+    bool& borrowed;
+  } borrow(slot.borrowed);
+  // Tallies a call that threw mid-batch left here must not be kept under
+  // this Transform's id.
+  slot.ctx.clear_op_counts();
+  run(slot.ctx);
+  keep_tallies(slot.ctx);
+}
+
 void Transform::execute(double* x) const { execute(x, 1); }
 
 void Transform::execute(double* x, std::ptrdiff_t stride) const {
   ensure_valid();
-  ContextPool::Lease lease = contexts_->acquire();
-  execute(x, stride, lease.context());
-  publish_tallies(lease.context());
+  with_thread_context([&](ExecContext& ctx) { execute(x, stride, ctx); });
 }
 
 void Transform::execute(double* x, std::ptrdiff_t stride,
@@ -70,9 +122,8 @@ void Transform::execute_many(double* x, std::size_t count) const {
 void Transform::execute_many(double* x, std::size_t count,
                              std::ptrdiff_t dist) const {
   ensure_valid();
-  ContextPool::Lease lease = contexts_->acquire();
-  execute_many(x, count, dist, lease.context());
-  publish_tallies(lease.context());
+  with_thread_context(
+      [&](ExecContext& ctx) { execute_many(x, count, dist, ctx); });
 }
 
 void Transform::execute_many(double* x, std::size_t count, std::ptrdiff_t dist,
@@ -88,10 +139,9 @@ void Transform::execute_many(double* x, std::size_t count, std::ptrdiff_t dist,
 
 void Transform::execute_copy(const double* in, double* out) const {
   ensure_valid();
-  if (out != in) std::memcpy(out, in, size() * sizeof(double));
-  ContextPool::Lease lease = contexts_->acquire();
-  backend_->run(plan_, out, 1, lease.context());
-  publish_tallies(lease.context());
+  if (out != in) std::memmove(out, in, size() * sizeof(double));
+  with_thread_context(
+      [&](ExecContext& ctx) { backend_->run(plan_, out, 1, ctx); });
 }
 
 std::vector<double> Transform::apply(const std::vector<double>& in) const {
@@ -101,29 +151,22 @@ std::vector<double> Transform::apply(const std::vector<double>& in) const {
                                 std::to_string(in.size()) + " != transform size " +
                                 std::to_string(size()));
   }
-  // Stage through the leased context's caller-side arena (aligned, reused
-  // across calls) so the backend's own scratch use cannot alias it.
-  ContextPool::Lease lease = contexts_->acquire();
-  ExecContext& ctx = lease.context();
-  double* stage = ctx.staging(size());
-  std::memcpy(stage, in.data(), size() * sizeof(double));
-  backend_->run(plan_, stage, 1, ctx);
-  std::vector<double> out(stage, stage + size());
-  publish_tallies(ctx);
+  // Stage through the context's caller-side arena (aligned, reused across
+  // calls) so the backend's own scratch use cannot alias it.
+  std::vector<double> out;
+  with_thread_context([&](ExecContext& ctx) {
+    double* stage = ctx.staging(size());
+    std::memcpy(stage, in.data(), size() * sizeof(double));
+    backend_->run(plan_, stage, 1, ctx);
+    out.assign(stage, stage + size());
+  });
   return out;
-}
-
-void Transform::publish_tallies(const ExecContext& ctx) const {
-  // Only instrumenting backends write tallies; copy them to the calling
-  // thread's slot before the context returns to the pool.
-  if (const core::OpCounts* counts = ctx.last_op_counts()) {
-    contexts_->record_tallies(*counts);
-  }
 }
 
 const core::OpCounts* Transform::last_op_counts() const {
   ensure_valid();
-  return contexts_->tallies();
+  const ThreadSlot& slot = thread_slot();
+  return slot.tally_owner == id_ ? &slot.tallies : nullptr;
 }
 
 perf::MeasureResult Transform::measure(const perf::MeasureOptions& options) const {

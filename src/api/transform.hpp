@@ -13,8 +13,9 @@
 // Transforms are move-only (they own a backend instance) and cheap to move.
 // Execution is const and re-entrant: plan and backend are immutable after
 // planning, and all per-call state lives in a wht::ExecContext — either one
-// the caller passes explicitly, or one leased per call from the Transform's
-// internal pool (bounded by peak concurrency, warm arenas reused).  Share
+// the caller passes explicitly, or the calling thread's own context, which
+// every context-less call on that thread borrows without taking a lock (a
+// call re-entered from inside one runs on a fresh context instead).  Share
 // one Transform across any number of threads with no external locking;
 // plan once, serve everywhere (planning is the expensive step, and
 // wht::Engine builds the process-wide serving layer on exactly this
@@ -95,7 +96,7 @@ class Transform {
 
   /// In-place transform of x[0 .. size()).  Const and re-entrant: any number
   /// of threads may execute one Transform concurrently (on distinct data);
-  /// each call transparently leases an ExecContext from the internal pool.
+  /// each call borrows the calling thread's ExecContext.
   void execute(double* x) const;
 
   /// In-place transform of the size() elements x[0], x[stride], ...
@@ -110,25 +111,29 @@ class Transform {
   void execute_many(double* x, std::size_t count, std::ptrdiff_t dist) const;
 
   /// Explicit-context variants: the caller owns per-call state (scratch, op
-  /// tallies) instead of the per-thread pool — the serving-loop shape, and
-  /// the only way to read op counts from a context the caller controls.
+  /// tallies) instead of the calling thread's context — the serving-loop
+  /// shape, and the only way to read op counts from a context the caller
+  /// controls.  They leave the thread's last_op_counts() slot untouched.
   void execute(double* x, std::ptrdiff_t stride, ExecContext& ctx) const;
   void execute_many(double* x, std::size_t count, std::ptrdiff_t dist,
                     ExecContext& ctx) const;
 
-  /// Out-of-place: out[0 .. size()) = WHT(in[0 .. size())).  `in` and `out`
-  /// may alias exactly (degenerates to execute) but must not partially
-  /// overlap.
+  /// Out-of-place: out[0 .. size()) = WHT(in[0 .. size())), for any overlap
+  /// of `in` and `out` (out == in degenerates to execute).
   void execute_copy(const double* in, double* out) const;
 
   /// Copying convenience; stages through the calling thread's context
-  /// scratch.  in.size() must equal size().
+  /// staging.  in.size() must equal size().
   std::vector<double> apply(const std::vector<double>& in) const;
 
-  /// Op tallies of the most recent pooled execute *on the calling thread*
-  /// (instrumented backend only; nullptr otherwise — including after
-  /// explicit-context executes, whose tallies live on the caller's
-  /// context).
+  /// Op tallies of the calling thread's most recent context-less
+  /// instrumented call, if *this* Transform ran it; nullptr otherwise.  Each
+  /// thread keeps one slot, so another Transform's context-less instrumented
+  /// call on this thread takes it over (this one then reads nullptr), and
+  /// explicit-context calls, whose tallies live on the caller's context,
+  /// never touch it.  The pointer stays valid until the thread's next
+  /// context-less instrumented call or its exit; copy the counts out to
+  /// keep them.
   const core::OpCounts* last_op_counts() const;
 
   /// Measures this transform with the perf protocol (warmup, batched reps,
@@ -144,12 +149,17 @@ class Transform {
             PlanningInfo info);
 
   void ensure_valid() const;
-  void publish_tallies(const ExecContext& ctx) const;
+
+  /// Runs `run(ctx)` on the calling thread's context, or on a fresh one when
+  /// a context-less call is already running on this thread, and keeps any
+  /// op tallies it records in the thread's last_op_counts() slot.
+  template <typename Run>
+  void with_thread_context(Run&& run) const;
 
   core::Plan plan_;
   std::unique_ptr<ExecutorBackend> backend_;
   std::string backend_name_;
-  std::unique_ptr<ContextPool> contexts_;  ///< leased ExecContext cache
+  std::uint64_t id_ = 0;  ///< process-unique; owns the thread's tallies slot
   PlanningInfo info_;
 };
 

@@ -6,12 +6,16 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/exec_context.hpp"
+#include "api/executor_backend.hpp"
 #include "api/planner.hpp"
 #include "api/transform.hpp"
+#include "core/codelet.hpp"
 #include "core/executor.hpp"
 #include "core/instrumented.hpp"
 #include "core/plan.hpp"
@@ -155,62 +159,114 @@ TEST(SharedTransform, ApplyIsSafeFromManyThreads) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(ContextPool, LeasesAreReusedAndBoundedByConcurrency) {
-  ContextPool pool;
-  ExecContext* first = nullptr;
-  {
-    auto lease = pool.acquire();
-    first = &lease.context();
-    EXPECT_EQ(pool.size(), 1u);
+/// What ReentrantProbeBackend saw during its last run_many.
+struct ProbeRecord {
+  const Transform* nested = nullptr;  ///< apply()d in the middle of run_many
+  std::vector<double> nested_input;
+  std::vector<double> nested_output;
+  bool pattern_survived = false;
+};
+ProbeRecord g_probe;
+
+/// "reentrant-probe": run_many fills ctx.scratch() with a pattern, makes a
+/// context-less apply() on g_probe.nested in the middle, then checks the
+/// pattern before running `generated` on every vector.  run(), which that
+/// nested apply() reaches when g_probe.nested uses this backend too,
+/// scribbles over its own context's scratch — so a nested call handed the
+/// outer call's context destroys the pattern.
+class ReentrantProbeBackend final : public ExecutorBackend {
+ public:
+  const std::string& name() const override { return name_; }
+
+  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
+           ExecContext& ctx) const override {
+    double* scratch = ctx.scratch(kScratch);
+    for (std::size_t i = 0; i < kScratch; ++i) scratch[i] = -1.0;
+    core::execute_node(plan.root(), x, stride,
+                       core::codelet_table(core::CodeletBackend::kGenerated));
   }
-  {
-    // Sequential calls — even from different threads — reuse the same
-    // context: the pool is bounded by peak concurrent leases, not by how
-    // many threads have ever served.
-    std::thread other([&pool, first]() {
-      auto lease = pool.acquire();
-      EXPECT_EQ(&lease.context(), first);
+
+  void run_many(const core::Plan& plan, double* x, std::size_t count,
+                std::ptrdiff_t dist, ExecContext& ctx) const override {
+    double* scratch = ctx.scratch(kScratch);
+    for (std::size_t i = 0; i < kScratch; ++i) {
+      scratch[i] = static_cast<double>(i);
+    }
+    g_probe.nested_output = g_probe.nested->apply(g_probe.nested_input);
+    g_probe.pattern_survived = true;
+    for (std::size_t i = 0; i < kScratch; ++i) {
+      if (scratch[i] != static_cast<double>(i)) g_probe.pattern_survived = false;
+    }
+    for (std::size_t v = 0; v < count; ++v) {
+      core::execute_node(plan.root(), x + static_cast<std::ptrdiff_t>(v) * dist,
+                         1, core::codelet_table(core::CodeletBackend::kGenerated));
+    }
+  }
+
+ private:
+  static constexpr std::size_t kScratch = 64;
+  std::string name_ = "reentrant-probe";
+};
+
+TEST(ThreadContext, ReentrantCallGetsADistinctContext) {
+  auto& registry = BackendRegistry::global();
+  if (!registry.contains("reentrant-probe")) {
+    registry.register_factory("reentrant-probe", [](const BackendOptions&) {
+      return std::make_unique<ReentrantProbeBackend>();
     });
-    other.join();
-    EXPECT_EQ(pool.size(), 1u);
   }
-  {
-    auto one = pool.acquire();
-    auto two = pool.acquire();  // concurrent: a second context is created
-    EXPECT_NE(&one.context(), &two.context());
-    EXPECT_EQ(pool.size(), 2u);
+  const core::Plan plan = core::Plan::iterative(6);
+  const core::Plan nested_plan = core::Plan::iterative(5);
+  const auto outer = Planner().fixed(plan).backend("reentrant-probe").plan();
+  const auto nested =
+      Planner().fixed(nested_plan).backend("reentrant-probe").plan();
+  g_probe = ProbeRecord{};
+  g_probe.nested = &nested;
+  g_probe.nested_input = random_vector(nested_plan.size(), 3);
+
+  constexpr std::size_t kBatch = 3;
+  std::vector<double> batch = random_vector(plan.size() * kBatch, 8);
+  std::vector<double> reference = batch;
+  outer.execute_many(batch.data(), kBatch);  // context-less: the thread's own
+  for (std::size_t v = 0; v < kBatch; ++v) {
+    core::execute(plan, reference.data() + v * plan.size());
   }
+  EXPECT_TRUE(g_probe.pattern_survived);
+  EXPECT_EQ(batch, reference);
+  std::vector<double> nested_reference = g_probe.nested_input;
+  core::execute(nested_plan, nested_reference.data());
+  EXPECT_EQ(g_probe.nested_output, nested_reference);
 }
 
-TEST(ContextPool, TalliesArePerThread) {
-  ContextPool pool;
-  core::OpCounts mine{};
-  mine.flops = 7;
-  pool.record_tallies(mine);
-  ASSERT_NE(pool.tallies(), nullptr);
-  EXPECT_EQ(pool.tallies()->flops, 7u);
-  std::thread other([&pool]() {
-    EXPECT_EQ(pool.tallies(), nullptr);  // never recorded on this thread
-    core::OpCounts theirs{};
-    theirs.flops = 9;
-    pool.record_tallies(theirs);
-    EXPECT_EQ(pool.tallies()->flops, 9u);
+TEST(ThreadContext, TalliesBelongToTheLastInstrumentedTransform) {
+  const core::Plan plan_a = core::Plan::iterative(8);
+  const core::Plan plan_b = core::Plan::balanced_binary(9, 4);
+  const auto a = Planner().fixed(plan_a).backend("instrumented").plan();
+  const auto b = Planner().fixed(plan_b).backend("instrumented").plan();
+  std::vector<double> xa = random_vector(plan_a.size(), 1);
+  std::vector<double> xb = random_vector(plan_b.size(), 2);
+
+  a.execute(xa.data());
+  ASSERT_NE(a.last_op_counts(), nullptr);
+  b.execute(xb.data());
+  ASSERT_NE(b.last_op_counts(), nullptr);
+  EXPECT_EQ(*b.last_op_counts(), core::count_ops(plan_b));
+  EXPECT_EQ(a.last_op_counts(), nullptr);  // B took over the thread's slot
+
+  std::thread fresh([&a, &b]() {
+    EXPECT_EQ(a.last_op_counts(), nullptr);
+    EXPECT_EQ(b.last_op_counts(), nullptr);
   });
-  other.join();
-  EXPECT_EQ(pool.tallies()->flops, 7u);  // unaffected by the other thread
-}
+  fresh.join();
 
-TEST(ContextPool, ReturnedContextsDropTheirTallies) {
-  // One call's instrumented tallies must not leak into the next lease.
-  ContextPool pool;
-  {
-    auto lease = pool.acquire();
-    core::OpCounts counts{};
-    counts.loads = 3;
-    lease.context().set_op_counts(counts);
-  }
-  auto lease = pool.acquire();
-  EXPECT_EQ(lease.context().last_op_counts(), nullptr);
+  // An explicit-context run keeps its tallies on the caller's context.
+  ExecContext ctx;
+  a.execute(xa.data(), 1, ctx);
+  ASSERT_NE(ctx.last_op_counts(), nullptr);
+  EXPECT_EQ(*ctx.last_op_counts(), core::count_ops(plan_a));
+  ASSERT_NE(b.last_op_counts(), nullptr);
+  EXPECT_EQ(*b.last_op_counts(), core::count_ops(plan_b));
+  EXPECT_EQ(a.last_op_counts(), nullptr);
 }
 
 TEST(ScratchArena, GrowsAndReuses) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <stdexcept>
 #include <vector>
 
@@ -125,6 +126,23 @@ TEST(Transform, ExecuteCopyLeavesInputIntact) {
   auto reference = input;
   core::execute(plan, reference.data());
   EXPECT_EQ(out, reference);
+}
+
+TEST(Transform, ExecuteCopyAllowsPartialOverlap) {
+  // out three doubles past in, then in three past out: the copy must read
+  // all of `in` before the overlapping writes land.
+  const core::Plan plan = core::Plan::iterative(6);
+  auto t = fixed(plan);
+  for (const std::ptrdiff_t shift : {3, -3}) {
+    std::vector<double> buffer = random_vector(plan.size() + 3, 12);
+    double* in = buffer.data() + (shift > 0 ? 0 : 3);
+    double* out = in + shift;
+    std::vector<double> reference(in, in + plan.size());
+    core::execute(plan, reference.data());
+    t.execute_copy(in, out);
+    EXPECT_EQ(std::vector<double>(out, out + plan.size()), reference)
+        << "shift " << shift;
+  }
 }
 
 TEST(Transform, ApplyReturnsTransformedCopy) {

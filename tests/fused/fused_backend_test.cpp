@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <bit>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -353,6 +354,18 @@ TEST(FusedBackendFacade, SuppliesItsOwnCostModelToThePlanner) {
   EXPECT_TRUE(t.plan().valid());
 }
 
+TEST(FusedBackendFacade, RejectsPlansTooLargeToAddress) {
+  // Schedules live in one slot per log2 size; a 2^64-point plan has none
+  // and must be refused before any slot or element is touched.
+  const auto backend = api::BackendRegistry::global().create("fused");
+  const core::Plan plan = core::Plan::split(
+      std::vector<core::Plan>(8, core::Plan::small(core::kMaxUnrolled)));
+  ASSERT_EQ(plan.log2_size(), 64);
+  double x = 0.0;
+  EXPECT_THROW(backend->run(plan, &x, 1), std::invalid_argument);
+  EXPECT_THROW(backend->run_many(plan, &x, 1, 1), std::invalid_argument);
+}
+
 TEST(FusedBackendFacade, ThreadsFanOutBatchChunks) {
   api::BackendOptions options;
   options.threads = 4;
@@ -400,6 +413,39 @@ TEST(FusedThreads, ConcurrentCallersEachSplitOneSharedSchedule) {
   }
   for (std::thread& t : callers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// Eight callers released together into the first-ever run of a fresh
+// `fused` Transform race its schedule's lowering and publication; fixed()
+// planning never runs the Transform, so the race is real every round.  At
+// n = 18 with 2 threads each caller also splits its vector wherever the L2
+// block is below 2^18 doubles (2^17 on a 2 MiB L2).  CI's TSan job runs
+// this.
+TEST(FusedThreads, ColdSchedulePublishIsRaceFree) {
+  for (const int n : {10, 18}) {
+    const core::Plan plan = core::Plan::iterative(n);
+    const std::vector<double> input =
+        util::random_vector(plan.size(), static_cast<std::uint64_t>(n));
+    const std::vector<double> expect = serial_reference(input);
+    for (int round = 0; round < 4; ++round) {
+      const auto t =
+          api::Planner().fixed(plan).backend("fused").threads(2).plan();
+      std::atomic<bool> go{false};
+      std::atomic<int> mismatches{0};
+      std::vector<std::thread> callers;
+      for (int c = 0; c < 8; ++c) {
+        callers.emplace_back([&] {
+          std::vector<double> x = input;
+          while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+          t.execute(x.data());
+          if (x != expect) ++mismatches;
+        });
+      }
+      go.store(true, std::memory_order_release);
+      for (std::thread& caller : callers) caller.join();
+      EXPECT_EQ(mismatches.load(), 0) << "n=" << n << " round=" << round;
+    }
+  }
 }
 
 }  // namespace

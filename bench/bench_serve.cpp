@@ -3,7 +3,7 @@
 // Hammer one shared wht::Engine from T client threads and count transforms
 // served per second — the production shape the concurrent-serving redesign
 // targets: immutable shared plans, re-entrant backends, serve-time backend
-// arbitration, and the submit() combiner.  Six sections:
+// arbitration, and submit().  Six sections:
 //
 //   decisions  the arbiter's backend choice (and every candidate's priced
 //              cost) per request shape — single vectors across the n range
@@ -20,8 +20,7 @@
 //              rounds: what the Engine layer adds per request, in ns
 //   mixed      singles + batches across n in [--nmin, --nmax] per the
 //              ISSUE's mixed serving workload
-//   coalesce   submit() pipelines (caller-runs combiner) vs the same load
-//              as synchronous singles
+//   coalesce   submit() pipelines vs the same load as synchronous singles
 //
 // Every section transforms the same buffers in place for seconds.  Since
 // H·H = 2^n·I, each buffer gets the exact 2^-n rescale after every second
@@ -249,11 +248,10 @@ void print_json(std::FILE* out, const std::vector<ShapeDecision>& decisions,
                  overhead.overhead_pct());
   }
   std::fprintf(out,
-               "},\n  \"engine_stats\": {\"vectors\": %llu, \"batches\": %llu, "
-               "\"coalesced\": %llu}\n}\n",
+               "},\n  \"engine_stats\": {\"vectors\": %llu, \"batches\": "
+               "%llu}\n}\n",
                static_cast<unsigned long long>(stats.vectors),
-               static_cast<unsigned long long>(stats.batches),
-               static_cast<unsigned long long>(stats.coalesced));
+               static_cast<unsigned long long>(stats.batches));
 }
 
 }  // namespace

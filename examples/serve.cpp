@@ -1,7 +1,7 @@
 // Concurrent serving with wht::Engine.
 //
 // One process-wide Engine, many client threads, three request shapes:
-// big single vectors, tiny-n batches, and async submits that coalesce.
+// big single vectors, tiny-n batches, and submit() futures.
 // The Engine plans each (size, backend) once, shares the immutable
 // Transforms across every thread, and routes each request to the backend
 // its cost model says is cheapest *for that shape* — watch the decisions
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       for (int r = 0; r < requests; ++r) {
         engine.execute(single_n, big.data());           // arbitrated single
         engine.execute_many(batch_n, tiny.data(), batch);  // arbitrated batch
-        engine.submit(submit_n, async.data()).get();    // coalesces under load
+        engine.submit(submit_n, async.data()).get();    // ready on return
       }
     });
   }
@@ -82,9 +82,9 @@ int main(int argc, char** argv) {
   const auto stats = engine.stats();
   std::printf("engine: %s\n", whtlab::api::to_string(stats).c_str());
   std::printf("served %llu vectors (%llu batched dispatches, "
-              "%llu submits coalesced)\n",
+              "%llu submitted)\n",
               (unsigned long long)stats.vectors,
               (unsigned long long)stats.batches,
-              (unsigned long long)stats.coalesced);
+              (unsigned long long)stats.submitted);
   return 0;
 }

@@ -325,7 +325,8 @@ std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
   // Execution is in place, so a failed or corrupt run has already destroyed
   // the caller's input by the time the failure is visible.  The snapshot
   // is a local buffer on purpose: ctx staging may hold this very batch
-  // (execute_gathered), and ScratchArena::acquire may relocate on growth.
+  // (the pointer-array execute_many), and ScratchArena::acquire may
+  // relocate on growth.
   std::vector<double> snapshot;
   if (resilient) {
     snapshot.resize(size * count);
@@ -413,21 +414,22 @@ std::uint64_t Engine::total(std::size_t slot) const {
   return sum;
 }
 
-void Engine::record(std::size_t column, std::uint64_t vectors, bool batch,
-                    bool from_submit) {
-  const Path path = batch ? (from_submit ? kCoalesced : kBatched)
-                          : (from_submit ? kSubmitSingle : kSingle);
+void Engine::record(std::size_t column, std::uint64_t vectors, Path path) {
   bump(path_slot(column, path), vectors);
-  if (batch) bump(kBatches, 1);
+  if (path == kBatched) bump(kBatches, 1);
 }
 
-void Engine::execute(int n, double* x) {
-  check_n(n);
+void Engine::serve_single(int n, double* x, Path path) {
   const Choice choice = choose(n, 1);
   record(run_guarded(choice, n, x, 1,
                      static_cast<std::ptrdiff_t>(std::uint64_t{1} << n),
                      nullptr),
-         1, false, false);
+         1, path);
+}
+
+void Engine::execute(int n, double* x) {
+  check_n(n);
+  serve_single(n, x, kSingle);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count) {
@@ -440,8 +442,8 @@ void Engine::execute_many(int n, double* x, std::size_t count,
   check_n(n);
   if (count == 0) return;
   const Choice choice = choose(n, count);
-  record(run_guarded(choice, n, x, count, dist, nullptr), count, count > 1,
-         false);
+  record(run_guarded(choice, n, x, count, dist, nullptr), count,
+         count > 1 ? kBatched : kSingle);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count,
@@ -449,14 +451,8 @@ void Engine::execute_many(int n, double* x, std::size_t count,
   check_n(n);
   if (count == 0) return;
   const Choice choice = choose(n, count);
-  record(run_guarded(choice, n, x, count, dist, &ctx), count, count > 1,
-         false);
-}
-
-void Engine::execute_many(int n, double* const* xs, std::size_t count,
-                          ExecContext& ctx) {
-  check_n(n);
-  execute_gathered(n, xs, count, ctx, /*from_submit=*/false);
+  record(run_guarded(choice, n, x, count, dist, &ctx), count,
+         count > 1 ? kBatched : kSingle);
 }
 
 namespace {
@@ -471,8 +467,9 @@ constexpr std::uint64_t kMaxStagedDoubles = std::uint64_t{1} << 21;
 
 }  // namespace
 
-void Engine::execute_gathered(int n, double* const* xs, std::size_t count,
-                              ExecContext& ctx, bool from_submit) {
+void Engine::execute_many(int n, double* const* xs, std::size_t count,
+                          ExecContext& ctx) {
+  check_n(n);
   if (count == 0) return;
   const std::uint64_t size = std::uint64_t{1} << n;
   const bool staged = count > 1 && size * count <= kMaxStagedDoubles;
@@ -485,7 +482,7 @@ void Engine::execute_gathered(int n, double* const* xs, std::size_t count,
       // run on the winner.
       record(run_guarded(choice, n, xs[v], 1,
                          static_cast<std::ptrdiff_t>(size), &ctx),
-             1, false, from_submit);
+             1, kSingle);
     }
     return;
   }
@@ -502,52 +499,20 @@ void Engine::execute_gathered(int n, double* const* xs, std::size_t count,
   for (std::size_t v = 0; v < count; ++v) {
     std::memcpy(xs[v], stage + v * size, size * sizeof(double));
   }
-  record(served, count, true, from_submit);
+  record(served, count, kBatched);
 }
 
 std::future<void> Engine::submit(int n, double* x) {
   check_n(n);
   bump(kSubmitted, 1);
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  queue_.push_back({n, x, {}});
-  std::future<void> future = queue_.back().promise.get_future();
-  if (combining_) return future;  // the active combiner will serve it
-  // Flat combining (Hendler et al., SPAA 2010): this caller serves the
-  // queue — oldest request's size first, every queued request of that size
-  // merged into one group — until it finds the queue empty.  Clearing the
-  // flag under the same lock that found it empty means a request is either
-  // seen by this loop or finds no combiner and serves itself: none strands.
-  combining_ = true;
-  while (!queue_.empty()) {
-    const int group_n = queue_.front().n;
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      if (it->n == group_n) {
-        group_.push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    lock.unlock();
-    serve_group();
-    lock.lock();
-  }
-  combining_ = false;
-  return future;
-}
-
-void Engine::serve_group() {
+  std::promise<void> done;
   try {
-    group_xs_.clear();
-    for (const Pending& p : group_) group_xs_.push_back(p.x);
-    execute_gathered(group_.front().n, group_xs_.data(), group_xs_.size(),
-                     combiner_ctx_, /*from_submit=*/true);
-    for (Pending& p : group_) p.promise.set_value();
+    serve_single(n, x, kSubmitSingle);
+    done.set_value();
   } catch (...) {
-    const std::exception_ptr error = std::current_exception();
-    for (Pending& p : group_) p.promise.set_exception(error);
+    done.set_exception(std::current_exception());
   }
-  group_.clear();
+  return done.get_future();
 }
 
 telemetry::Snapshot Engine::telemetry_snapshot() const {
@@ -562,10 +527,9 @@ Engine::Stats Engine::stats() const {
   snapshot.fallbacks = total(kFallbacks);
   for (std::size_t column = 0; column <= candidates_.size(); ++column) {
     std::uint64_t vectors = 0;
-    for (const Path path : {kSingle, kSubmitSingle, kBatched, kCoalesced}) {
+    for (const Path path : {kSingle, kSubmitSingle, kBatched}) {
       const std::uint64_t served = total(path_slot(column, path));
       if (path == kSingle) snapshot.singles += served;
-      if (path == kCoalesced) snapshot.coalesced += served;
       vectors += served;
     }
     if (vectors == 0) continue;
@@ -586,8 +550,7 @@ Engine::Stats Engine::stats() const {
 std::string to_string(const Engine::Stats& stats) {
   std::ostringstream out;
   out << "vectors=" << stats.vectors << " singles=" << stats.singles
-      << " submitted=" << stats.submitted << " batches=" << stats.batches
-      << " coalesced=" << stats.coalesced;
+      << " submitted=" << stats.submitted << " batches=" << stats.batches;
   if (stats.failures > 0 || stats.fallbacks > 0) {
     out << " failures=" << stats.failures << " fallbacks=" << stats.fallbacks;
   }

@@ -8,8 +8,8 @@
 //   wht::Engine engine;
 //   engine.execute(16, x);             // single vector, arbitrated backend
 //   engine.execute_many(10, xs, 64);   // batch, arbitrated batch path
-//   auto done = engine.submit(10, y);  // future-returning; overlapping
-//   done.get();                        //   same-size submits merge
+//   auto done = engine.submit(10, y);  // served on the caller; the
+//   done.get();                        //   future is already ready
 //
 //   * Shared plan cache — one immutable Transform per (n, backend), planned
 //     on first touch through the wht::Planner (wisdom-backed when
@@ -24,18 +24,17 @@
 //     measure-or-model autotuning idea, applied across backends at serve
 //     time: "fused" wins big single vectors (memory passes), "simd" wins
 //     tiny-n batches (interleave), per the models — not per a hardcode.
-//   * Caller-runs coalescing — submit() queues the request; the first
-//     submitter that finds no combiner active becomes it and serves every
-//     queued same-size group as ONE run_many call on the arbitrated batch
-//     backend, on its own thread, until the queue is empty (flat
-//     combining).  A lone submit() therefore runs before it returns, while
-//     callers that overlap one another transparently form batches big
-//     enough for the interleaved/fan-out paths to pay off.
+//   * One way to group — a caller holding separately placed vectors passes
+//     them as a pointer array to execute_many(n, xs, count, ctx), which
+//     stages them into ONE arbitrated run_many call.  Every request, a
+//     submit() included, is served on its calling thread: no caller ever
+//     waits on another.
 //
-// The warm serve path takes no Engine or Transform mutex while the circuit
-// breaker is disarmed: each size's candidate cells are published once
-// through an atomic route pointer, the Stats counters are striped relaxed
-// atomics, and context-less calls run on the calling thread's ExecContext.
+// The warm serve path (execute, execute_many and submit) takes no Engine or
+// Transform mutex while the circuit breaker is disarmed: each size's
+// candidate cells are published once through an atomic route pointer, the
+// Stats counters are striped relaxed atomics, and context-less calls run on
+// the calling thread's ExecContext.
 //
 // All public methods are thread-safe; one Engine is meant to be shared by
 // an entire process (construct it once, serve from everywhere).
@@ -44,7 +43,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <map>
 #include <memory>
@@ -130,9 +128,9 @@ struct EngineOptions {
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
-  /// Nothing to drain: a submit() request is served before the combining
-  /// call returns.  Destroy the Engine only once every thread's calls into
-  /// it have returned.
+  /// Nothing to drain: every call, submit() included, has served its
+  /// vectors by the time it returns.  Destroy the Engine only once every
+  /// thread's calls into it have returned.
   ~Engine() = default;
 
   Engine(const Engine&) = delete;
@@ -207,20 +205,15 @@ class Engine {
   /// arbitrated batch: stages them contiguously in ctx.staging(), runs ONE
   /// run_many, scatters the results back.  A group whose staging would
   /// exceed 2^21 doubles serves per-vector in place instead; count 1 is a
-  /// plain single on the caller's context.  submit()'s combiner and the
-  /// whtd daemon's same-n singles both merge through here.
+  /// plain single on the caller's context.  This is the Engine's one way
+  /// to group vectors; the whtd daemon merges its same-n singles here.
   void execute_many(int n, double* const* xs, std::size_t count,
                     ExecContext& ctx);
 
-  /// Queues one in-place transform of x[0 .. 2^n); the future resolves
-  /// when it ran.  If no other submit() is combining, the caller becomes
-  /// the combiner: it serves the queue — its own request and any other
-  /// callers' requests queued meanwhile, each same-size group as ONE
-  /// arbitrated run_many — until the queue is empty, then returns.  A lone
-  /// submit() has therefore run, on the calling thread, by the time it
-  /// returns; a submit() that overlaps an active combiner returns at once
-  /// and the combiner serves it.  Planning or execution errors surface
-  /// through the future.
+  /// Serves one in-place transform of x[0 .. 2^n) exactly as execute()
+  /// does, on the calling thread, and returns a future that is already
+  /// ready.  Planning or execution errors surface through the future; an
+  /// out-of-range n throws at the call.
   std::future<void> submit(int n, double* x);
 
   /// Serving counters (monotonic since construction).  Each is exact, but
@@ -232,7 +225,9 @@ class Engine {
     std::uint64_t singles = 0;       ///< synchronous execute() requests
     std::uint64_t submitted = 0;     ///< submit() requests
     std::uint64_t batches = 0;       ///< run_many dispatches (any path)
-    std::uint64_t coalesced = 0;     ///< submits served in a merged batch (>= 2)
+    /// Always 0: submit() serves each vector alone.  Kept only because
+    /// existing readers of Stats still name it.
+    std::uint64_t coalesced = 0;
     std::uint64_t failures = 0;      ///< serving-time backend failures absorbed
     std::uint64_t fallbacks = 0;     ///< requests re-run on the reference backend
     std::map<std::string, std::uint64_t> per_backend;  ///< vectors per winner
@@ -272,12 +267,6 @@ class Engine {
     telemetry::Accumulator* telem_single = nullptr;
     telemetry::Accumulator* telem_batch = nullptr;
     std::mutex build_mutex;
-  };
-
-  struct Pending {
-    int n = 0;
-    double* x = nullptr;
-    std::promise<void> promise;
   };
 
   /// The map cell for (n, backend) — one short map-lock, no building.
@@ -331,20 +320,6 @@ class Engine {
                           std::size_t count, std::ptrdiff_t dist,
                           ExecContext* ctx);
 
-  /// Counts `vectors` served on `column` by one run (a batch when `batch`;
-  /// `from_submit` marks runs of submit()ted requests).
-  void record(std::size_t column, std::uint64_t vectors, bool batch,
-              bool from_submit);
-
-  /// The pointer-array execute_many body; `from_submit` only steers which
-  /// Stats tallies the run lands in.
-  void execute_gathered(int n, double* const* xs, std::size_t count,
-                        ExecContext& ctx, bool from_submit);
-
-  /// Runs the combiner's group_ through execute_gathered, resolves its
-  /// promises (with the error, if the group threw) and empties it.
-  void serve_group();
-
   /// Stats counter slots per stripe: these tallies, then, per column (one
   /// per candidate id, plus one for the reference backend when it is not a
   /// candidate: fallback_column_), the vectors each serve path delivered —
@@ -358,9 +333,8 @@ class Engine {
   };
   enum Path : std::size_t {
     kSingle,        ///< execute(), or execute_many of one vector
-    kSubmitSingle,  ///< a submit() served on its own
+    kSubmitSingle,  ///< a submit()
     kBatched,       ///< execute_many batches
-    kCoalesced,     ///< submit()s merged into one batch
     kPaths
   };
   static std::size_t path_slot(std::size_t column, Path path) {
@@ -373,6 +347,12 @@ class Engine {
   void bump(std::size_t slot, std::uint64_t by);
   /// `slot` summed over every stripe.
   std::uint64_t total(std::size_t slot) const;
+  /// Counts `vectors` served on `column` by one run along `path`.
+  void record(std::size_t column, std::uint64_t vectors, Path path);
+
+  /// One arbitrated single-vector run on the calling thread's context,
+  /// counted along `path`: the body of both execute() and submit().
+  void serve_single(int n, double* x, Path path);
 
   EngineOptions options_;
   std::vector<std::string> candidates_;
@@ -385,16 +365,6 @@ class Engine {
   /// owns the array and is written only by the thread that published it.
   std::unique_ptr<Entry*[]> route_storage_[kMaxLog2Size + 1];
   std::atomic<Entry* const*> routes_[kMaxLog2Size + 1];
-
-  std::mutex queue_mutex_;
-  std::deque<Pending> queue_;  ///< guarded by queue_mutex_
-  bool combining_ = false;     ///< guarded by queue_mutex_
-  /// Owned by the active combiner — the submit() call that set combining_
-  /// — until it clears the flag: the group being served, its pointers, and
-  /// the context its batches stage in.
-  std::vector<Pending> group_;
-  std::vector<double*> group_xs_;
-  ExecContext combiner_ctx_;
 
   mutable std::mutex health_mutex_;
   std::vector<Health> health_;  ///< per candidate id

@@ -9,9 +9,10 @@
 //   * scratch()      backend work buffers (the SIMD batch-interleave
 //                    staging area, gather/scatter assembly, ...);
 //   * staging()      caller-side buffers with a distinct lifetime (the
-//                    Transform copy conveniences, the Engine's request
-//                    coalescer) — kept separate from scratch() so a caller
-//                    staging data can still invoke a scratch-using backend;
+//                    Transform copy conveniences, the Engine's pointer-array
+//                    execute_many) — kept separate from scratch() so a
+//                    caller staging data can still invoke a scratch-using
+//                    backend;
 //   * op counts      the "instrumented" backend's tallies for the run.
 //
 // A context is NOT thread-safe; give each call chain its own.  Callers who

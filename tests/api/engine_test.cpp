@@ -1,5 +1,5 @@
 // wht::Engine: shared plan cache, serve-time backend arbitration by request
-// shape, the caller-runs submit() combiner, the n-range gate, and
+// shape, submit() serving on its caller, the n-range gate, and
 // thread-safety of the whole serving surface, exact striped counters
 // included (runs under the TSan CI job).
 #include "api/engine.hpp"
@@ -61,7 +61,7 @@ class ScriptedBackend final : public ExecutorBackend {
 };
 
 /// Two candidates with crossing cost curves: "scripted-single" wins lone
-/// vectors, "scripted-batch" wins once four or more coalesce.
+/// vectors, "scripted-batch" wins batches of four or more.
 void ensure_scripted_backends() {
   auto& registry = BackendRegistry::global();
   if (registry.contains("scripted-single")) return;
@@ -82,14 +82,16 @@ EngineOptions scripted_options() {
 }
 
 /// Test-owned knobs of the "scripted-gate" backend: while g_gate_closed is
-/// set every run() parks (counting itself in g_gate_parked) until it
-/// clears; while g_gate_fail is set every run() throws.
+/// set, each run() that claims one of g_gate_parks' remaining parks waits
+/// (counting itself in g_gate_parked) until it clears; while g_gate_fail is
+/// set every run() throws.
 std::atomic<bool> g_gate_closed{false};
+std::atomic<int> g_gate_parks{0};
 std::atomic<int> g_gate_parked{0};
 std::atomic<bool> g_gate_fail{false};
 
-/// Correct executor the test can freeze or break mid-serve, so combiner
-/// interleavings are forced rather than raced for.
+/// Correct executor the test can freeze or break mid-serve, so overlapping
+/// calls are forced rather than raced for.
 class GateBackend final : public ExecutorBackend {
  public:
   const std::string& name() const override { return name_; }
@@ -97,7 +99,7 @@ class GateBackend final : public ExecutorBackend {
   void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
            ExecContext& /*ctx*/) const override {
     if (g_gate_fail.load()) throw std::runtime_error("gate backend failed");
-    if (g_gate_closed.load()) {
+    if (g_gate_closed.load() && g_gate_parks.fetch_sub(1) > 0) {
       g_gate_parked.fetch_add(1);
       while (g_gate_closed.load()) std::this_thread::yield();
     }
@@ -121,6 +123,7 @@ EngineOptions gate_options() {
     });
   }
   g_gate_closed.store(false);
+  g_gate_parks.store(0);
   g_gate_parked.store(0);
   g_gate_fail.store(false);
   EngineOptions options;
@@ -262,51 +265,49 @@ TEST(Engine, PointerArrayExecuteManyMatchesSharedTransform) {
   EXPECT_EQ(stats.vectors, 9u);
 }
 
-TEST(Engine, CombinerMergesOverlappingSubmitsIntoOneBatch) {
+TEST(Engine, OverlappingSubmitRunsOnItsOwnCaller) {
   Engine engine(gate_options());
   constexpr int kN = 6;
-  const std::uint64_t size = 1u << kN;
   const auto transform = engine.transform(kN, "scripted-gate");
-  engine.arbitrate(kN, 7);  // first touch paid before the gate closes
-  const auto input = random_vector(size, 4);
+  engine.arbitrate(kN, 1);  // first touch paid before the gate closes
+  const auto input = random_vector(1u << kN, 4);
   auto reference = input;
   transform->execute(reference.data());
 
-  // Thread A's lone submit() becomes the combiner and parks in the backend.
+  // Thread A's submit() parks in the backend; the gate parks no other run.
+  g_gate_parks.store(1);
   g_gate_closed.store(true);
   auto first = input;
   std::future<void> first_done;
-  std::thread combiner(
-      [&] { first_done = engine.submit(kN, first.data()); });
+  std::thread parked([&] { first_done = engine.submit(kN, first.data()); });
   while (g_gate_parked.load() == 0) std::this_thread::yield();
 
-  // Overlapping submits find the combiner active: each queues and returns
-  // at once with its future still pending.
+  // Submits that overlap A's serve on this thread: each has run by the
+  // time it returns, though A still holds the backend.
   std::vector<std::vector<double>> buffers(7, input);
   std::vector<std::future<void>> futures;
   for (auto& buffer : buffers) {
     futures.push_back(engine.submit(kN, buffer.data()));
-    EXPECT_FALSE(is_ready(futures.back()));
+    const bool ready = is_ready(futures.back());
+    EXPECT_TRUE(ready) << "an overlapping submit() waited on another thread";
+    if (ready) {
+      EXPECT_EQ(buffer, reference);
+    }
   }
-  const auto before = engine.stats();
+  EXPECT_EQ(g_gate_parked.load(), 1);
 
-  // Released, the combiner finishes its own request, then serves the seven
-  // as ONE batch before its submit() returns.
   g_gate_closed.store(false);
-  combiner.join();
+  parked.join();
   ASSERT_TRUE(is_ready(first_done));
   first_done.get();
   EXPECT_EQ(first, reference);
-  for (auto& future : futures) {
-    ASSERT_TRUE(is_ready(future)) << "the combiner returned with work queued";
-    future.get();
-  }
+  for (auto& future : futures) future.get();
   for (const auto& buffer : buffers) EXPECT_EQ(buffer, reference);
-  const auto after = engine.stats();
-  EXPECT_EQ(after.submitted, 8u);
-  EXPECT_EQ(after.batches, before.batches + 1);  // ONE run_many for all seven
-  EXPECT_EQ(after.coalesced, 7u);
-  EXPECT_EQ(after.vectors, 8u);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.submitted, 8u);
+  EXPECT_EQ(stats.batches, 0u);
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(stats.vectors, 8u);
 }
 
 TEST(Engine, LoneSubmitHasRunWhenItReturns) {
@@ -337,7 +338,7 @@ TEST(Engine, ThrowingGroupLeavesTheEngineServing) {
   ASSERT_TRUE(is_ready(failed));
   EXPECT_THROW(failed.get(), std::runtime_error);
 
-  // The failed group released the combiner role: the next submit() serves.
+  // The failure left nothing behind: the next submit() serves.
   g_gate_fail.store(false);
   auto y = random_vector(1u << kN, 10);
   auto reference = y;
@@ -412,7 +413,7 @@ TEST(Engine, ConcurrentMixedServingIsCorrect) {
   engine.transform(kN, engine.arbitrate(kN, 1).backend)->execute(reference.data());
 
   // Every thread cycles execute / execute_many / submit, so the striped
-  // counters, the route table and the combiner all race each other.
+  // counters and the route table race each other.
   std::atomic<int> mismatches{0};
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
@@ -463,7 +464,7 @@ TEST(Engine, ConcurrentMixedServingIsCorrect) {
   EXPECT_EQ(stats.vectors, singles + many * kBatch + submits);
   EXPECT_EQ(stats.singles, singles);
   EXPECT_EQ(stats.submitted, submits);
-  EXPECT_GE(stats.batches, many);
+  EXPECT_EQ(stats.batches, many);
   std::uint64_t per_backend = 0;
   for (const auto& [backend, vectors] : stats.per_backend) {
     per_backend += vectors;

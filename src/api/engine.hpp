@@ -17,9 +17,9 @@
 //     machine, then every Engine in every process reuses it).
 //   * Serve-time backend arbitration — each registered candidate backend is
 //     priced for the request shape (single vector vs batch, size, thread
-//     budget) from its own cost_model() (host-calibrated where the backend
-//     supports it) or the CombinedModel at its vector width, anchored to
-//     measured cycles by default so cross-backend units are comparable, and
+//     budget) from its own cost_model() or the CombinedModel at its vector
+//     width, anchored to measured cycles by default so cross-backend units
+//     are comparable, and
 //     scaled by ExecutorBackend::batch_factor for the batch shape.  The
 //     measure-or-model autotuning idea, applied across backends at serve
 //     time: "fused" wins big single vectors (memory passes), "simd" wins

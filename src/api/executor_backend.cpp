@@ -192,47 +192,15 @@ class FusedBackend final : public ExecutorBackend {
   }
 
   std::function<double(const core::Plan&)> cost_model() const override {
-    const model::BlockedCostConfig config = cost_config();
+    model::BlockedCostConfig config;
+    config.blocking = blocking_;
+    config.vector_width = vector_width();
     return [config](const core::Plan& plan) {
       return model::blocked_cost(plan, config);
     };
   }
 
-  bool apply_cost_calibration(const std::string& serialized) override {
-    const auto parsed = model::BlockedCalibration::parse(serialized);
-    if (!parsed) return false;
-    calibration_ = *parsed;
-    return true;
-  }
-
-  std::optional<std::string> run_cost_calibration(
-      const std::function<double(const core::Plan&)>& measure) override {
-    // Probe sizes straddling the blocking geometry so each regime of the
-    // model (L1-resident, L2-resident, streaming) contributes fit rows.
-    const int l1 = blocking_.l1_block_log2;
-    const int l2 = blocking_.l2_block_log2;
-    std::vector<int> sizes;
-    for (int n : {l1 - 1, l1 + 1, l2 - 1, l2 + 1, l2 + 2}) {
-      n = std::max(4, std::min(n, 22));
-      if (sizes.empty() || sizes.back() != n) sizes.push_back(n);
-    }
-    while (sizes.size() < 4) sizes.push_back(sizes.back() + 1);
-    model::BlockedCostConfig base;
-    base.blocking = blocking_;
-    base.vector_width = vector_width();
-    calibration_ = model::calibrate_blocked_weights(sizes, measure, base);
-    return calibration_->serialize();
-  }
-
  private:
-  model::BlockedCostConfig cost_config() const {
-    model::BlockedCostConfig config;
-    config.blocking = blocking_;
-    config.vector_width = vector_width();
-    if (calibration_) calibration_->apply(config);
-    return config;
-  }
-
   /// Schedules depend only on (size, blocking) — immutable derived state.
   /// Each size lowers once, under schedule_mutex_ so racing first runs
   /// lower it once, and is then published through schedules_[n]: every
@@ -263,7 +231,6 @@ class FusedBackend final : public ExecutorBackend {
   std::string name_ = "fused";
   int threads_;
   core::BlockingConfig blocking_;
-  std::optional<model::BlockedCalibration> calibration_;
   mutable std::mutex schedule_mutex_;
   /// Owns every lowered schedule; guarded by schedule_mutex_.
   mutable std::unique_ptr<const core::Schedule> lowered_[kScheduleSlots];

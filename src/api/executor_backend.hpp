@@ -15,8 +15,7 @@
 // through the caller-supplied wht::ExecContext.  Backends may memoize
 // derived immutable state (the "fused" backend's lowered schedules) behind
 // their own internal synchronization; they must not keep per-call state in
-// members.  The only non-const operations are the setup-time calibration
-// hooks, which callers run before sharing an instance.
+// members.
 //
 // Built-in keys (always registered):
 //   "generated"     sequential interpreter, build-time generated codelets
@@ -36,7 +35,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,10 +53,10 @@ struct BackendOptions {
   core::CodeletBackend codelets = core::CodeletBackend::kGenerated;
 };
 
-/// One way of running a plan.  Instances are immutable after construction
-/// (and after the optional setup-time calibration): run() and run_many() are
-/// const, re-entrant, and safe to invoke concurrently — per-call mutable
-/// state lives in the ExecContext the caller passes in.
+/// One way of running a plan.  Instances are immutable after construction:
+/// run() and run_many() are const, re-entrant, and safe to invoke
+/// concurrently — per-call mutable state lives in the ExecContext the
+/// caller passes in.
 class ExecutorBackend {
  public:
   virtual ~ExecutorBackend() = default;
@@ -127,23 +125,6 @@ class ExecutorBackend {
     (void)count;
     (void)threads;
     return 1.0;
-  }
-
-  /// Host calibration of the backend's own cost model (backends without one
-  /// return false / nullopt and are skipped).  run_cost_calibration measures
-  /// probe plans through `measure` (cycles), fits the model's parameters,
-  /// applies them to this instance, and returns the fit in a serialized form
-  /// suitable for a wisdom property; apply_cost_calibration restores such a
-  /// fit without measuring (the next process's fast path).  The Planner
-  /// drives both when calibrate() is enabled — see api/planner.hpp.  These
-  /// are the contract's only mutating operations: setup-time, before the
-  /// instance is shared, never concurrent with run().
-  virtual bool apply_cost_calibration(const std::string& /*serialized*/) {
-    return false;
-  }
-  virtual std::optional<std::string> run_cost_calibration(
-      const std::function<double(const core::Plan&)>& /*measure*/) {
-    return std::nullopt;
   }
 };
 

@@ -103,11 +103,6 @@ Planner& Planner::anneal_options(const search::AnnealOptions& options) {
   return *this;
 }
 
-Planner& Planner::anneal_measured(bool enabled) {
-  anneal_measured_ = enabled;
-  return *this;
-}
-
 Planner& Planner::measure_options(const perf::MeasureOptions& options) {
   measure_ = options;
   return *this;
@@ -129,38 +124,7 @@ Planner& Planner::wisdom_file(std::string path) {
   return *this;
 }
 
-Planner& Planner::calibrate(bool enabled) {
-  calibrate_ = enabled;
-  return *this;
-}
-
-void Planner::ensure_calibrated(ExecutorBackend& backend,
-                                PlanningInfo& info) const {
-  if (!calibrate_ || wisdom_file_.empty()) return;
-  WisdomRegistry& registry = WisdomRegistry::global();
-  const std::string property = "calibration/" +
-                               std::string(simd::to_string(simd::active_level())) +
-                               "/" + backend.name();
-  if (const auto stored = registry.property(wisdom_file_, property)) {
-    if (backend.apply_cost_calibration(*stored)) {
-      info.calibrated = true;
-      return;
-    }
-    // Unparseable stored fit (truncated file, older format): fall through
-    // and re-measure — the fresh fit overwrites the bad property instead of
-    // disabling calibration for every future process.
-  }
-  const perf::MeasureOptions& measure = measure_;
-  const auto measured = [&measure, &backend](const core::Plan& probe) {
-    return measure_with_backend(backend, probe, measure).cycles();
-  };
-  const auto fit = backend.run_cost_calibration(measured);
-  if (!fit) return;  // backend has nothing to calibrate
-  registry.set_property(wisdom_file_, property, *fit);
-  info.calibrated = true;
-}
-
-core::Plan Planner::search_plan(int n, ExecutorBackend& backend,
+core::Plan Planner::search_plan(int n, const ExecutorBackend& backend,
                                 PlanningInfo& info) const {
   // Candidates are timed through the backend the Transform will own, so a
   // plan autotuned with threads(8) is the winner under fork-join execution,
@@ -243,16 +207,10 @@ core::Plan Planner::search_plan(int n, ExecutorBackend& backend,
       search::AnnealOptions options = anneal_;
       options.max_leaf = max_leaf_;
       options.cost_cache = &cost_cache;
-      if (anneal_measured_) {
-        // Measured acceptance (the PR 4 follow-on): the model still prices
-        // every proposal — as the filter — but live cycles through this
-        // backend decide what the walk keeps.
-        options.accept_cost = measured_cost;
-      }
       util::Rng rng(seed_);
       const auto result = search::anneal_search(
           n, model_for(backend, &cost_cache), rng, options);
-      info.evaluations = result.evaluations + result.measured;
+      info.evaluations = result.evaluations;
       info.cost = result.best_cost;
       record_cache();
       return result.best;
@@ -311,7 +269,6 @@ Transform Planner::plan(int n) const {
       info.from_wisdom = true;
       return Transform(*hit, std::move(backend), info);
     }
-    ensure_calibrated(*backend, info);
     core::Plan chosen = search_plan(n, *backend, info);
     registry.insert(wisdom_file_, key, chosen);
     return Transform(std::move(chosen), std::move(backend), info);

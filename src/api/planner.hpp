@@ -88,15 +88,6 @@ class Planner {
   /// AnnealOptions::max_leaf is overridden by Planner::max_leaf().
   Planner& anneal_options(const search::AnnealOptions& options);
 
-  /// Measured-cost annealing for kAnneal (default off): live measured
-  /// cycles through the chosen backend become the Metropolis acceptance
-  /// metric while the model cost demotes to a proposal filter — proposals
-  /// the model prices beyond AnnealOptions::accept_filter_slack x the
-  /// current plan go unmeasured.  Closes the model-vs-measured gap at the
-  /// cost of one measurement per surviving proposal; pair with
-  /// wisdom_file() so the price is paid once per machine.
-  Planner& anneal_measured(bool enabled);
-
   /// Measurement protocol for the measuring strategies.
   Planner& measure_options(const perf::MeasureOptions& options);
 
@@ -117,17 +108,6 @@ class Planner {
   /// kFixed never consults it.
   Planner& wisdom_file(std::string path);
 
-  /// One-shot on-host cost-model calibration (default off).  When enabled
-  /// together with wisdom_file(), plan(n) ensures the backend's own cost
-  /// model is calibrated to this host before any model-driven search: a fit
-  /// stored under the wisdom property "calibration/<cpu>/<backend>" is
-  /// applied directly; otherwise the backend measures its probe plans once
-  /// (ExecutorBackend::run_cost_calibration) and the fit is persisted for
-  /// every later process.  Backends without a calibratable model ("simd",
-  /// "generated", ...) are unaffected.  The "fused" backend fits its sweep
-  /// weights this way (model::calibrate_blocked_weights).
-  Planner& calibrate(bool enabled);
-
   /// Plans WHT(2^n) and returns the executable Transform.  Throws
   /// std::invalid_argument on bad arguments (n out of range, unknown
   /// backend, kFixed size mismatch, kExhaustive size too large).
@@ -137,8 +117,8 @@ class Planner {
   Transform plan() const;
 
  private:
-  core::Plan search_plan(int n, ExecutorBackend& backend, PlanningInfo& info) const;
-  void ensure_calibrated(ExecutorBackend& backend, PlanningInfo& info) const;
+  core::Plan search_plan(int n, const ExecutorBackend& backend,
+                         PlanningInfo& info) const;
 
   Strategy strategy_ = Strategy::kEstimate;
   std::string backend_;  ///< empty = auto
@@ -150,11 +130,9 @@ class Planner {
   double keep_fraction_ = 0.1;
   std::uint64_t seed_ = 1;
   search::AnnealOptions anneal_{};
-  bool anneal_measured_ = false;
   perf::MeasureOptions measure_{};
   core::Plan fixed_;
   std::string wisdom_file_;  ///< empty = no wisdom cache
-  bool calibrate_ = false;
 };
 
 }  // namespace whtlab::api

@@ -62,7 +62,6 @@ struct PlanningInfo {
   double cost = 0.0;              ///< winning plan's cost (model units or cycles)
   bool from_wisdom = false;       ///< plan came from the wisdom cache, no search ran
   std::uint64_t cache_hits = 0;   ///< CostCache lookups served without re-pricing
-  bool calibrated = false;        ///< backend cost model ran host-calibrated
 
   /// The DP strategies' winners-by-size table (index m = best plan of size
   /// 2^m and its cost; entries below min size are empty / 0).  The old

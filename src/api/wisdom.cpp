@@ -22,6 +22,7 @@ namespace whtlab::api {
 namespace {
 
 constexpr char kHeader[] = "# whtlab wisdom v1";
+/// Property lines earlier builds wrote; skipped on load.
 constexpr char kPropertyTag[] = "@prop";
 
 /// (mtime, size) fingerprint for change detection; (0, 0) = no file.
@@ -110,20 +111,8 @@ Wisdom Wisdom::load(const std::string& path) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
+    if (line.rfind(kPropertyTag, 0) == 0) continue;
     std::istringstream fields(line);
-    if (line.rfind(kPropertyTag, 0) == 0) {
-      std::string tag, key, value;
-      if (!std::getline(fields, tag, '\t') ||
-          !std::getline(fields, key, '\t') || key.empty()) {
-        throw std::invalid_argument("wisdom: malformed property at line " +
-                                    std::to_string(lineno) + " in " + path);
-      }
-      // The value may legitimately be empty ("@prop\tkey\t"); getline then
-      // fails on the exhausted stream, which is not corruption.
-      std::getline(fields, value);
-      wisdom.properties_[std::move(key)] = std::move(value);
-      continue;
-    }
     Key key;
     std::string n_text, grammar;
     if (!std::getline(fields, key.cpu, '\t') ||
@@ -168,9 +157,6 @@ void Wisdom::save(const std::string& path) const {
     std::ofstream out(temp, std::ios::trunc);
     if (!out) throw std::runtime_error("wisdom: cannot write " + temp);
     out << kHeader << "\n";
-    for (const auto& [key, value] : properties_) {
-      out << kPropertyTag << '\t' << key << '\t' << value << "\n";
-    }
     for (const auto& [key, plan] : entries_) {
       out << key.cpu << '\t' << key.n << '\t' << key.strategy << '\t'
           << key.backend << '\t' << core::format_plan(plan) << "\n";
@@ -205,19 +191,8 @@ void Wisdom::insert(const Key& key, core::Plan plan) {
   entries_[key] = std::move(plan);
 }
 
-std::optional<std::string> Wisdom::property(const std::string& key) const {
-  const auto it = properties_.find(key);
-  if (it == properties_.end()) return std::nullopt;
-  return it->second;
-}
-
-void Wisdom::set_property(const std::string& key, std::string value) {
-  properties_[key] = std::move(value);
-}
-
 void Wisdom::merge_from(const Wisdom& other) {
   for (const auto& [key, plan] : other.entries_) entries_[key] = plan;
-  for (const auto& [key, value] : other.properties_) properties_[key] = value;
 }
 
 std::vector<Wisdom::Key> Wisdom::keys() const {
@@ -285,22 +260,6 @@ void WisdomRegistry::insert(const std::string& path, const Wisdom::Key& key,
   const std::lock_guard<std::mutex> lock(state.mutex);
   Impl::CachedFile& cached = state.fresh(path);
   cached.wisdom.insert(key, std::move(plan));
-  state.flush(path, cached);
-}
-
-std::optional<std::string> WisdomRegistry::property(const std::string& path,
-                                                    const std::string& key) {
-  Impl& state = impl();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  return state.fresh(path).wisdom.property(key);
-}
-
-void WisdomRegistry::set_property(const std::string& path,
-                                  const std::string& key, std::string value) {
-  Impl& state = impl();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  Impl::CachedFile& cached = state.fresh(path);
-  cached.wisdom.set_property(key, std::move(value));
   state.flush(path, cached);
 }
 

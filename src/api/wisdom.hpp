@@ -14,10 +14,9 @@
 //   # whtlab wisdom v1
 //   avx512<TAB>16<TAB>measure<TAB>simd<TAB>split[small[4],...]
 //
-// Besides plans, a file can carry free-form *properties* — host-calibrated
-// model parameters and the like — as `@prop<TAB>key<TAB>value` lines (the
-// blocked model's sweep-weight calibration persists this way; see
-// model/blocked_cost.hpp).
+// Earlier builds also wrote `@prop<TAB>key<TAB>value` lines (a host fit of
+// the blocked cost model); the loader skips them, so those files still
+// load every plan, and the next save drops them.
 //
 // Hook it up with Planner::wisdom_file(path): lookups hit before any
 // search; misses run the strategy and append the winner.
@@ -97,13 +96,8 @@ class Wisdom {
   /// Inserts or replaces the entry for `key`.
   void insert(const Key& key, core::Plan plan);
 
-  /// Free-form properties (`@prop` lines): calibration results and other
-  /// per-host facts that ride along with the plans.
-  std::optional<std::string> property(const std::string& key) const;
-  void set_property(const std::string& key, std::string value);
-
-  /// Merges `other` into this wisdom; entries and properties from `other`
-  /// win on key collisions (newest writer has the freshest measurement).
+  /// Merges `other` into this wisdom; entries from `other` win on key
+  /// collisions (newest writer has the freshest measurement).
   void merge_from(const Wisdom& other);
 
   /// Every recorded key, sorted (the map order) — the enumeration hook for
@@ -115,7 +109,6 @@ class Wisdom {
 
  private:
   std::map<Key, core::Plan> entries_;
-  std::map<std::string, std::string> properties_;
 };
 
 /// Process-wide in-memory wisdom layer, one cached Wisdom per file path.
@@ -137,12 +130,6 @@ class WisdomRegistry {
   /// entries.
   void insert(const std::string& path, const Wisdom::Key& key,
               core::Plan plan);
-
-  /// Property access with the same load/merge/save discipline.
-  std::optional<std::string> property(const std::string& path,
-                                      const std::string& key);
-  void set_property(const std::string& path, const std::string& key,
-                    std::string value);
 
   /// Best-effort durability barrier: re-merges the cached in-memory state
   /// for `path` over the current on-disk file and saves atomically (no-op

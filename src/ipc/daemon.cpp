@@ -7,13 +7,14 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "ipc/futex.hpp"
-#include "ipc/rate_limiter.hpp"
+#include "ipc/credit_bucket.hpp"
 #include "ipc/validate.hpp"
 #include "util/env.hpp"
 #include "util/fault.hpp"
@@ -34,31 +35,41 @@ bool pid_alive(std::uint32_t pid) {
 /// any plausible arena, and plan trees this deep are a config error.
 constexpr std::uint32_t kMaxRequestN = 30;
 
-/// Validated env knob: reject (never clamp) zero/negative/overflow values —
-/// a daemon started with a typo must fail loudly, not serve misconfigured.
-std::uint64_t env_u64(const char* name, std::uint64_t fallback,
-                      std::uint64_t min, std::uint64_t max) {
+/// An env knob as `T`, in units of `scale` (ms knobs feed ns fields): a
+/// non-integer, a negative value, or one `T` cannot hold throws instead of
+/// wrapping.  The ranges are DaemonOptions::validate()'s.
+template <typename T>
+T env_value(const char* name, T fallback, std::uint64_t scale = 1) {
   std::int64_t value = 0;
   try {
-    value = util::env_int(name, static_cast<std::int64_t>(fallback));
+    value = util::env_int(name, static_cast<std::int64_t>(fallback / scale));
   } catch (const std::exception&) {
     throw std::invalid_argument(std::string("ipc: ") + name +
                                 " is not an integer");
   }
-  if (value < 0 || static_cast<std::uint64_t>(value) < min ||
-      static_cast<std::uint64_t>(value) > max) {
-    throw std::invalid_argument(
-        std::string("ipc: ") + name + "=" + std::to_string(value) +
-        " out of range [" + std::to_string(min) + ", " + std::to_string(max) +
-        "]");
+  if (value < 0 || static_cast<std::uint64_t>(value) >
+                       std::numeric_limits<T>::max() / scale) {
+    throw std::invalid_argument(std::string("ipc: ") + name + "=" +
+                                std::to_string(value) + " is out of range");
   }
-  return static_cast<std::uint64_t>(value);
+  return static_cast<T>(static_cast<std::uint64_t>(value) * scale);
+}
+
+/// Rejects (never clamps): a daemon started with a typo must fail loudly,
+/// not serve misconfigured.
+template <typename T>
+void check_range(const char* field, T value, T min, T max) {
+  if (value < min || value > max) {
+    throw std::invalid_argument(
+        std::string("ipc::DaemonOptions: ") + field + "=" +
+        std::to_string(value) + " out of range [" + std::to_string(min) +
+        ", " + std::to_string(max) + "]");
+  }
 }
 
 }  // namespace
 
 struct Daemon::SlotLocal {
-  RateLimiter limiter;
   CreditBucket credits;
   StrikeCounter strikes;
   std::uint64_t seen_generation = 0;
@@ -69,7 +80,6 @@ struct Daemon::SlotLocal {
   /// A new tenant (or an eviction) starts every budget and ledger fresh.
   void new_tenant(std::uint64_t generation) {
     seen_generation = generation;
-    limiter.reset();
     credits.reset();
     strikes.reset();
     last_counter = 0;
@@ -82,78 +92,60 @@ DaemonOptions DaemonOptions::from_env() {
   if (const auto name = util::env_string("WHTLAB_IPC_NAME")) {
     options.endpoint = *name;  // shm_name_for rejects empty / slashed names
   }
-  options.slots = static_cast<std::uint32_t>(
-      env_u64("WHTLAB_IPC_SLOTS", options.slots, 1, 1024));
-  // Arena: at least 64 doubles (512 bytes), at most 1 TiB per slot — the
-  // per-slot __int128 total check in the constructor still applies on top.
+  options.slots = env_value("WHTLAB_IPC_SLOTS", options.slots);
   options.arena_doubles =
-      env_u64("WHTLAB_IPC_ARENA_BYTES", options.arena_doubles * sizeof(double),
-              64 * sizeof(double), std::uint64_t{1} << 40) /
+      env_value("WHTLAB_IPC_ARENA_BYTES",
+                options.arena_doubles * sizeof(double)) /
       sizeof(double);
-  options.rate_limit = env_u64("WHTLAB_IPC_RATE_LIMIT", options.rate_limit, 0,
-                               std::uint64_t{1} << 32);
-  options.rate_window_ns =
-      env_u64("WHTLAB_IPC_RATE_WINDOW_MS",
-              options.rate_window_ns / 1000000ULL, 1, 3600000) *
-      1000000ULL;
-  options.timeout_ms =
-      env_u64("WHTLAB_IPC_TIMEOUT_MS", options.timeout_ms, 1, 86400000);
-  options.sweep_ms =
-      env_u64("WHTLAB_IPC_SWEEP_MS", options.sweep_ms, 1, 60000);
-  options.credit_limit = env_u64("WHTLAB_IPC_CREDITS", options.credit_limit,
-                                 0, std::uint64_t{1} << 32);
-  options.credit_window_ns =
-      env_u64("WHTLAB_IPC_CREDIT_WINDOW_MS",
-              options.credit_window_ns / 1000000ULL, 1, 3600000) *
-      1000000ULL;
-  options.shed_expired =
-      env_u64("WHTLAB_IPC_SHED", options.shed_expired ? 1 : 0, 0, 1) != 0;
-  options.strike_limit = static_cast<std::uint32_t>(
-      env_u64("WHTLAB_IPC_STRIKES", options.strike_limit, 0, 1000000));
-  options.drain_ms =
-      env_u64("WHTLAB_IPC_DRAIN_MS", options.drain_ms, 1, 86400000);
-  options.stats_publish_ms = env_u64("WHTLAB_IPC_STATS_PUBLISH_MS",
-                                     options.stats_publish_ms, 0, 3600000);
+  options.timeout_ms = env_value("WHTLAB_IPC_TIMEOUT_MS", options.timeout_ms);
+  options.sweep_ms = env_value("WHTLAB_IPC_SWEEP_MS", options.sweep_ms);
+  options.credit_limit = env_value("WHTLAB_IPC_CREDITS", options.credit_limit);
+  options.credit_window_ns = env_value(
+      "WHTLAB_IPC_CREDIT_WINDOW_MS", options.credit_window_ns, 1000000ULL);
+  options.shed_expired = env_value("WHTLAB_IPC_SHED", options.shed_expired);
+  options.strike_limit =
+      env_value("WHTLAB_IPC_STRIKES", options.strike_limit);
+  options.drain_ms = env_value("WHTLAB_IPC_DRAIN_MS", options.drain_ms);
+  options.stats_publish_ms =
+      env_value("WHTLAB_IPC_STATS_PUBLISH_MS", options.stats_publish_ms);
   // The daemon arms the Engine circuit breaker by default: a serving
   // process must degrade to the reference backend, not crash or corrupt.
-  options.engine.quarantine_strikes = static_cast<int>(
-      env_u64("WHTLAB_IPC_QUARANTINE", 3, 0, 1000000));
+  options.engine.quarantine_strikes = env_value("WHTLAB_IPC_QUARANTINE", 3);
   options.engine.probation_ms =
-      env_u64("WHTLAB_IPC_PROBATION_MS", 2000, 1, 86400000);
-  options.engine.verify_finite =
-      env_u64("WHTLAB_IPC_VERIFY", 1, 0, 1) != 0;
+      env_value("WHTLAB_IPC_PROBATION_MS", std::uint64_t{2000});
+  options.engine.verify_finite = env_value("WHTLAB_IPC_VERIFY", true);
   // (WHTLAB_TELEMETRY=0 itself is read by the Engine constructor.)
-  options.engine.telemetry_decay_window =
-      env_u64("WHTLAB_TELEMETRY_DECAY",
-              options.engine.telemetry_decay_window, 0, std::uint64_t{1} << 32);
+  options.engine.telemetry_decay_window = env_value(
+      "WHTLAB_TELEMETRY_DECAY", options.engine.telemetry_decay_window);
   return options;
+}
+
+void DaemonOptions::validate() const {
+  using U = std::uint64_t;
+  check_range<U>("slots", slots, 1, 1024);
+  // 512 bytes to 1 TiB per slot; the constructor's 128-bit total check
+  // still applies on top.
+  check_range<U>("arena_doubles", arena_doubles, 64, U{1} << 37);
+  check_range<U>("timeout_ms", timeout_ms, 1, 86400000);
+  check_range<U>("sweep_ms", sweep_ms, 1, 60000);
+  check_range<U>("credit_limit", credit_limit, 0, U{1} << 32);
+  check_range<U>("credit_window_ns", credit_window_ns, 1000000,
+                 3600000ULL * 1000000ULL);
+  check_range<U>("strike_limit", strike_limit, 0, 1000000);
+  check_range<U>("drain_ms", drain_ms, 1, 86400000);
+  check_range<U>("stats_publish_ms", stats_publish_ms, 0, 3600000);
+  check_range<std::int64_t>("engine.quarantine_strikes",
+                            engine.quarantine_strikes, 0, 1000000);
+  check_range<U>("engine.probation_ms", engine.probation_ms, 1, 86400000);
+  check_range<U>("engine.telemetry_decay_window",
+                 engine.telemetry_decay_window, 0, U{1} << 32);
 }
 
 Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
   // Serving entry point: a WHTLAB_FAULTS spec set on the daemon process
   // arms its fault points here (no-op when unset).
   fault::arm_from_env();
-  if (options_.slots < 1 || options_.slots > 1024) {
-    throw std::invalid_argument("ipc::Daemon: slots must be in [1, 1024]");
-  }
-  if (options_.arena_doubles < 64) {
-    throw std::invalid_argument("ipc::Daemon: arena must hold >= 64 doubles");
-  }
-  if (options_.sweep_ms < 1) {
-    throw std::invalid_argument("ipc::Daemon: sweep_ms must be >= 1");
-  }
-  if (options_.timeout_ms < 1) {
-    throw std::invalid_argument("ipc::Daemon: timeout_ms must be >= 1");
-  }
-  if (options_.rate_window_ns < 1) {
-    throw std::invalid_argument("ipc::Daemon: rate_window_ns must be >= 1");
-  }
-  if (options_.credit_window_ns < 1) {
-    throw std::invalid_argument("ipc::Daemon: credit_window_ns must be >= 1");
-  }
-  if (options_.drain_ms < 1) {
-    throw std::invalid_argument("ipc::Daemon: drain_ms must be >= 1");
-  }
+  options_.validate();
   layout_.slot_count = options_.slots;
   layout_.arena_doubles = options_.arena_doubles;
   // Overflow-check the segment size in 128-bit before Layout's 64-bit
@@ -297,9 +289,6 @@ Shm Daemon::bind_segment(const std::string& shm_name, bool cede_draining,
       } catch (const std::runtime_error&) {
         stale = true;  // vanished between create and open; retry below
       }
-      // With takeover disabled only promote()'s cede rule may displace a
-      // predecessor, however stale it looks.
-      if (!options_.takeover_stale && !cede_draining) stale = false;
       if (!stale) {
         if (cede_draining && monotonic_ns() < give_up) {
           // The predecessor serves on; absorb the SIGTERM -> kDraining
@@ -327,22 +316,13 @@ Shm Daemon::bind_segment(const std::string& shm_name, bool cede_draining,
   hdr->slot_count = options_.slots;
   hdr->ring_depth = kRingDepth;
   hdr->arena_doubles = options_.arena_doubles;
-  hdr->rate_limit = options_.rate_limit;
-  hdr->rate_window_ns = options_.rate_window_ns;
   hdr->timeout_ms = options_.timeout_ms;
-  hdr->credit_limit = options_.credit_limit;
-  hdr->credit_window_ns = options_.credit_window_ns;
-  hdr->shed_expired = options_.shed_expired ? 1 : 0;
-  hdr->strike_limit = options_.strike_limit;
-  hdr->drain_ms = options_.drain_ms;
   hdr->epoch.store(staging ? 0 : (epoch_base_ + 1),
                    std::memory_order_release);
   hdr->magic = kMagic;
   // Per-slot trust/budget state stays daemon-local: the shared segment gets
   // only the advisory balance word.  A fresh segment means fresh tenants.
   for (std::uint32_t s = 0; s < options_.slots; ++s) {
-    slot_local_[s].limiter =
-        RateLimiter(options_.rate_limit, options_.rate_window_ns);
     slot_local_[s].credits =
         CreditBucket(options_.credit_limit, options_.credit_window_ns);
     slot_local_[s].strikes = StrikeCounter(options_.strike_limit);
@@ -736,26 +716,24 @@ void Daemon::handle_request(std::uint32_t index, SlotShared* cell,
 
   const std::uint64_t now = monotonic_ns();
   // Overload degradation, cheapest checks first.  Shedding precedes the
-  // budgets: an expired request must not charge credits or rate quota for
-  // work that will not happen.
+  // credit charge: an expired request must not pay for work that will not
+  // happen.
   if (options_.shed_expired && request_expired(request, now)) {
     stats.shed_expired.fetch_add(1, std::memory_order_relaxed);
     respond(index, cell, request.seq, Status::kTimeout);
     return;
   }
-  if (!local.credits.try_spend(request.count, now)) {
-    stats.credit_stalls.fetch_add(1, std::memory_order_relaxed);
+  if (options_.credit_limit != 0) {
+    // The advisory balance is published only while credits are armed; off,
+    // the slot word stays at the published credit_limit of 0.
+    const bool admitted = local.credits.try_spend(request.count, now);
     cell->credits.store(local.credits.available(now),
                         std::memory_order_relaxed);
-    respond(index, cell, request.seq, Status::kThrottled);
-    return;
-  }
-  cell->credits.store(local.credits.available(now),
-                      std::memory_order_relaxed);
-  if (!local.limiter.try_acquire(now)) {
-    stats.throttled.fetch_add(1, std::memory_order_relaxed);
-    respond(index, cell, request.seq, Status::kThrottled);
-    return;
+    if (!admitted) {
+      stats.throttled.fetch_add(1, std::memory_order_relaxed);
+      respond(index, cell, request.seq, Status::kThrottled);
+      return;
+    }
   }
 
   const std::uint64_t size = std::uint64_t{1} << request.n;
@@ -910,7 +888,6 @@ void Daemon::reclaim(std::uint32_t index, SlotShared* cell) {
   cell->requests.reset();
   cell->responses.reset();
   cell->state.store(kFree, std::memory_order_release);
-  slot_local_[index].limiter.reset();
   slot_local_[index].claim_strikes = 0;
   header()->stats.reclaimed.fetch_add(1, std::memory_order_relaxed);
 }

@@ -8,9 +8,9 @@
 //   ...
 //   daemon.stop();             // drain, publish shutdown, unlink segment
 //
-// The service loop pops requests from every active slot's ring, admits them
-// through a per-client trailing-window RateLimiter, validates their shape,
-// and serves every admitted request synchronously on the service thread:
+// The service loop pops requests from every active slot's ring, validates
+// their shape, admits them against the client's credit budget, and serves
+// every admitted request synchronously on the service thread:
 // client-side batches run through the arbitrated execute_many as they are
 // popped, and the single-vector requests popped in one poll round are
 // grouped by size across slots, each group running as ONE pointer-array
@@ -22,9 +22,9 @@
 // Robustness is part of the contract:
 //   * Admission control — a bounded slot table; a client that finds no free
 //     slot gets a typed kServerFull at connect (client.hpp).
-//   * Rate limiting — per-slot RateLimiter (rate_limiter.hpp); over-budget
-//     requests answer kThrottled immediately, without execution, so one
-//     greedy client cannot queue out the others.
+//   * Credit flow control — per-slot CreditBucket (credit_bucket.hpp),
+//     off by default; over-budget requests answer kThrottled immediately,
+//     without execution, so one greedy client cannot queue out the others.
 //   * Dead-client reclamation — a pid-liveness sweep every sweep_ms frees
 //     slots whose owner died (SIGKILL included) and resets their rings; an
 //     answer for a slot that changed hands is dropped by generation check.
@@ -73,11 +73,6 @@ struct DaemonOptions {
   /// (count << n <= arena_doubles).  [WHTLAB_IPC_ARENA_BYTES / 8]
   std::uint64_t arena_doubles = std::uint64_t{1} << 19;  // 4 MiB
 
-  /// Admitted requests per client per trailing window; 0 disables.
-  /// [WHTLAB_IPC_RATE_LIMIT]
-  std::uint64_t rate_limit = 0;
-  std::uint64_t rate_window_ns = 1000000000ULL;
-
   /// Suggested client wait deadline, published in the header; clients may
   /// override locally.  [WHTLAB_IPC_TIMEOUT_MS]
   std::uint64_t timeout_ms = 5000;
@@ -89,8 +84,7 @@ struct DaemonOptions {
   /// Credit-based flow control: per-client work budget in *vectors* (one
   /// credit buys one staged vector), refilled continuously at credit_limit
   /// per credit_window_ns.  A request whose cost exceeds the balance gets a
-  /// typed kThrottled without execution.  0 disables.  Complements
-  /// rate_limit, which counts requests regardless of size.
+  /// typed kThrottled without execution.  0 disables.
   /// [WHTLAB_IPC_CREDITS / WHTLAB_IPC_CREDIT_WINDOW_MS]
   std::uint64_t credit_limit = 0;
   std::uint64_t credit_window_ns = 1000000000ULL;
@@ -108,11 +102,6 @@ struct DaemonOptions {
   /// one strike; at the limit the offender loses its slot.  0 = count but
   /// never evict.  [WHTLAB_IPC_STRIKES]
   std::uint32_t strike_limit = 3;
-
-  /// Replace a leftover segment whose recorded daemon pid is dead (crashed
-  /// predecessor).  A segment with a *live* daemon is never taken over —
-  /// except by promote(), where a live-but-*draining* predecessor cedes.
-  bool takeover_stale = true;
 
   /// Graceful-drain budget: drain() finishes in-flight work and waits for
   /// clients to consume their answers for at most this long before aborting
@@ -142,13 +131,22 @@ struct DaemonOptions {
   /// calls submit().
   api::EngineOptions engine;
 
-  /// Defaults with every WHTLAB_IPC_* environment knob applied.
+  /// Defaults with every WHTLAB_IPC_* environment knob applied.  Parses
+  /// only: a non-integer or negative value throws std::invalid_argument,
+  /// and ranges are validate()'s.
   static DaemonOptions from_env();
+
+  /// Throws std::invalid_argument naming the first field outside its range
+  /// (the ranges the WHTLAB_IPC_* knobs document).  The Daemon constructor
+  /// calls it, and so does whtd before it forks anything.
+  void validate() const;
 };
 
 class Daemon {
  public:
-  /// Creates and initializes the segment and the Engine.  Throws
+  /// Creates and initializes the segment and the Engine.  A leftover
+  /// segment whose daemon is dead or shut down is taken over.  Throws
+  /// std::invalid_argument when options.validate() does,
   /// ipc::Error(kServerFull) when a live daemon already owns the endpoint,
   /// std::runtime_error on shm failures.
   explicit Daemon(DaemonOptions options = {});
@@ -217,7 +215,7 @@ class Daemon {
   const std::string& shm_name() const { return shm_.name(); }
 
  private:
-  struct SlotLocal;  // daemon-private per-slot state (limiter, strikes, ...)
+  struct SlotLocal;  // daemon-private per-slot state (credits, strikes, ...)
 
   /// An admitted single-vector request, held until the end of its poll
   /// round.
@@ -304,8 +302,8 @@ class Daemon {
   api::ExecContext ctx_;  ///< service-thread scratch and staging for every run
   std::vector<Single> singles_;  ///< this poll round's admitted singles
   std::vector<double*> xs_;      ///< their vectors, grouped by n
-  /// Daemon-private per-slot trust/budget state (limiter, credit bucket,
-  /// strike ledger, last seq counter).  Lives here — never in the shared
+  /// Daemon-private per-slot trust/budget state (credit bucket, strike
+  /// ledger, last seq counter).  Lives here — never in the shared
   /// segment — so clients cannot rewrite their own budgets or rap sheets.
   /// Touched only by the service thread (and stats(), read-only, counters
   /// aside).  SlotLocal is incomplete here; ctor/dtor live in daemon.cpp.

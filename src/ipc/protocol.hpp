@@ -47,7 +47,7 @@ namespace whtlab::ipc {
 enum class Status : std::int32_t {
   kOk = 0,
   kServerFull,   ///< admission control: every client slot is claimed
-  kThrottled,    ///< rate/credit budget exhausted — typed backpressure
+  kThrottled,    ///< credit budget exhausted — typed backpressure
   kTimeout,      ///< no response within the deadline (daemon overloaded?),
                  ///< or the request expired before execution (load shedding)
   kDaemonGone,   ///< daemon shut down, or its pid is no longer alive
@@ -161,14 +161,13 @@ struct SlotShared {
 #define WHTLAB_IPC_COUNTERS(X)                                   \
   X(requests)        /* popped from request rings */             \
   X(vectors)         /* transforms executed */                   \
-  X(throttled)       /* rejected by the rate limiter */          \
+  X(throttled)       /* refused for credits */                   \
   X(exec_errors)     /* execution threw */                       \
   X(reclaimed)       /* slots freed by the liveness sweep */     \
   X(dropped)         /* completions with a stale generation */   \
   X(protocol_errors) /* wire violations (validate.hpp) */        \
   X(evictions)       /* slots evicted for repeat offense */      \
   X(shed_expired)    /* past-deadline requests shed */           \
-  X(credit_stalls)   /* requests refused for credits */          \
   X(drained)         /* graceful drains completed */             \
   X(drain_aborted)   /* drains cut off at the deadline */        \
   X(drain_refused)   /* requests answered kDraining */
@@ -184,7 +183,7 @@ struct SharedStats {
 
 // SharedStats is shm ABI: a new counter changes sizeof(ControlHeader) and
 // so abi_tag(); bump kVersion with it.
-static_assert(sizeof(SharedStats) == 13 * sizeof(std::uint64_t));
+static_assert(sizeof(SharedStats) == 12 * sizeof(std::uint64_t));
 
 /// Plain snapshot of SharedStats (Daemon::Stats, Client::DaemonStats).
 struct DaemonCounters {
@@ -204,7 +203,7 @@ std::string to_string(const DaemonCounters& counters);
 // --- control header ---------------------------------------------------------
 
 inline constexpr std::uint64_t kMagic = 0x7768746c61622d69ULL;  // "whtlab-i"
-inline constexpr std::uint32_t kVersion = 4;  // v4: lifecycle/handoff ABI rev
+inline constexpr std::uint32_t kVersion = 5;  // v5: header trimmed to what peers read
 
 struct ControlHeader {
   std::uint64_t magic;
@@ -213,19 +212,7 @@ struct ControlHeader {
   std::uint32_t slot_count;
   std::uint32_t ring_depth;
   std::uint64_t arena_doubles;   ///< per-slot staging capacity
-  std::uint64_t rate_limit;      ///< admitted requests per window per client (0 = off)
-  std::uint64_t rate_window_ns;  ///< the trailing window
   std::uint64_t timeout_ms;      ///< suggested client wait deadline
-  /// Overload-control config, published for observability (the binding
-  /// copies live in the daemon's DaemonOptions):
-  std::uint64_t credit_limit;      ///< per-slot credit capacity (0 = off)
-  std::uint64_t credit_window_ns;  ///< full-refill period of the bucket
-  std::uint32_t shed_expired;      ///< 1 = deadline shedding armed
-  std::uint32_t strike_limit;      ///< protocol strikes before eviction (0 = never)
-  /// Drain budget published for observability (the binding copy lives in
-  /// DaemonOptions): how long a SIGTERM'd daemon finishes in-flight work
-  /// before aborting the drain.
-  std::uint64_t drain_ms;
   std::atomic<std::uint32_t> daemon_pid;  ///< liveness anchor for clients
   std::atomic<std::uint32_t> shutdown;    ///< 1 = daemon is gone / going
   /// Daemon lifecycle word (Lifecycle).  Clients read it on attach (a
@@ -242,16 +229,28 @@ struct ControlHeader {
   std::atomic<std::uint32_t> prewarmed;
   /// Doorbell the daemon parks on: clients bump-and-wake after every request
   /// push, so one futex word covers all slots (the daemon rescans rings on
-  /// every wake — cheap, slot_count is small).
+  /// every wake — cheap, slot_count is small).  Its cache line holds only
+  /// words written before serving starts; see the asserts below.
   std::atomic<std::uint32_t> doorbell;
   std::uint32_t reserved;
   /// Supervision heartbeat: the service loop stamps monotonic_ns() at least
   /// once per sweep period, so a watchdog (`whtd --supervise`) that maps the
   /// segment can tell a *wedged* daemon (live pid, stale heartbeat) from a
-  /// busy one and restart it.  0 until the service loop first runs.
-  std::atomic<std::uint64_t> heartbeat_ns;
+  /// busy one and restart it.  0 until the service loop first runs.  It and
+  /// the counters below start a fresh cache line: the daemon stores them on
+  /// every loop and every request, and must not bounce the doorbell's line.
+  alignas(64) std::atomic<std::uint64_t> heartbeat_ns;
   SharedStats stats;
 };
+
+// The client-written doorbell shares no cache line with the daemon's
+// per-loop and per-request stores.  Both follow it in the header, so their
+// first byte decides; the segment base is page-aligned, so header offsets
+// are cache-line offsets.
+static_assert(offsetof(ControlHeader, doorbell) / 64 <
+              offsetof(ControlHeader, heartbeat_ns) / 64);
+static_assert(offsetof(ControlHeader, doorbell) / 64 <
+              offsetof(ControlHeader, stats) / 64);
 
 /// Compile-time ABI fingerprint: both sides must agree on the shared struct
 /// sizes or the mapping is garbage.  Checked against the header at connect.
@@ -390,7 +389,7 @@ bool stats_read(const StatsPage& shared, StatsPage& out, int retries = 64);
 std::string stats_shm_name_for(const std::string& endpoint);
 
 /// Monotonic nanoseconds (CLOCK_MONOTONIC) — the protocol's only clock:
-/// rate-limiter stamps, wait deadlines, sweep periods.
+/// credit refills, wait deadlines, sweep periods.
 std::uint64_t monotonic_ns();
 
 }  // namespace whtlab::ipc

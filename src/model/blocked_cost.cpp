@@ -1,11 +1,5 @@
 #include "model/blocked_cost.hpp"
 
-#include <algorithm>
-#include <sstream>
-#include <stdexcept>
-
-#include "stats/linear_solve.hpp"
-
 namespace whtlab::model {
 
 BlockedFeatures schedule_features(const core::Schedule& schedule,
@@ -47,94 +41,6 @@ double schedule_cost(const core::Schedule& schedule,
 
 double blocked_cost(const core::Plan& plan, const BlockedCostConfig& config) {
   return schedule_cost(core::lower_plan(plan, config.blocking), config);
-}
-
-void BlockedCalibration::apply(BlockedCostConfig& config) const {
-  config.butterfly_weight = butterfly_weight;
-  config.l1_sweep_weight = l1_sweep_weight;
-  config.l2_sweep_weight = l2_sweep_weight;
-  config.mem_sweep_weight = mem_sweep_weight;
-}
-
-std::string BlockedCalibration::serialize() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << butterfly_weight << ' ' << l1_sweep_weight << ' ' << l2_sweep_weight
-      << ' ' << mem_sweep_weight;
-  return out.str();
-}
-
-std::optional<BlockedCalibration> BlockedCalibration::parse(
-    const std::string& text) {
-  std::istringstream in(text);
-  BlockedCalibration calibration;
-  if (!(in >> calibration.butterfly_weight >> calibration.l1_sweep_weight >>
-        calibration.l2_sweep_weight >> calibration.mem_sweep_weight)) {
-    return std::nullopt;
-  }
-  return calibration;
-}
-
-BlockedCalibration calibrate_blocked_weights(
-    const std::vector<int>& sizes,
-    const std::function<double(const core::Plan&)>& measure,
-    const BlockedCostConfig& base) {
-  if (sizes.size() < 4) {
-    throw std::invalid_argument("calibrate_blocked_weights: need >= 4 sizes");
-  }
-  if (!measure) {
-    throw std::invalid_argument("calibrate_blocked_weights: null measure");
-  }
-
-  // One probe plan per size.  The fused engine re-blocks every plan of a
-  // size identically, so the tree shape is immaterial; iterative_radix
-  // keeps the probe cheap to construct at any n.
-  std::vector<std::vector<double>> rows;
-  std::vector<double> cycles;
-  bool saw[3] = {false, false, false};  // l1 / l2 / mem rows observed
-  for (const int n : sizes) {
-    if (n < 1) throw std::invalid_argument("calibrate_blocked_weights: bad n");
-    const BlockedFeatures f = blocked_features(n, base);
-    rows.push_back({f.butterflies, f.l1_doubles, f.l2_doubles, f.mem_doubles});
-    if (f.l1_doubles > 0) saw[0] = true;
-    if (f.l2_doubles > 0) saw[1] = true;
-    if (f.mem_doubles > 0) saw[2] = true;
-    cycles.push_back(
-        measure(core::Plan::iterative_radix(n, core::kMaxUnrolled)));
-  }
-
-  // Column scaling before the normal equations: the features span many
-  // orders of magnitude (butterflies at n = 20 vs swept doubles at n = 8),
-  // and unscaled columns lose most of the fit's precision to conditioning.
-  double scale[4] = {0, 0, 0, 0};
-  for (const auto& row : rows) {
-    for (int j = 0; j < 4; ++j) scale[j] = std::max(scale[j], row[j]);
-  }
-  std::vector<std::vector<double>> scaled = rows;
-  for (auto& row : scaled) {
-    for (int j = 0; j < 4; ++j) {
-      if (scale[j] > 0) row[j] /= scale[j];
-    }
-  }
-  auto w = stats::least_squares(scaled, cycles, 1e-9);
-  for (int j = 0; j < 4; ++j) {
-    if (scale[j] > 0) w[j] /= scale[j];
-  }
-
-  // Noise can drive a weakly-constrained weight to ~0 or below; weights are
-  // ratios on a model whose only job is ordering plans, so a non-positive
-  // or unobserved fit falls back to the prior rather than inverting the
-  // level hierarchy.
-  BlockedCalibration calibration;
-  calibration.butterfly_weight =
-      w[0] > 0 ? w[0] : base.butterfly_weight;
-  calibration.l1_sweep_weight =
-      (saw[0] && w[1] > 0) ? w[1] : base.l1_sweep_weight;
-  calibration.l2_sweep_weight =
-      (saw[1] && w[2] > 0) ? w[2] : base.l2_sweep_weight;
-  calibration.mem_sweep_weight =
-      (saw[2] && w[3] > 0) ? w[3] : base.mem_sweep_weight;
-  return calibration;
 }
 
 }  // namespace whtlab::model

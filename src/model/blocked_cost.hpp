@@ -15,24 +15,12 @@
 //
 // Because lowering re-blocks freely, two plans of equal size price
 // identically — the model says, correctly, that under this engine the
-// machine's cache geometry decides the schedule, not the tree shape.  The
+// machine's cache geometry decides the schedule, not the tree shape.  So no
+// fit of the weights could change a plan; they are a priori ratios.  The
 // value of kEstimate pricing with this model is the *pass-count* term: it
-// is what a future cross-backend arbiter compares against the tree-walk
-// models to decide when to switch engines.
-//
-// The default sweep weights are a priori ratios.  calibrate_blocked_weights
-// fits them to this host instead: it measures a probe plan per size through
-// the caller's engine (the model/calibrate.hpp measure-callback protocol)
-// and least-squares fits cycles against the model's feature rows
-// (butterflies retired, doubles swept per cache level).  The api::Planner
-// persists the fit through a wisdom property so the measurement is one-shot
-// per host (see api/wisdom.hpp).
+// is what a cross-backend arbiter compares against the tree-walk models to
+// decide when to switch engines.
 #pragma once
-
-#include <functional>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "core/plan.hpp"
 #include "core/schedule.hpp"
@@ -74,31 +62,5 @@ double schedule_cost(const core::Schedule& schedule,
 
 /// Lowers `plan` with config.blocking and prices the resulting schedule.
 double blocked_cost(const core::Plan& plan, const BlockedCostConfig& config);
-
-/// A host-measured fit of the four blocked-model weights.
-struct BlockedCalibration {
-  double butterfly_weight = 1.0;
-  double l1_sweep_weight = 0.25;
-  double l2_sweep_weight = 1.0;
-  double mem_sweep_weight = 8.0;
-
-  void apply(BlockedCostConfig& config) const;
-
-  /// Space-separated round-trip for wisdom-property persistence.
-  std::string serialize() const;
-  static std::optional<BlockedCalibration> parse(const std::string& text);
-};
-
-/// One-shot on-host calibration: measures one probe plan per size in
-/// `sizes` through `measure` (cycles; typically a lambda over
-/// api::measure_with_backend so the fit prices the engine that will run)
-/// and fits the weights to the observed cycles by least squares.  Sizes
-/// should straddle the blocking geometry so every regime contributes a row;
-/// a regime no size exercises keeps its prior from `base`.  Requires >= 4
-/// sizes; throws std::invalid_argument otherwise.
-BlockedCalibration calibrate_blocked_weights(
-    const std::vector<int>& sizes,
-    const std::function<double(const core::Plan&)>& measure,
-    const BlockedCostConfig& base);
 
 }  // namespace whtlab::model

@@ -121,10 +121,6 @@ AnnealResult anneal_search(int n,
   if (options.max_leaf < 1 || options.max_leaf > core::kMaxUnrolled) {
     throw std::invalid_argument("anneal_search: bad max_leaf");
   }
-  if (options.accept_cost && options.accept_filter_slack < 1.0) {
-    throw std::invalid_argument(
-        "anneal_search: accept_filter_slack must be >= 1");
-  }
 
   const RecursiveSplitSampler sampler(options.max_leaf);
 
@@ -142,36 +138,15 @@ AnnealResult anneal_search(int n,
     return cost(plan);
   };
 
-  // Measured-acceptance mode: the model cost (`priced`) screens proposals,
-  // accept_cost (measured cycles) decides.  Without accept_cost both
-  // metrics are the same value and the loop is the classic model-only walk.
-  const bool measured_mode = static_cast<bool>(options.accept_cost);
-  const auto accept_priced = [&options, &result](const core::Plan& plan,
-                                                 double model_cost) {
-    if (!options.accept_cost) return model_cost;
-    ++result.measured;
-    return options.accept_cost(plan);
-  };
-
   core::Plan current = sampler.sample(n, rng);
-  double current_model = priced(current);
-  double current_cost = accept_priced(current, current_model);
+  double current_cost = priced(current);
   result.best = current;
   result.best_cost = current_cost;
 
   double temperature = options.initial_temperature;
   for (int step = 0; step < options.iterations; ++step) {
     core::Plan candidate = mutate_plan(current, options.max_leaf, rng);
-    const double candidate_model = priced(candidate);
-    if (measured_mode && current_model > 0.0 &&
-        candidate_model > options.accept_filter_slack * current_model) {
-      // The model is confident this proposal is a regression: skip the
-      // expensive measurement entirely (Section 4's pruning idea).
-      ++result.filtered;
-      temperature *= options.cooling;
-      continue;
-    }
-    const double candidate_cost = accept_priced(candidate, candidate_model);
+    const double candidate_cost = priced(candidate);
 
     bool accept = candidate_cost < current_cost;
     if (!accept && temperature > 0.0 && current_cost > 0.0) {
@@ -181,7 +156,6 @@ AnnealResult anneal_search(int n,
     }
     if (accept) {
       current = std::move(candidate);
-      current_model = candidate_model;
       current_cost = candidate_cost;
       ++result.accepted;
       if (current_cost < result.best_cost) {

@@ -13,8 +13,8 @@
 //     autotuner favours);
 //   * expand — split a random non-unit leaf into a random composition.
 //
-// Useful with either a model cost (free evaluations, the paper's pruning
-// theme) or measured runtime (expensive; combine with model pre-screening).
+// The api::Planner runs it over a model cost (free evaluations, the paper's
+// pruning theme); kMeasure, kExhaustive and kSampled search measurements.
 #pragma once
 
 #include <cstdint>
@@ -40,30 +40,13 @@ struct AnnealOptions {
   /// when set, repeats are priced from the cache instead of re-evaluated.
   /// The caller must pair one cache with one cost function.
   model::CostCache* cost_cache = nullptr;
-
-  /// Measured-acceptance mode (the paper's model-vs-measure split applied
-  /// inside one search): when set, THIS cost — typically live measured
-  /// cycles — drives the Metropolis accept/reject and the best-plan
-  /// tracking, while the cheap model cost passed to anneal_search demotes
-  /// to a proposal filter: a candidate whose model cost exceeds
-  /// accept_filter_slack x the current plan's model cost is rejected
-  /// without ever being measured (AnnealResult::filtered counts these).
-  /// Unset (default): the model cost is the acceptance metric, exactly the
-  /// measurement-free behavior.
-  std::function<double(const core::Plan&)> accept_cost;
-
-  /// Model-cost headroom a proposal may have over the current plan and
-  /// still earn a measurement (>= 1; only meaningful with accept_cost).
-  double accept_filter_slack = 1.5;
 };
 
 struct AnnealResult {
   core::Plan best;
-  double best_cost = 0.0;  ///< in accept_cost units when that mode is on
+  double best_cost = 0.0;
   std::uint64_t evaluations = 0;
   std::uint64_t accepted = 0;  ///< accepted moves (including improvements)
-  std::uint64_t measured = 0;  ///< accept_cost evaluations (measured mode)
-  std::uint64_t filtered = 0;  ///< proposals the model filter rejected unmeasured
 };
 
 /// Simulated annealing from a random start.  `cost` must be positive.

@@ -4,13 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
-#include "api/wisdom.hpp"
 #include "core/verify.hpp"
-#include "model/blocked_cost.hpp"
 #include "model/combined_model.hpp"
 #include "search/dp_search.hpp"
 #include "search/exhaustive.hpp"
@@ -215,29 +212,6 @@ TEST(Planner, MaxLeafIsRespected) {
   EXPECT_LE(t.plan().max_leaf_log2(), 2);
 }
 
-TEST(Planner, AnnealMeasuredUsesLiveCyclesForAcceptance) {
-  // anneal_measured(true): the model screens proposals, measured cycles
-  // through the chosen backend decide — evaluations must count both.
-  search::AnnealOptions anneal;
-  anneal.iterations = 25;
-  perf::MeasureOptions measure;
-  measure.warmup = 0;
-  measure.repetitions = 1;
-  measure.inner_loop = 1;
-  auto t = Planner()
-               .strategy(Strategy::kAnneal)
-               .anneal_options(anneal)
-               .anneal_measured(true)
-               .measure_options(measure)
-               .seed(11)
-               .plan(6);
-  EXPECT_EQ(t.log2_size(), 6);
-  EXPECT_LT(core::verify_plan(t.plan()), 1e-10);
-  EXPECT_GT(t.planning().cost, 0.0) << "best_cost is measured cycles";
-  EXPECT_GT(t.planning().evaluations, 0u)
-      << "evaluations counts model pricings plus measurements";
-}
-
 TEST(Strategy, ToStringCoversAllValues) {
   EXPECT_STREQ(to_string(Strategy::kEstimate), "estimate");
   EXPECT_STREQ(to_string(Strategy::kMeasure), "measure");
@@ -245,50 +219,6 @@ TEST(Strategy, ToStringCoversAllValues) {
   EXPECT_STREQ(to_string(Strategy::kSampled), "sampled");
   EXPECT_STREQ(to_string(Strategy::kAnneal), "anneal");
   EXPECT_STREQ(to_string(Strategy::kFixed), "fixed");
-}
-
-TEST(Planner, CalibrationPersistsThroughWisdomAndIsReused) {
-  // calibrate(true) + wisdom: the first plan() measures the fused model's
-  // probe sizes once and stores the fit as a wisdom property; a second
-  // planner applies the stored fit without re-measuring.
-  const std::string path = ::testing::TempDir() + "planner_calibration.txt";
-  std::remove(path.c_str());
-  WisdomRegistry::global().invalidate(path);
-
-  perf::MeasureOptions cheap;
-  cheap.warmup = 0;
-  cheap.repetitions = 1;
-  auto first = Planner()
-                   .backend("fused")
-                   .wisdom_file(path)
-                   .calibrate(true)
-                   .measure_options(cheap)
-                   .plan(12);
-  EXPECT_TRUE(first.planning().calibrated);
-  const auto property = WisdomRegistry::global().property(
-      path, "calibration/" +
-                std::string(simd::to_string(simd::active_level())) + "/fused");
-  ASSERT_TRUE(property.has_value());
-  EXPECT_TRUE(model::BlockedCalibration::parse(*property).has_value());
-
-  // Different n so the plan itself is a wisdom miss, but the calibration
-  // property hits — applied, not re-measured.
-  auto second = Planner()
-                    .backend("fused")
-                    .wisdom_file(path)
-                    .calibrate(true)
-                    .measure_options(cheap)
-                    .plan(11);
-  EXPECT_TRUE(second.planning().calibrated);
-
-  // Backends without a calibratable cost model are unaffected.
-  auto scalar = Planner()
-                    .wisdom_file(path)
-                    .calibrate(true)
-                    .measure_options(cheap)
-                    .plan(9);
-  EXPECT_FALSE(scalar.planning().calibrated);
-  std::remove(path.c_str());
 }
 
 TEST(Planner, EstimateReportsCostCacheHits) {

@@ -62,6 +62,19 @@ TEST(Wisdom, MissingFileIsEmptyAndMalformedThrows) {
   out << "# comment survives\n" << "avx2\tnot-enough-fields\n";
   out.close();
   EXPECT_THROW(Wisdom::load(file.path()), std::invalid_argument);
+
+  // Earlier builds wrote an `@prop` line beside the plans; it is skipped,
+  // and the plan still loads.
+  const TempFile legacy("wisdom_legacy_prop.txt");
+  std::ofstream old(legacy.path());
+  old << "# whtlab wisdom v1\n"
+      << "@prop\tcalibration/avx512/fused\t1 0.25 1 8\n"
+      << "avx512\t6\testimate\tfused\tsplit[small[3],small[3]]\n";
+  old.close();
+  const Wisdom loaded = Wisdom::load(legacy.path());
+  EXPECT_EQ(loaded.size(), 1u);
+  ASSERT_NE(loaded.lookup(Wisdom::Key{"avx512", 6, "estimate", "fused"}),
+            nullptr);
 }
 
 TEST(Wisdom, SizeMismatchedEntryThrows) {
@@ -142,32 +155,6 @@ TEST(PlannerWisdom, HitViolatingMaxLeafIsAMissAndIsResearched) {
   auto replay = Planner().wisdom_file(file.path()).max_leaf(3).plan(10);
   EXPECT_TRUE(replay.planning().from_wisdom);
   EXPECT_EQ(replay.plan(), capped.plan());
-}
-
-TEST(Wisdom, PropertiesRoundTripAndMerge) {
-  const TempFile file("wisdom_props.txt");
-  Wisdom wisdom;
-  wisdom.set_property("calibration/avx512/fused", "1 0.25 1 8");
-  wisdom.set_property("empty-value", "");  // legal, must round-trip
-  wisdom.insert(Wisdom::Key{"avx512", 6, "estimate", "fused"},
-                core::Plan::iterative(6));
-  wisdom.save(file.path());
-
-  const Wisdom loaded = Wisdom::load(file.path());
-  ASSERT_TRUE(loaded.property("calibration/avx512/fused").has_value());
-  EXPECT_EQ(*loaded.property("calibration/avx512/fused"), "1 0.25 1 8");
-  ASSERT_TRUE(loaded.property("empty-value").has_value());
-  EXPECT_EQ(*loaded.property("empty-value"), "");
-  EXPECT_FALSE(loaded.property("missing").has_value());
-
-  Wisdom other;
-  other.set_property("calibration/avx512/fused", "2 2 2 2");
-  other.insert(Wisdom::Key{"avx512", 7, "estimate", "fused"},
-               core::Plan::iterative(7));
-  Wisdom merged = loaded;
-  merged.merge_from(other);
-  EXPECT_EQ(merged.size(), 2u);  // union of entries
-  EXPECT_EQ(*merged.property("calibration/avx512/fused"), "2 2 2 2");
 }
 
 TEST(Wisdom, SaveIsAtomicReplacement) {

@@ -225,8 +225,8 @@ TEST(IpcCrash, StaleSegmentFromDeadDaemonIsTakenOver) {
   ASSERT_EQ(::waitpid(predecessor, &status, 0), predecessor);
   ASSERT_TRUE(WIFSIGNALED(status));
 
-  // A successor must take the endpoint over (takeover_stale default) and
-  // serve normally.
+  // A successor must take the dead daemon's endpoint over and serve
+  // normally.
   Daemon daemon(daemon_options(endpoint));
   daemon.start();
   auto client = Client::connect({.endpoint = endpoint});

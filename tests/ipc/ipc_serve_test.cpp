@@ -5,9 +5,9 @@
 // execute_many) must equal the in-process Transform bit for bit, including
 // with >= 4 concurrent client *processes* racing each other.  Also here:
 // cross-slot merging of same-size singles, admission control (typed
-// kServerFull when the slot table is full), per-client rate limiting (the
-// throttled client gets typed backpressure, its neighbour is unaffected),
-// typed client-side shape errors, and the daemon counter line.
+// kServerFull when the slot table is full), the connect-time version/ABI
+// gate, option range checks, typed client-side shape errors, and the daemon
+// counter line.
 //
 // Fork discipline: client children are forked BEFORE the Daemon is
 // constructed, while this process is still single-threaded; the children
@@ -18,7 +18,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "ipc/client.hpp"
 #include "ipc/daemon.hpp"
 #include "ipc/protocol.hpp"
+#include "ipc/shm.hpp"
 #include "util/rng.hpp"
 
 namespace whtlab::ipc {
@@ -94,6 +97,8 @@ TEST(IpcServe, SingleClientBitExactInProcess) {
   const auto stats = daemon.stats();
   EXPECT_EQ(stats.requests, 6u);
   EXPECT_EQ(stats.vectors, 18u);
+  EXPECT_EQ(client.credits(), 0u)
+      << "credits are off: the advisory word stays at the published 0";
   daemon.stop();
 }
 
@@ -184,36 +189,41 @@ TEST(IpcServe, AdmissionControlRejectsWithServerFull) {
   daemon.stop();
 }
 
-TEST(IpcServe, ThrottledClientGetsBackpressureNeighbourDoesNot) {
-  const std::string endpoint = unique_endpoint("throttle");
-  DaemonOptions options;
-  options.endpoint = endpoint;
-  options.slots = 2;
-  options.rate_limit = 3;                     // 3 requests ...
-  options.rate_window_ns = 2000000000ULL;     // ... per 2 s: easy to exceed
-  Daemon daemon(options);
-  daemon.start();
+TEST(IpcServe, VersionOrAbiMismatchIsRefusedWithoutClaimingASlot) {
+  const std::string endpoint = unique_endpoint("abigate");
+  Daemon daemon(daemon_options(endpoint, 2));
+  Shm peer = Shm::open(shm_name_for(endpoint));
+  auto* hdr = static_cast<ControlHeader*>(peer.data());
+  Layout layout;
+  layout.slot_count = hdr->slot_count;
+  layout.arena_doubles = hdr->arena_doubles;
+  const auto refused_without_a_slot = [&](const char* what) {
+    try {
+      auto client = Client::connect({.endpoint = endpoint});
+      ADD_FAILURE() << what << ": connect must throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.status(), Status::kBadRequest) << what;
+    }
+    for (std::uint32_t s = 0; s < layout.slot_count; ++s) {
+      EXPECT_EQ(layout.slot(peer.data(), s)->state.load(), kFree)
+          << what << ": slot " << s;
+    }
+  };
 
-  auto greedy = Client::connect({.endpoint = endpoint});
-  auto polite = Client::connect({.endpoint = endpoint});
-
-  // The greedy client burns its budget and must see typed backpressure.
-  double* gx = greedy.stage(6);
-  int throttled = 0;
-  for (int r = 0; r < 8; ++r) {
-    const Status status = greedy.transform(6, gx);
-    ASSERT_TRUE(status == Status::kOk || status == Status::kThrottled);
-    throttled += status == Status::kThrottled;
-  }
-  EXPECT_GE(throttled, 5) << "over-budget requests were not throttled";
-
-  // The limiter is per slot: the neighbour's budget is untouched.
-  double* px = polite.stage(6);
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(polite.transform(6, px), Status::kOk) << "round " << r;
-  }
-  EXPECT_GE(daemon.stats().throttled, 5u);
+  hdr->version = kVersion + 1;
+  refused_without_a_slot("version");
+  hdr->version = kVersion;
+  hdr->abi = abi_tag() ^ 1u;
+  refused_without_a_slot("abi");
+  hdr->abi = abi_tag();
+  EXPECT_NO_THROW(Client::connect({.endpoint = endpoint}));
   daemon.stop();
+}
+
+TEST(IpcServe, OptionsOutsideTheirRangesAreRefused) {
+  DaemonOptions options = daemon_options(unique_endpoint("ranges"));
+  options.timeout_ms = UINT64_MAX;  // what a wrapped `--timeout-ms=-1` was
+  EXPECT_THROW(Daemon{options}, std::invalid_argument);
 }
 
 TEST(IpcServe, TypedShapeErrors) {
@@ -264,7 +274,7 @@ TEST(IpcServe, CounterLineNamesEachCounterOnceInListOrder) {
   EXPECT_EQ(to_string(load_counters(shared)),
             "requests=1 vectors=2 throttled=3 exec_errors=4 reclaimed=5 "
             "dropped=6 protocol_errors=7 evictions=8 shed_expired=9 "
-            "credit_stalls=10 drained=11 drain_aborted=12 drain_refused=13");
+            "drained=10 drain_aborted=11 drain_refused=12");
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST(BlockedCost, PlanShapeDoesNotChangeThePrice) {
 
 TEST(BlockedCost, FeaturesAreTheCostGradient) {
   // schedule_cost must equal the dot product of schedule_features with the
-  // config weights — the contract the calibration fit relies on.
+  // config weights.
   const BlockedCostConfig config = test_config();
   for (int n : {8, 14, 18, 20, 24}) {
     const BlockedFeatures f = blocked_features(n, config);
@@ -79,79 +79,6 @@ TEST(BlockedCost, FeaturesAreTheCostGradient) {
                          config.mem_sweep_weight * f.mem_doubles)
         << n;
   }
-}
-
-TEST(BlockedCalibration, SerializeParsesBack) {
-  BlockedCalibration calibration;
-  calibration.butterfly_weight = 1.5;
-  calibration.l1_sweep_weight = 0.125;
-  calibration.l2_sweep_weight = 2.25;
-  calibration.mem_sweep_weight = 17.0;
-  const auto parsed = BlockedCalibration::parse(calibration.serialize());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_DOUBLE_EQ(parsed->butterfly_weight, 1.5);
-  EXPECT_DOUBLE_EQ(parsed->l1_sweep_weight, 0.125);
-  EXPECT_DOUBLE_EQ(parsed->l2_sweep_weight, 2.25);
-  EXPECT_DOUBLE_EQ(parsed->mem_sweep_weight, 17.0);
-  EXPECT_FALSE(BlockedCalibration::parse("not numbers").has_value());
-  EXPECT_FALSE(BlockedCalibration::parse("1 2 3").has_value());
-
-  BlockedCostConfig config = test_config();
-  calibration.apply(config);
-  EXPECT_DOUBLE_EQ(config.mem_sweep_weight, 17.0);
-}
-
-TEST(BlockedCalibration, RecoversSyntheticWeights) {
-  // A noise-free "measurement" that is exactly linear in the model's
-  // features must be fit exactly (up to the ridge term): the calibration
-  // then reproduces the synthetic cost on every size.
-  const BlockedCostConfig base = test_config();
-  BlockedCostConfig truth = base;
-  truth.butterfly_weight = 0.5;
-  truth.l1_sweep_weight = 0.75;
-  truth.l2_sweep_weight = 3.0;
-  truth.mem_sweep_weight = 24.0;
-  const auto synthetic = [&truth](const core::Plan& plan) {
-    return blocked_cost(plan, truth);
-  };
-  const std::vector<int> sizes{8, 10, 12, 14, 16, 18, 19, 20};
-  const BlockedCalibration fit =
-      calibrate_blocked_weights(sizes, synthetic, base);
-
-  // Within the streaming regime the butterfly and sweep columns are nearly
-  // collinear (both ~N up to slowly-varying factors), so individual weights
-  // are only weakly identified; what the model needs — and what is asserted
-  // — is that the fit reproduces the synthetic cost to a few percent, far
-  // inside the gaps the model is asked to rank.
-  BlockedCostConfig fitted = base;
-  fit.apply(fitted);
-  for (int n : {9, 13, 17, 21}) {
-    const double want = blocked_cost(core::Plan::iterative(n), truth);
-    const double got = blocked_cost(core::Plan::iterative(n), fitted);
-    EXPECT_NEAR(got, want, 0.05 * want) << n;
-  }
-}
-
-TEST(BlockedCalibration, UnobservedRegimeKeepsThePrior) {
-  // All probe sizes below L1: the L2 and memory weights have no evidence
-  // and must stay at the caller's prior, not collapse to the ridge zero.
-  const BlockedCostConfig base = test_config();
-  const auto synthetic = [&base](const core::Plan& plan) {
-    return blocked_cost(plan, base);
-  };
-  const BlockedCalibration fit =
-      calibrate_blocked_weights({6, 7, 8, 9, 10}, synthetic, base);
-  EXPECT_DOUBLE_EQ(fit.l2_sweep_weight, base.l2_sweep_weight);
-  EXPECT_DOUBLE_EQ(fit.mem_sweep_weight, base.mem_sweep_weight);
-}
-
-TEST(BlockedCalibration, RejectsBadArguments) {
-  const BlockedCostConfig base = test_config();
-  const auto measure = [](const core::Plan&) { return 1.0; };
-  EXPECT_THROW(calibrate_blocked_weights({8, 9, 10}, measure, base),
-               std::invalid_argument);
-  EXPECT_THROW(calibrate_blocked_weights({8, 9, 10, 11}, nullptr, base),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -114,51 +114,6 @@ TEST(Anneal, Validation) {
   bad.iterations = 0;
   EXPECT_THROW(anneal_search(5, [](const core::Plan&) { return 1.0; }, rng, bad),
                std::invalid_argument);
-  AnnealOptions bad_slack;
-  bad_slack.accept_cost = [](const core::Plan&) { return 1.0; };
-  bad_slack.accept_filter_slack = 0.5;
-  EXPECT_THROW(
-      anneal_search(5, [](const core::Plan&) { return 1.0; }, rng, bad_slack),
-      std::invalid_argument);
-}
-
-TEST(Anneal, MeasuredAcceptanceDrivesTheWalk) {
-  // Measured mode: accept_cost decides, the model only screens.  With both
-  // metrics equal the walk must still optimise, and the bookkeeping must
-  // show measurements happening and best_cost in accept_cost units.
-  const auto cost = [](const core::Plan& p) {
-    return model::instruction_count(p);
-  };
-  util::Rng rng(9);
-  AnnealOptions options;
-  options.iterations = 300;
-  options.accept_cost = cost;
-  const auto result = anneal_search(10, cost, rng, options);
-  EXPECT_EQ(result.best.log2_size(), 10);
-  EXPECT_GT(result.measured, 0u);
-  EXPECT_DOUBLE_EQ(result.best_cost, cost(result.best))
-      << "best_cost must be the accept metric of the best plan";
-  // Every proposal either passed the filter (and was measured) or was
-  // filtered; plus the one start-plan measurement.
-  EXPECT_LE(result.measured + result.filtered, 301u);
-}
-
-TEST(Anneal, ModelFilterSkipsExpensiveMeasurements) {
-  const auto cost = [](const core::Plan& p) {
-    return model::instruction_count(p);
-  };
-  util::Rng rng(10);
-  AnnealOptions options;
-  options.iterations = 400;
-  options.accept_cost = cost;
-  options.accept_filter_slack = 1.0;  // strict: any model regression skipped
-  const auto result = anneal_search(12, cost, rng, options);
-  EXPECT_GT(result.filtered, 0u)
-      << "random mutations regress often; a strict filter must catch some";
-  EXPECT_LT(result.measured, 401u)
-      << "filtered proposals must not be measured";
-  EXPECT_EQ(result.measured + result.filtered, 401u)
-      << "every proposal (plus the start) is either measured or filtered";
 }
 
 }  // namespace

@@ -4,12 +4,13 @@
 // process through zero-copy shm rings:
 //
 //   whtd &                          # serve endpoint "whtlab"
-//   whtd --endpoint lab --slots 8 --rate-limit 5000
+//   whtd --endpoint lab --slots 8 --credits 5000
 //   whtd --stats                    # periodic shared-counter lines
 //   whtd --supervise --pid-file d.pid   # watchdog + rolling restarts
 //
 // Defaults come from DaemonOptions::from_env() (the WHTLAB_IPC_* knobs);
-// flags override the environment.  Signals:
+// flags override the environment, and both get DaemonOptions::validate()'s
+// ranges before anything is forked or bound.  Signals:
 //
 //   SIGTERM  graceful drain (--drain-ms budget): stop admitting — new
 //            submissions answer the typed kDraining — finish in-flight
@@ -31,6 +32,8 @@
 // watchdog.  The heavy lifting lives in src/ipc/supervisor.hpp.
 #include <cstdio>
 #include <exception>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "ipc/daemon.hpp"
@@ -39,35 +42,40 @@
 
 namespace {
 
+/// A numeric flag as `T`, in units of `scale` (ms flags feed ns fields): a
+/// negative value, or one `T` cannot hold, throws instead of wrapping.
+template <typename T>
+T flag_value(const whtlab::util::Cli& cli, const char* name, T fallback,
+             std::uint64_t scale = 1) {
+  const std::int64_t value =
+      cli.get_int(name, static_cast<std::int64_t>(fallback / scale));
+  if (value < 0 || static_cast<std::uint64_t>(value) >
+                       std::numeric_limits<T>::max() / scale) {
+    throw std::invalid_argument(std::string("--") + name + "=" +
+                                std::to_string(value) + " is out of range");
+  }
+  return static_cast<T>(static_cast<std::uint64_t>(value) * scale);
+}
+
 /// Environment first, flags on top — run again by every supervised child
 /// (through SupervisorOptions::reload), so a rolling restart picks up
 /// WHTLAB_IPC_* changes made since the supervisor booted.
 whtlab::ipc::DaemonOptions options_from(const whtlab::util::Cli& cli) {
   whtlab::ipc::DaemonOptions options = whtlab::ipc::DaemonOptions::from_env();
   options.endpoint = cli.get("endpoint", options.endpoint);
-  options.slots =
-      static_cast<std::uint32_t>(cli.get_int("slots", options.slots));
-  options.arena_doubles = static_cast<std::uint64_t>(cli.get_int(
-      "arena-doubles", static_cast<std::int64_t>(options.arena_doubles)));
-  options.rate_limit = static_cast<std::uint64_t>(cli.get_int(
-      "rate-limit", static_cast<std::int64_t>(options.rate_limit)));
-  options.credit_limit = static_cast<std::uint64_t>(cli.get_int(
-      "credits", static_cast<std::int64_t>(options.credit_limit)));
-  options.credit_window_ns =
-      static_cast<std::uint64_t>(cli.get_int(
-          "credit-window-ms",
-          static_cast<std::int64_t>(options.credit_window_ns / 1000000ULL))) *
-      1000000ULL;
-  options.shed_expired = cli.get_int("shed", options.shed_expired ? 1 : 0) != 0;
-  options.strike_limit = static_cast<std::uint32_t>(
-      cli.get_int("strikes", static_cast<std::int64_t>(options.strike_limit)));
-  options.timeout_ms = static_cast<std::uint64_t>(cli.get_int(
-      "timeout-ms", static_cast<std::int64_t>(options.timeout_ms)));
-  options.sweep_ms = static_cast<std::uint64_t>(
-      cli.get_int("sweep-ms", static_cast<std::int64_t>(options.sweep_ms)));
-  options.drain_ms = static_cast<std::uint64_t>(
-      cli.get_int("drain-ms", static_cast<std::int64_t>(options.drain_ms)));
+  options.slots = flag_value(cli, "slots", options.slots);
+  options.arena_doubles =
+      flag_value(cli, "arena-doubles", options.arena_doubles);
+  options.credit_limit = flag_value(cli, "credits", options.credit_limit);
+  options.credit_window_ns = flag_value(cli, "credit-window-ms",
+                                        options.credit_window_ns, 1000000ULL);
+  options.shed_expired = flag_value(cli, "shed", options.shed_expired);
+  options.strike_limit = flag_value(cli, "strikes", options.strike_limit);
+  options.timeout_ms = flag_value(cli, "timeout-ms", options.timeout_ms);
+  options.sweep_ms = flag_value(cli, "sweep-ms", options.sweep_ms);
+  options.drain_ms = flag_value(cli, "drain-ms", options.drain_ms);
   options.engine.wisdom_file = cli.get("wisdom", options.engine.wisdom_file);
+  options.validate();
   return options;
 }
 
@@ -78,7 +86,6 @@ int main(int argc, char** argv) {
   cli.add_flag("endpoint", "serving endpoint (segment /dev/shm/whtlab.<name>)");
   cli.add_flag("slots", "client slots (admission-control bound)");
   cli.add_flag("arena-doubles", "per-slot staging arena, in doubles");
-  cli.add_flag("rate-limit", "admitted requests/client/window (0 = off)");
   cli.add_flag("credits", "per-client work credits (vectors) per window (0 = off)");
   cli.add_flag("credit-window-ms", "credit bucket full-refill period, ms");
   cli.add_flag("shed", "deadline load shedding: 1 = drop expired requests (default), 0 = off");

@@ -1,37 +1,28 @@
 // bench_plan_time — planning wall-time per (strategy, n, backend), the
-// before/after trajectory of the analytic cache model (BENCH_plan.json).
+// committed BENCH_plan.json cells.
 //
-// "After" cells time wht::Planner end to end (search + model, the product
-// path) with the analytic miss engine — the default.  With --oracle, each
-// cell is also timed with WHTLAB_MODEL_ORACLE=1, which routes the combined
-// model's miss term through the trace-replay walk the analytic recursion
-// replaced: that is the pre-PR cost of model-driven planning, and the
-// ratio between the two is the speedup this PR exists for.  Backends that
-// price with their own model ("fused" prices lowered schedules, no cache
-// model inside) are oracle-invariant by construction; the interesting
-// before/after rows are the CombinedModel-priced backends ("generated",
-// "simd").
+// Each cell times wht::Planner end to end (search + model, the product
+// path).  kEstimate is the DP over split compositions of at most 4 parts:
+// per size m it prices C(m-1, 1) + C(m-1, 2) + C(m-1, 3) splits (plus a leaf
+// while m fits a codelet) and walks only those, so n = 22 costs
+// milliseconds on every backend.  kAnneal prices a fixed number of
+// mutations.
 //
 // Noise convention (README bench section): every reported cell is a median
-// over --reps timed repetitions.  Oracle cells drop to 3 repetitions, and
-// to 1 at n >= 20 — a single oracle kEstimate at n = 22 walks ~10^9
-// simulated accesses over minutes, and a deterministic CPU-bound model walk
-// does not need nine samples to witness a two-orders-of-magnitude gap (the
-// per-cell "reps"/"oracle_reps" fields record what each number is a median
-// of).
+// over --reps timed repetitions.
 //
 // Run:  ./bench_plan_time [--out FILE] [--nmin N] [--nmax N] [--step N]
 //                         [--reps N] [--backends a,b,..] [--strategies a,b]
-//                         [--oracle] [--oracle-backends a,b] [--oracle-nmax N]
 //                         [--max-seconds S]
-//       --max-seconds S exits nonzero when any analytic kEstimate median
-//       exceeds S — the CI plan-time regression gate.
+//       --max-seconds S exits nonzero when any kEstimate median exceeds S —
+//       the CI plan-time regression gate.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/wht.hpp"
@@ -106,10 +97,8 @@ struct Cell {
   std::string strategy;
   std::string backend;
   int n = 0;
-  double seconds = 0.0;       ///< analytic engine (the default path)
+  double seconds = 0.0;
   int reps = 0;
-  double oracle_seconds = -1.0;  ///< trace engine; < 0 = not measured
-  int oracle_reps = 0;
 };
 
 }  // namespace
@@ -120,15 +109,11 @@ int main(int argc, char** argv) {
   cli.add_flag("nmin", "smallest size log2", "14");
   cli.add_flag("nmax", "largest size log2", "22");
   cli.add_flag("step", "size stride", "2");
-  cli.add_flag("reps", "timed repetitions per analytic cell (median)", "9");
+  cli.add_flag("reps", "timed repetitions per cell (median)", "9");
   cli.add_flag("backends", "comma list of backends", "generated,simd,fused");
   cli.add_flag("strategies", "comma list of strategies", "estimate,anneal");
-  cli.add_bool("oracle", "also time WHTLAB_MODEL_ORACLE=1 (the pre-PR walk)");
-  cli.add_flag("oracle-backends", "backends for the oracle columns", "simd");
-  cli.add_flag("oracle-nmax", "largest oracle size log2", "22");
   cli.add_flag("max-seconds",
-               "fail (exit 1) when an analytic estimate median exceeds this",
-               "0");
+               "fail (exit 1) when an estimate median exceeds this", "0");
   if (!cli.parse(argc, argv)) return 2;
 
   const std::string out = cli.get("out");
@@ -140,18 +125,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_plan_time: --reps and --step must be >= 1\n");
     return 2;
   }
-  const bool oracle = cli.has("oracle");
-  const int oracle_nmax = static_cast<int>(cli.get_int("oracle-nmax", 22));
   const double max_seconds = cli.get_double("max-seconds", 0.0);
   const auto backends = split_list(cli.get("backends"));
   const auto strategies = split_list(cli.get("strategies"));
-  const auto oracle_backends = split_list(cli.get("oracle-backends"));
+  const unsigned host_cores = std::thread::hardware_concurrency();
 
-  std::printf("simd level: %s; analytic reps %d (median per cell)%s\n",
-              simd::to_string(simd::active_level()), reps,
-              oracle ? "; oracle columns on" : "");
-  std::printf("%10s %10s %4s %14s %6s %14s %6s %10s\n", "strategy", "backend",
-              "n", "plan sec", "reps", "oracle sec", "reps", "speedup");
+  std::printf("simd level: %s; host cores %u; reps %d (median per cell)\n",
+              simd::to_string(simd::active_level()), host_cores, reps);
+  std::printf("%10s %10s %4s %14s %6s\n", "strategy", "backend", "n",
+              "plan sec", "reps");
 
   std::vector<Cell> cells;
   bool gate_failed = false;
@@ -166,38 +148,18 @@ int main(int argc, char** argv) {
         cell.reps = reps;
         cell.seconds = time_plan_median(strategy, backend, n, reps);
 
-        const bool want_oracle =
-            oracle && n <= oracle_nmax &&
-            std::find(oracle_backends.begin(), oracle_backends.end(),
-                      backend) != oracle_backends.end();
-        if (want_oracle) {
-          cell.oracle_reps = n >= 20 ? 1 : std::min(3, reps);
-          ::setenv("WHTLAB_MODEL_ORACLE", "1", 1);
-          cell.oracle_seconds =
-              time_plan_median(strategy, backend, n, cell.oracle_reps);
-          ::unsetenv("WHTLAB_MODEL_ORACLE");
-        }
-
         if (max_seconds > 0 && strategy == wht::Strategy::kEstimate &&
             cell.seconds > max_seconds) {
           std::fprintf(stderr,
-                       "plan-time gate FAILED: %s/%s n=%d took %.3f s "
-                       "(budget %.3f s)\n",
+                       "plan-time gate FAILED: %s/%s n=%d took %.4f s "
+                       "(budget %.4f s)\n",
                        strategy_name.c_str(), backend.c_str(), n, cell.seconds,
                        max_seconds);
           gate_failed = true;
         }
 
-        if (cell.oracle_seconds >= 0) {
-          std::printf("%10s %10s %4d %14.4f %6d %14.3f %6d %9.1fx\n",
-                      strategy_name.c_str(), backend.c_str(), n, cell.seconds,
-                      cell.reps, cell.oracle_seconds, cell.oracle_reps,
-                      cell.oracle_seconds / cell.seconds);
-        } else {
-          std::printf("%10s %10s %4d %14.4f %6d %14s %6s %10s\n",
-                      strategy_name.c_str(), backend.c_str(), n, cell.seconds,
-                      cell.reps, "-", "-", "-");
-        }
+        std::printf("%10s %10s %4d %14.6f %6d\n", strategy_name.c_str(),
+                    backend.c_str(), n, cell.seconds, cell.reps);
         std::fflush(stdout);
         cells.push_back(cell);
       }
@@ -210,29 +172,19 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(json, "{\n  \"bench\": \"plan_time\",\n");
+  std::fprintf(json, "  \"host_cores\": %u,\n", host_cores);
   std::fprintf(json, "  \"level\": \"%s\",\n",
                simd::to_string(simd::active_level()));
   std::fprintf(json,
-               "  \"aggregation\": \"median wall seconds per cell; oracle = "
-               "WHTLAB_MODEL_ORACLE=1 trace walk (pre-PR engine)\",\n");
+               "  \"aggregation\": \"median wall seconds per cell\",\n");
   std::fprintf(json, "  \"results\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
     std::fprintf(json,
                  "    {\"strategy\": \"%s\", \"backend\": \"%s\", \"n\": %d, "
-                 "\"plan_seconds\": %.6f, \"reps\": %d",
+                 "\"plan_seconds\": %.6f, \"reps\": %d}%s\n",
                  cell.strategy.c_str(), cell.backend.c_str(), cell.n,
-                 cell.seconds, cell.reps);
-    if (cell.oracle_seconds >= 0) {
-      std::fprintf(json,
-                   ", \"oracle_seconds\": %.6f, \"oracle_reps\": %d, "
-                   "\"speedup\": %.1f",
-                   cell.oracle_seconds, cell.oracle_reps,
-                   cell.oracle_seconds / cell.seconds);
-    } else {
-      std::fprintf(json, ", \"oracle_seconds\": null");
-    }
-    std::fprintf(json, "}%s\n", i + 1 < cells.size() ? "," : "");
+                 cell.seconds, cell.reps, i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -12,7 +12,6 @@
 
 #include "api/planner.hpp"
 #include "api/wisdom.hpp"
-#include "model/combined_model.hpp"
 #include "perf/measure.hpp"
 #include "simd/cpu_features.hpp"
 #include "util/env.hpp"
@@ -59,17 +58,6 @@ void check_n(int n) {
                                 std::to_string(kMaxLog2Size) + "], got " +
                                 std::to_string(n));
   }
-}
-
-/// Per-vector model cost for arbitration: the backend's own model when it
-/// has one ("fused" prices memory passes), the CombinedModel at its vector
-/// width otherwise — the same pricing rule the Planner applies, minus the
-/// search-scoped memo (entries are priced once and cached).
-double model_unit_cost(const ExecutorBackend& backend, const core::Plan& plan) {
-  if (auto own = backend.cost_model()) return own(plan);
-  model::CombinedModel model;
-  model.vector_width = backend.vector_width();
-  return model(plan);
 }
 
 }  // namespace
@@ -154,7 +142,7 @@ void Engine::build_entry(Entry& e, int n, const std::string& backend) {
                                        kAnchorProtocol)
                       .cycles();
   } else {
-    e.unit_cost = model_unit_cost(transform->backend(), transform->plan());
+    e.unit_cost = model_with_backend(transform->backend())(transform->plan());
   }
   if (options_.telemetry) {
     e.telem_single = &telemetry_.series(n, backend, /*batch=*/false);

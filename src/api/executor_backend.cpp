@@ -12,6 +12,7 @@
 #include "core/parallel_executor.hpp"
 #include "core/schedule.hpp"
 #include "model/blocked_cost.hpp"
+#include "model/combined_model.hpp"
 #include "model/simd_cost.hpp"
 #include "simd/fused_executor.hpp"
 #include "simd/simd_executor.hpp"
@@ -329,6 +330,15 @@ perf::MeasureResult measure_with_backend(const ExecutorBackend& backend,
   return perf::measure_run(
       [&backend, &plan, &ctx](double* x) { backend.run(plan, x, 1, ctx); },
       plan.size(), options);
+}
+
+std::function<double(const core::Plan&)> model_with_backend(
+    const ExecutorBackend& backend, model::CostCache* cache) {
+  if (auto own = backend.cost_model()) return own;
+  model::CombinedModel model;
+  model.vector_width = backend.vector_width();
+  model.cost_cache = cache;
+  return [model](const core::Plan& candidate) { return model(candidate); };
 }
 
 }  // namespace whtlab::api

@@ -44,6 +44,10 @@
 #include "core/plan.hpp"
 #include "perf/measure.hpp"
 
+namespace whtlab::model {
+class CostCache;
+}  // namespace whtlab::model
+
 namespace whtlab::api {
 
 /// Knobs a factory may honour when instantiating a backend.
@@ -170,6 +174,16 @@ class BackendRegistry {
 perf::MeasureResult measure_with_backend(const ExecutorBackend& backend,
                                          const core::Plan& plan,
                                          const perf::MeasureOptions& options = {});
+
+/// The model-driven price of a plan on `backend`, the one rule the Planner's
+/// model strategies search with and the Engine's model-priced arbiter ranks
+/// with: the backend's own cost_model() when it has one ("fused" prices
+/// memory passes of the lowered schedule), otherwise the CombinedModel at
+/// the backend's vector_width().  `cache` (may be nullptr) memoizes the
+/// CombinedModel's per-subtree miss recursion across one search; it must
+/// outlive the returned callable.
+std::function<double(const core::Plan&)> model_with_backend(
+    const ExecutorBackend& backend, model::CostCache* cache = nullptr);
 
 }  // namespace whtlab::api
 

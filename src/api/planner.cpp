@@ -21,23 +21,6 @@ namespace {
 /// (a(10) is already ~10^6 plans; see search/exhaustive.hpp).
 constexpr int kMaxExhaustive = 8;
 
-/// Model-driven pricing for the backend the Transform will own: a backend
-/// supplying its own cost_model() (e.g. "fused", which prices memory
-/// passes of the lowered schedule) is taken at its word; otherwise the
-/// CombinedModel prices the tree walk, with vectorized backends ("simd"
-/// and any custom backend overriding vector_width()) priced at their
-/// vector width and everything else at scalar counts.  `cache` memoizes
-/// the CombinedModel's per-subtree miss recursion across the search; it
-/// must outlive the returned callable.
-std::function<double(const core::Plan&)> model_for(
-    const ExecutorBackend& backend, model::CostCache* cache) {
-  if (auto own = backend.cost_model()) return own;
-  model::CombinedModel model;
-  model.vector_width = backend.vector_width();
-  model.cost_cache = cache;
-  return [model](const core::Plan& candidate) { return model(candidate); };
-}
-
 }  // namespace
 
 Planner& Planner::strategy(Strategy s) {
@@ -134,10 +117,9 @@ core::Plan Planner::search_plan(int n, const ExecutorBackend& backend,
     return measure_with_backend(backend, candidate, measure).cycles();
   };
 
-  // One memo per search: the model-driven strategies price overlapping
-  // candidates (DP composes winners, anneal revisits neighbourhoods), and
-  // the cache lets both the searches (whole candidates) and the combined
-  // model (subtrees per stride class) skip repeated work.
+  // One memo per search: the combined model skips subtrees it already
+  // priced at a stride class (DP composes earlier winners), and anneal and
+  // sampled search skip whole candidates they revisit.
   model::CostCache cost_cache;
   const auto record_cache = [&cost_cache, &info]() {
     const auto& stats = cost_cache.stats();
@@ -149,9 +131,8 @@ core::Plan Planner::search_plan(int n, const ExecutorBackend& backend,
       search::DpOptions options;
       options.max_leaf = max_leaf_;
       options.max_parts = max_parts_ < 0 ? 4 : max_parts_;
-      options.cost_cache = &cost_cache;
-      auto result =
-          search::dp_search(n, model_for(backend, &cost_cache), options);
+      auto result = search::dp_search(
+          n, model_with_backend(backend, &cost_cache), options);
       info.evaluations = result.evaluations;
       info.cost = result.cost;
       info.best_by_size = std::move(result.best_by_size);
@@ -209,7 +190,7 @@ core::Plan Planner::search_plan(int n, const ExecutorBackend& backend,
       options.cost_cache = &cost_cache;
       util::Rng rng(seed_);
       const auto result = search::anneal_search(
-          n, model_for(backend, &cost_cache), rng, options);
+          n, model_with_backend(backend, &cost_cache), rng, options);
       info.evaluations = result.evaluations;
       info.cost = result.best_cost;
       record_cache();

@@ -33,8 +33,8 @@
 //
 // The result is bit-for-bit identical to the trace walk (a tested invariant
 // for every enumerated plan at small n and sampled plans through n = 14,
-// across geometries); the walker itself stays available as a validation
-// oracle behind WHTLAB_MODEL_ORACLE=1 (see cache_model.hpp).
+// across geometries); the walker itself stays as the reference those tests
+// compare against (trace_direct_mapped_misses, see cache_model.hpp).
 #pragma once
 
 #include <cstdint>

@@ -5,21 +5,8 @@
 
 #include "core/instrumented.hpp"
 #include "model/analytic_misses.hpp"
-#include "util/env.hpp"
 
 namespace whtlab::model {
-
-namespace {
-
-/// WHTLAB_MODEL_ORACLE=1 routes direct_mapped_misses() through the trace
-/// walk.  Read per call (one getenv per plan evaluation — noise next to
-/// either engine) so a validation harness can flip engines mid-process;
-/// bench_plan_time measures the before/after trajectory exactly this way.
-bool oracle_mode() {
-  return util::env_int("WHTLAB_MODEL_ORACLE", 0) != 0;
-}
-
-}  // namespace
 
 void CacheModelConfig::validate() const {
   const auto pow2 = [](std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; };
@@ -79,14 +66,12 @@ std::uint64_t trace_direct_mapped_misses(const core::Plan& plan,
 
 std::uint64_t direct_mapped_misses(const core::Plan& plan,
                                    const CacheModelConfig& config) {
-  if (oracle_mode()) return trace_direct_mapped_misses(plan, config);
   return analytic_direct_mapped_misses(plan, config);
 }
 
 std::uint64_t direct_mapped_misses(const core::Plan& plan,
                                    const CacheModelConfig& config,
                                    CostCache* cache) {
-  if (oracle_mode()) return trace_direct_mapped_misses(plan, config);
   return analytic_direct_mapped_misses(plan, config, cache);
 }
 

@@ -5,15 +5,13 @@
 // of that paper were obtained.  whtlab computes the count two ways:
 //
 //   * analytically (model/analytic_misses.hpp) — a closed-form O(tree)
-//     recursion over the plan's loop nest, the default and the engine that
-//     makes model-driven planning (kEstimate / kAnneal) sub-second at every
-//     supported size;
+//     recursion over the plan's loop nest, what direct_mapped_misses()
+//     computes and what model-driven planning (kEstimate / kAnneal) prices
+//     with;
 //   * by trace replay (trace_direct_mapped_misses below) — the original
 //     tag-per-set walk over the interpreter's full O(n·2^n) access
-//     sequence, kept as the validation oracle.  Setting the
-//     WHTLAB_MODEL_ORACLE=1 environment variable routes
-//     direct_mapped_misses() through it for a whole process (slow; for
-//     cross-checking the analytic model, never for planning).
+//     sequence, kept as the reference the tests check the recursion
+//     against.
 //
 // The two agree exactly — a tested invariant over every enumerated plan at
 // small sizes and sampled plans through n = 14, across cache geometries.
@@ -48,16 +46,14 @@ struct CacheModelConfig {
 };
 
 /// Exact miss count of one cold-start execution of `plan` in a direct-mapped
-/// cache with the given geometry.  Computed from the plan description alone:
-/// analytically in O(tree) by default, by trace replay when the
-/// WHTLAB_MODEL_ORACLE environment variable is set to a nonzero value.
+/// cache with the given geometry, computed analytically in O(tree) from the
+/// plan description alone.
 std::uint64_t direct_mapped_misses(const core::Plan& plan,
                                    const CacheModelConfig& config);
 
 /// Memoizing variant: per-(subtree, stride) results land in `cache`
 /// (model/cost_cache.hpp) so searches stop re-pricing shared subtrees.
-/// nullptr degrades to the plain call; oracle mode ignores the cache (the
-/// trace walk is the baseline being validated, not a production path).
+/// nullptr degrades to the plain call.
 std::uint64_t direct_mapped_misses(const core::Plan& plan,
                                    const CacheModelConfig& config,
                                    CostCache* cache);

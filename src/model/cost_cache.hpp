@@ -9,9 +9,10 @@
 //
 //   * whole-plan model values, keyed by the plan's grammar string plus a
 //     caller-chosen tag (geometry / backend width — anything that changes
-//     the answer), consulted by the searches (search/dp_search.hpp,
-//     search/local_search.hpp, search/pruned_search.hpp) before invoking
-//     the cost function;
+//     the answer), consulted by the searches that revisit candidates
+//     (search/local_search.hpp, search/pruned_search.hpp) before invoking
+//     the cost function; DP never does, since each of its candidates is a
+//     distinct tree;
 //   * per-subtree miss counts, keyed by (subtree grammar, stride class),
 //     consulted by the analytic cache model's recursion
 //     (model/analytic_misses.hpp) so a subtree shared by many candidates

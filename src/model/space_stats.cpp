@@ -34,7 +34,7 @@ ExtremeResult extreme(int n, const SpaceOptions& options, bool minimize) {
       have = true;
     }
     if (m >= 2) {
-      util::for_each_composition(m, 2, [&](const std::vector<int>& parts) {
+      util::for_each_composition(m, 2, 0, [&](const std::vector<int>& parts) {
         double value = split_overhead(m, parts, options.weights);
         for (int part : parts) {
           value += child_multiplicity(m, part) *
@@ -97,7 +97,7 @@ MomentsResult instruction_moments(int n, const SpaceOptions& options) {
       add_option(leaf_cost(m, options.weights), 0.0, 0.0);
     }
     if (m >= 2) {
-      util::for_each_composition(m, 2, [&](const std::vector<int>& parts) {
+      util::for_each_composition(m, 2, 0, [&](const std::vector<int>& parts) {
         // Conditional on this composition, X = overhead + sum_i w_i * X_i
         // with independent subtrees, so central moments are additive in
         // w_i^p * kappa_p(X_i).
@@ -210,7 +210,7 @@ std::map<std::int64_t, double> instruction_distribution(
       pmf[key] += option_weight;
     }
     if (m >= 2) {
-      util::for_each_composition(m, 2, [&](const std::vector<int>& parts) {
+      util::for_each_composition(m, 2, 0, [&](const std::vector<int>& parts) {
         std::vector<const Pmf*> children;
         std::vector<double> scales;
         children.reserve(parts.size());

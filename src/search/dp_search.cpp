@@ -22,20 +22,8 @@ DpResult dp_search(int n, const CostFn& cost, const DpOptions& options) {
     core::Plan best_plan;
     double best_cost = 0.0;
     auto consider = [&](core::Plan candidate) {
-      double c;
-      if (options.cost_cache != nullptr) {
-        const std::string key = candidate.to_string();
-        if (const auto hit = options.cost_cache->lookup_plan(key)) {
-          c = *hit;
-        } else {
-          c = cost(candidate);
-          ++result.evaluations;
-          options.cost_cache->store_plan(key, c);
-        }
-      } else {
-        c = cost(candidate);
-        ++result.evaluations;
-      }
+      const double c = cost(candidate);
+      ++result.evaluations;
       if (!have || c < best_cost) {
         best_cost = c;
         best_plan = std::move(candidate);
@@ -44,21 +32,16 @@ DpResult dp_search(int n, const CostFn& cost, const DpOptions& options) {
     };
     if (m <= options.max_leaf) consider(core::Plan::small(m));
     if (m >= 2) {
-      util::for_each_composition(m, 2, [&](const std::vector<int>& parts) {
-        if (options.max_parts > 0 &&
-            static_cast<int>(parts.size()) > options.max_parts) {
-          return;
-        }
-        for (int part : parts) {
-          if (part < options.min_part) return;
-        }
-        std::vector<core::Plan> children;
-        children.reserve(parts.size());
-        for (int part : parts) {
-          children.push_back(result.best_by_size[static_cast<std::size_t>(part)]);
-        }
-        consider(core::Plan::split(std::move(children)));
-      });
+      util::for_each_composition(
+          m, 2, options.max_parts, [&](const std::vector<int>& parts) {
+            std::vector<core::Plan> children;
+            children.reserve(parts.size());
+            for (int part : parts) {
+              children.push_back(
+                  result.best_by_size[static_cast<std::size_t>(part)]);
+            }
+            consider(core::Plan::split(std::move(children)));
+          });
     }
     if (!have) throw std::logic_error("dp_search: no candidate at size " +
                                       std::to_string(m));

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/plan.hpp"
-#include "model/cost_cache.hpp"
 
 namespace whtlab::search {
 
@@ -32,17 +31,10 @@ using CostFn = std::function<double(const core::Plan&)>;
 struct DpOptions {
   int max_leaf = core::kMaxUnrolled;
   /// Cap on composition parts per split; 0 = all 2^(m-1) compositions.
+  /// The walk steps over the compositions the cap excludes, so a capped
+  /// search costs the candidates it prices (sum over m of C(m-1, t-1),
+  /// t = 2..max_parts), not 2^(m-1) per size.
   int max_parts = 0;
-  /// Restrict DP to sizes >= this as split parts (always 1).
-  int min_part = 1;
-  /// Whole-candidate memo.  Within one dp_search every candidate tree is
-  /// distinct (each composition assembles different children), so this only
-  /// pays when the caller shares one cache across searches — repeated
-  /// plan() calls over overlapping sizes re-surface the same winners-by-
-  /// size candidates.  DP's *within-search* speedup comes from the subtree
-  /// memo the same cache feeds inside model::CombinedModel.  The caller
-  /// must pair one cache with one cost function.
-  model::CostCache* cost_cache = nullptr;
 };
 
 struct DpResult {

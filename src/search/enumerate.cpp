@@ -15,7 +15,7 @@ const std::vector<core::Plan>& build(
   std::vector<core::Plan> out;
   if (n <= max_leaf) out.push_back(core::Plan::small(n));
   if (n >= 2) {
-    util::for_each_composition(n, 2, [&](const std::vector<int>& parts) {
+    util::for_each_composition(n, 2, 0, [&](const std::vector<int>& parts) {
       // Cartesian product of children alternatives, odometer-style.
       std::vector<const std::vector<core::Plan>*> pools;
       pools.reserve(parts.size());

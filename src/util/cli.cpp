@@ -5,6 +5,26 @@
 
 namespace whtlab::util {
 
+namespace {
+
+/// `text` read whole by `parse` (std::stoll or std::stod): no number, a
+/// number with trailing text, or one out of range throws
+/// std::invalid_argument naming the flag.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& text,
+                 Parse parse) {
+  std::size_t pos = 0;
+  try {
+    const auto value = parse(text, &pos);
+    if (pos == text.size()) return value;
+  } catch (const std::logic_error&) {
+    // std::invalid_argument or std::out_of_range; reported below.
+  }
+  throw std::invalid_argument("--" + name + ": not a number: " + text);
+}
+
+}  // namespace
+
 void Cli::add_flag(const std::string& name, const std::string& help,
                    std::optional<std::string> default_value) {
   flags_[name] = Flag{help, std::move(default_value), /*boolean=*/false};
@@ -82,13 +102,17 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   const std::string text = get(name);
   if (text.empty()) return fallback;
-  return std::stoll(text);
+  return parse_whole(name, text, [](const std::string& s, std::size_t* pos) {
+    return std::stoll(s, pos);
+  });
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const std::string text = get(name);
   if (text.empty()) return fallback;
-  return std::stod(text);
+  return parse_whole(name, text, [](const std::string& s, std::size_t* pos) {
+    return std::stod(s, pos);
+  });
 }
 
 std::vector<int> Cli::get_int_list(const std::string& name) const {

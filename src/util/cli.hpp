@@ -28,6 +28,8 @@ class Cli {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback = "") const;
+  /// Numeric values; text that is not wholly a number ("3abc", "2x") throws
+  /// std::invalid_argument rather than reading its prefix.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   /// Comma-separated integers ("1,2,4"); empty entries are skipped.

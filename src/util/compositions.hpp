@@ -8,6 +8,7 @@
 // mask 0 is the trivial one-part composition.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -24,13 +25,22 @@ std::vector<int> composition_from_mask(int n, std::uint64_t mask);
 std::uint64_t composition_to_mask(const std::vector<int>& parts);
 
 /// Calls fn(const std::vector<int>& parts) for every composition of n with at
-/// least `min_parts` parts, in mask order.  The vector is reused between
-/// calls; copy it if you keep it.
+/// least `min_parts` and at most `max_parts` parts (0 = no cap), in mask
+/// order.  Masks with too many cut bits are stepped over without being
+/// decoded, so a capped walk costs what it visits, not 2^(n-1).  The vector
+/// is reused between calls; copy it if you keep it.
 template <typename Fn>
-void for_each_composition(int n, int min_parts, Fn&& fn) {
+void for_each_composition(int n, int min_parts, int max_parts, Fn&& fn) {
   const std::uint64_t total = std::uint64_t{1} << (n - 1);
+  const int max_cuts = max_parts > 0 ? max_parts - 1 : n;
   std::vector<int> parts;
   for (std::uint64_t mask = 0; mask < total; ++mask) {
+    // Adding the lowest set bit skips only masks with even more bits set.
+    while (mask < total && std::popcount(mask) > max_cuts) {
+      mask += mask & (~mask + 1);
+    }
+    if (mask >= total) break;
+    if (std::popcount(mask) + 1 < min_parts) continue;
     parts.clear();
     int run = 1;
     for (int i = 0; i < n - 1; ++i) {
@@ -42,7 +52,7 @@ void for_each_composition(int n, int min_parts, Fn&& fn) {
       }
     }
     parts.push_back(run);
-    if (static_cast<int>(parts.size()) >= min_parts) fn(parts);
+    fn(parts);
   }
 }
 

@@ -75,8 +75,8 @@ TEST(AnalyticMisses, MatchesOracleOnSampledPlansThroughFourteen) {
 }
 
 TEST(AnalyticMisses, DefaultRoutingUsesTheAnalyticEngine) {
-  // direct_mapped_misses() == analytic (WHTLAB_MODEL_ORACLE unset in the
-  // test environment), and both equal the oracle anyway.
+  // direct_mapped_misses() is the analytic recursion, and both equal the
+  // oracle anyway.
   util::Rng rng(7);
   search::RecursiveSplitSampler sampler(core::kMaxUnrolled);
   const Plan plan = sampler.sample(13, rng);

@@ -43,7 +43,6 @@ TEST(CostCache, DpSameResultWithSubtreeMemoization) {
 
   CostCache cache;
   search::DpOptions cached_options = plain_options;
-  cached_options.cost_cache = &cache;
   CombinedModel cached_model;
   cached_model.cache = {1024, 8};
   cached_model.cost_cache = &cache;

@@ -86,6 +86,11 @@ TEST(DpSearch, EvaluationBudgetIsSumOfCandidates) {
   // candidates: m=1: 1 leaf; m>=2: 2^(m-1)-1 compositions.
   // 1 + 1 + 3 + 7 + 15 = 27.
   EXPECT_EQ(result.evaluations, 27u);
+  // With at most 4 parts, size m prices C(m-1, 1) + C(m-1, 2) + C(m-1, 3)
+  // splits; summed over m = 2..20 with the leaf at m = 1:
+  // 1 + C(20,2) + C(20,3) + C(20,4) = 1 + 190 + 1140 + 4845 = 6176.
+  options.max_parts = 4;
+  EXPECT_EQ(dp_search(20, model_cost, options).evaluations, 6176u);
 }
 
 TEST(DpSearch, ArgumentValidation) {

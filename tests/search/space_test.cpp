@@ -14,7 +14,7 @@ namespace {
 util::BigInt brute_count(int n, int max_leaf) {
   util::BigInt total(n <= max_leaf ? 1 : 0);
   if (n >= 2) {
-    util::for_each_composition(n, 2, [&](const std::vector<int>& parts) {
+    util::for_each_composition(n, 2, 0, [&](const std::vector<int>& parts) {
       util::BigInt product(1);
       for (int part : parts) product *= brute_count(part, max_leaf);
       total += product;

@@ -52,7 +52,7 @@ TEST(Compositions, ForEachVisitsAllExactlyOnce) {
   const int n = 6;
   std::set<std::vector<int>> seen;
   std::uint64_t visits = 0;
-  for_each_composition(n, 1, [&](const std::vector<int>& parts) {
+  for_each_composition(n, 1, 0, [&](const std::vector<int>& parts) {
     ++visits;
     EXPECT_EQ(std::accumulate(parts.begin(), parts.end(), 0), n);
     EXPECT_TRUE(seen.insert(parts).second) << "duplicate composition";
@@ -62,11 +62,40 @@ TEST(Compositions, ForEachVisitsAllExactlyOnce) {
 
 TEST(Compositions, ForEachRespectsMinParts) {
   std::uint64_t visits = 0;
-  for_each_composition(6, 3, [&](const std::vector<int>& parts) {
+  for_each_composition(6, 3, 0, [&](const std::vector<int>& parts) {
     EXPECT_GE(parts.size(), 3u);
     ++visits;
   });
   EXPECT_EQ(visits, composition_count(6, 3));
+}
+
+TEST(Compositions, CappedWalkMatchesFilteredWalkInOrder) {
+  // The cap steps over masks without decoding them; it must visit exactly
+  // what a full walk keeps after filtering, in the same (mask) order —
+  // the DP keeps the first of equal-priced candidates.
+  for (int n = 1; n <= 16; ++n) {
+    for (int cap = 0; cap <= 5; ++cap) {
+      std::vector<std::vector<int>> filtered;
+      for_each_composition(n, 1, 0, [&](const std::vector<int>& parts) {
+        if (cap == 0 || static_cast<int>(parts.size()) <= cap) {
+          filtered.push_back(parts);
+        }
+      });
+      std::vector<std::vector<int>> capped;
+      for_each_composition(n, 1, cap, [&](const std::vector<int>& parts) {
+        capped.push_back(parts);
+      });
+      EXPECT_EQ(capped, filtered) << "n=" << n << " cap=" << cap;
+    }
+  }
+  // n = 20 with 2 to 4 parts: C(19,1) + C(19,2) + C(19,3) = 1159 calls.
+  std::uint64_t visits = 0;
+  for_each_composition(20, 2, 4, [&](const std::vector<int>& parts) {
+    EXPECT_GE(parts.size(), 2u);
+    EXPECT_LE(parts.size(), 4u);
+    ++visits;
+  });
+  EXPECT_EQ(visits, 1159u);
 }
 
 TEST(Compositions, BadArgumentsThrow) {

@@ -17,9 +17,16 @@ namespace whtlab::util {
 namespace {
 
 TEST(AlignedBuffer, AlignmentAndSize) {
-  AlignedBuffer buf(1000);
-  EXPECT_EQ(buf.size(), 1000u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % kCacheLineBytes, 0u);
+  // The second size is a mapped buffer (kMappedBufferBytes and up).
+  for (const std::size_t count : {std::size_t{1000}, std::size_t{1} << 17}) {
+    AlignedBuffer buf(count);
+    EXPECT_EQ(buf.size(), count);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % kCacheLineBytes,
+              0u);
+    buf[0] = 1.0;
+    buf[count - 1] = 2.0;
+    EXPECT_EQ(buf[0] + buf[count - 1], 3.0);
+  }
 }
 
 TEST(AlignedBuffer, FillAndIndex) {
@@ -31,13 +38,22 @@ TEST(AlignedBuffer, FillAndIndex) {
 }
 
 TEST(AlignedBuffer, MoveTransfersOwnership) {
-  AlignedBuffer a(8);
-  a.fill(1.0);
-  double* ptr = a.data();
-  AlignedBuffer b(std::move(a));
-  EXPECT_EQ(b.data(), ptr);
-  EXPECT_EQ(a.data(), nullptr);  // NOLINT(bugprone-use-after-move)
-  EXPECT_TRUE(a.empty());
+  for (const std::size_t count : {std::size_t{8}, std::size_t{1} << 17}) {
+    AlignedBuffer a(count);
+    a.fill(1.0);
+    double* ptr = a.data();
+    AlignedBuffer b(std::move(a));
+    EXPECT_EQ(b.data(), ptr);
+    EXPECT_EQ(a.data(), nullptr);  // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(a.empty());
+    // Move-assignment releases what the target held, of either kind.
+    AlignedBuffer c(8);
+    c = std::move(b);
+    EXPECT_EQ(c.data(), ptr);
+    EXPECT_EQ(c[count - 1], 1.0);
+    c = AlignedBuffer(1u << 17);
+    EXPECT_EQ(c.size(), std::size_t{1} << 17);
+  }
 }
 
 TEST(AlignedBuffer, EmptyBuffer) {
@@ -121,6 +137,17 @@ TEST(Cli, DefaultsApply) {
   EXPECT_TRUE(cli.has("samples"));
   EXPECT_EQ(cli.get_int("samples", 0), 100);
   EXPECT_EQ(cli.get_double("samples", 0.0), 100.0);
+}
+
+TEST(Cli, NumbersRejectTrailingText) {
+  Cli cli;
+  cli.add_flag("slots", "count");
+  cli.add_flag("wedge-ms", "ms");
+  const char* argv[] = {"prog", "--slots=3abc", "--wedge-ms", "2x"};
+  ASSERT_TRUE(cli.parse(4, const_cast<char**>(argv)));
+  EXPECT_THROW(cli.get_int("slots", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("wedge-ms", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("wedge-ms", 0.0), std::invalid_argument);
 }
 
 TEST(Cli, IntListSkipsEmptyEntries) {

@@ -106,44 +106,44 @@ int main(int argc, char** argv) {
   cli.add_bool("supervise", "watchdogged child: restart on crash/wedge, SIGHUP rolling restart");
   if (!cli.parse(argc, argv)) return 2;
 
+  // Every numeric flag is parsed and range-checked here, before anything
+  // is forked or bound: a bad value exits 2.
   whtlab::ipc::DaemonOptions options;
+  whtlab::ipc::ServeOptions serve_options;
+  whtlab::ipc::SupervisorOptions supervisor;
   try {
     options = options_from(cli);
+    serve_options.stats_interval_ms = flag_value(
+        cli, "stats-interval-ms", serve_options.stats_interval_ms);
+    supervisor.wedge_ms = flag_value(cli, "wedge-ms", supervisor.wedge_ms);
+    supervisor.max_restarts =
+        flag_value(cli, "max-restarts", supervisor.max_restarts);
+    supervisor.stable_ms = flag_value(cli, "stable-ms", supervisor.stable_ms);
+    supervisor.handoff_ready_ms =
+        flag_value(cli, "handoff-ready-ms", supervisor.handoff_ready_ms);
+    if (serve_options.stats_interval_ms < 1) {
+      throw std::invalid_argument("--stats-interval-ms must be >= 1");
+    }
+    if (supervisor.wedge_ms < 1) {
+      throw std::invalid_argument("--wedge-ms must be >= 1");
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "whtd: %s\n", e.what());
     return 2;
   }
 
-  const std::int64_t stats_interval_ms = cli.get_int("stats-interval-ms", 1000);
-  if (stats_interval_ms < 1) {
-    std::fprintf(stderr, "whtd: --stats-interval-ms must be >= 1\n");
-    return 2;
-  }
-  whtlab::ipc::ServeOptions serve_options;
   // Asking for an interval implies asking for the stats line.
   serve_options.stats = cli.has("stats") || cli.has("stats-interval-ms");
-  serve_options.stats_interval_ms = stats_interval_ms;
   serve_options.prewarm = cli.has("prewarm");
   serve_options.once_ready = cli.has("once-ready");
 
   if (cli.has("supervise")) {
-    whtlab::ipc::SupervisorOptions supervisor;
     supervisor.daemon = options;
     supervisor.child = serve_options;
     // Config/env re-read per spawned child: flags pin what they name, the
     // environment underneath may move between handoffs.
     supervisor.reload = [cli] { return options_from(cli); };
     supervisor.pid_file = cli.get("pid-file", "");
-    supervisor.wedge_ms = cli.get_int("wedge-ms", 10000);
-    supervisor.max_restarts = cli.get_int("max-restarts", 0);
-    supervisor.stable_ms = static_cast<std::uint64_t>(
-        cli.get_int("stable-ms", 60000));
-    supervisor.handoff_ready_ms = static_cast<std::uint64_t>(
-        cli.get_int("handoff-ready-ms", 30000));
-    if (supervisor.wedge_ms < 1) {
-      std::fprintf(stderr, "whtd: --wedge-ms must be >= 1\n");
-      return 2;
-    }
     return whtlab::ipc::run_supervisor(supervisor);
   }
   serve_options.pid_file = cli.get("pid-file", "");

@@ -1,10 +1,10 @@
 // bench_fused_compare — tree-walk SIMD vs cache-blocked fused engine
 // (BENCH_fused.json), the memory-bound big-n trajectory.
 //
-// For each size n in [nmin, nmax], plans with the measurement-free
-// kEstimate strategy *per backend* (each backend prices candidates with its
-// own model: "simd" with the SIMD instruction model, "fused" with the
-// memory-pass model) and times single transforms through each backend with
+// For each size n in [nmin, nmax], plans "simd" with the measurement-free
+// kEstimate strategy (candidates priced by the SIMD instruction model) and
+// "fused" with no search at all (it is plan-oblivious: one schedule per
+// size), and times single transforms through each backend with
 // the perf protocol (warmup, repetitions, median — the noise convention for
 // 1-vCPU hosts; see README's bench section).  A scalar "generated" column
 // anchors the absolute speedups.  --threads adds one fused column per
@@ -24,9 +24,9 @@
 //        --benchmark_repetitions is an alias for --reps;
 //        --no-baseline skips the slow scalar column for quick ablations —
 //        its JSON fields become null;
-//        --wisdom caches the kEstimate winners so repeat runs skip even
-//        the sub-second analytic planning pass — see bench_plan_time for
-//        the planning-cost trajectory itself.)
+//        --wisdom caches the "simd" kEstimate winners so repeat runs skip
+//        even the millisecond analytic planning pass — see bench_plan_time
+//        for the planning-cost trajectory itself.)
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -115,8 +115,8 @@ int main(int argc, char** argv) {
   }
 
   for (int n = nmin; n <= nmax; ++n) {
-    // Each backend gets its own kEstimate winner — candidates priced by the
-    // model of the engine that will run them.
+    // "simd" gets its own kEstimate winner, priced by the model of the
+    // engine that will run it; "fused" plans nothing.
     wht::Planner simd_planner;
     simd_planner.backend("simd");
     wht::Planner fused_planner;

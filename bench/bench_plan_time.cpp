@@ -2,11 +2,12 @@
 // committed BENCH_plan.json cells.
 //
 // Each cell times wht::Planner end to end (search + model, the product
-// path).  kEstimate is the DP over split compositions of at most 4 parts:
-// per size m it prices C(m-1, 1) + C(m-1, 2) + C(m-1, 3) splits (plus a leaf
-// while m fits a codelet) and walks only those, so n = 22 costs
-// milliseconds on every backend.  kAnneal prices a fixed number of
-// mutations.
+// path) and records the plan's evaluation count.  kEstimate is the DP over
+// split compositions of at most 4 parts: per size m it prices
+// C(m-1, 1) + C(m-1, 2) + C(m-1, 3) splits (plus a leaf while m fits a
+// codelet) and walks only those, so n = 22 costs milliseconds on the
+// tree-walk backends.  kAnneal prices a fixed number of mutations.  "fused"
+// is plan-oblivious: its cells read microseconds and 0 evaluations.
 //
 // Noise convention (README bench section): every reported cell is a median
 // over --reps timed repetitions.
@@ -17,6 +18,7 @@
 //       --max-seconds S exits nonzero when any kEstimate median exceeds S —
 //       the CI plan-time regression gate.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
@@ -71,26 +73,17 @@ double median(std::vector<double> samples) {
   return 0.5 * (samples[mid - 1] + samples[mid]);
 }
 
-/// One full Planner().strategy(s).backend(b).plan(n), wall-clock seconds.
+/// One full Planner().strategy(s).backend(b).plan(n): wall-clock seconds,
+/// and the plan's evaluation count in `evaluations`.
 double time_plan_once(wht::Strategy strategy, const std::string& backend,
-                      int n) {
+                      int n, std::uint64_t& evaluations) {
   wht::Planner planner;
   planner.strategy(strategy).backend(backend);
   const auto start = std::chrono::steady_clock::now();
   auto transform = planner.plan(n);
   const auto stop = std::chrono::steady_clock::now();
-  (void)transform;
+  evaluations = transform.planning().evaluations;
   return std::chrono::duration<double>(stop - start).count();
-}
-
-double time_plan_median(wht::Strategy strategy, const std::string& backend,
-                        int n, int reps) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    samples.push_back(time_plan_once(strategy, backend, n));
-  }
-  return median(samples);
 }
 
 struct Cell {
@@ -98,8 +91,24 @@ struct Cell {
   std::string backend;
   int n = 0;
   double seconds = 0.0;
+  std::uint64_t evaluations = 0;  ///< every rep plans the same, so one count
   int reps = 0;
 };
+
+Cell time_plan_median(wht::Strategy strategy, const std::string& backend,
+                      int n, int reps) {
+  Cell cell;
+  cell.backend = backend;
+  cell.n = n;
+  cell.reps = reps;
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(reps));
+  for (int r = 0; r < reps; ++r) {
+    samples.push_back(time_plan_once(strategy, backend, n, cell.evaluations));
+  }
+  cell.seconds = median(samples);
+  return cell;
+}
 
 }  // namespace
 
@@ -132,8 +141,8 @@ int main(int argc, char** argv) {
 
   std::printf("simd level: %s; host cores %u; reps %d (median per cell)\n",
               simd::to_string(simd::active_level()), host_cores, reps);
-  std::printf("%10s %10s %4s %14s %6s\n", "strategy", "backend", "n",
-              "plan sec", "reps");
+  std::printf("%10s %10s %4s %14s %12s %6s\n", "strategy", "backend", "n",
+              "plan sec", "evaluations", "reps");
 
   std::vector<Cell> cells;
   bool gate_failed = false;
@@ -141,12 +150,8 @@ int main(int argc, char** argv) {
     const wht::Strategy strategy = parse_strategy(strategy_name);
     for (const auto& backend : backends) {
       for (int n = nmin; n <= nmax; n += step) {
-        Cell cell;
+        Cell cell = time_plan_median(strategy, backend, n, reps);
         cell.strategy = strategy_name;
-        cell.backend = backend;
-        cell.n = n;
-        cell.reps = reps;
-        cell.seconds = time_plan_median(strategy, backend, n, reps);
 
         if (max_seconds > 0 && strategy == wht::Strategy::kEstimate &&
             cell.seconds > max_seconds) {
@@ -158,8 +163,10 @@ int main(int argc, char** argv) {
           gate_failed = true;
         }
 
-        std::printf("%10s %10s %4d %14.6f %6d\n", strategy_name.c_str(),
-                    backend.c_str(), n, cell.seconds, cell.reps);
+        std::printf("%10s %10s %4d %14.6f %12llu %6d\n",
+                    strategy_name.c_str(), backend.c_str(), n, cell.seconds,
+                    static_cast<unsigned long long>(cell.evaluations),
+                    cell.reps);
         std::fflush(stdout);
         cells.push_back(cell);
       }
@@ -182,9 +189,12 @@ int main(int argc, char** argv) {
     const Cell& cell = cells[i];
     std::fprintf(json,
                  "    {\"strategy\": \"%s\", \"backend\": \"%s\", \"n\": %d, "
-                 "\"plan_seconds\": %.6f, \"reps\": %d}%s\n",
+                 "\"plan_seconds\": %.6f, \"evaluations\": %llu, "
+                 "\"reps\": %d}%s\n",
                  cell.strategy.c_str(), cell.backend.c_str(), cell.n,
-                 cell.seconds, cell.reps, i + 1 < cells.size() ? "," : "");
+                 cell.seconds,
+                 static_cast<unsigned long long>(cell.evaluations), cell.reps,
+                 i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -128,7 +128,7 @@ void print_banner(const std::string& figure, const std::string& description) {
   std::printf("================================================================\n");
   std::printf("%s — %s\n", figure.c_str(), description.c_str());
   std::printf("  (Andrews & Johnson, \"Performance Analysis of a Family of WHT\n");
-  std::printf("   Algorithms\", IPPS 2007; see EXPERIMENTS.md for shape checks)\n");
+  std::printf("   Algorithms\", IPPS 2007; see README.md, \"Paper figures\")\n");
   std::printf("================================================================\n");
 }
 

@@ -12,7 +12,7 @@
 //
 // The n = 18 defaults are scaled down from the paper's 10,000 samples so the
 // full bench sweep finishes in minutes; set WHTLAB_SAMPLES_LARGE=10000 for
-// the full-size run (see EXPERIMENTS.md).
+// the full-size run (see README.md, "Paper figures").
 #pragma once
 
 #include <cstdint>

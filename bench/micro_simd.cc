@@ -62,7 +62,7 @@ void BM_SimdExecute(benchmark::State& state) {
 void BM_FusedExecute(benchmark::State& state) {
   const core::Plan plan = bench_plan(static_cast<int>(state.range(0)));
   const core::Schedule schedule =
-      core::lower_plan(plan, simd::detect_blocking());
+      core::lower_size(plan.log2_size(), simd::detect_blocking());
   util::AlignedBuffer x(plan.size());
   util::Rng rng(3);
   for (auto& v : x) v = rng.uniform(-1, 1);

@@ -135,9 +135,9 @@ void Engine::build_entry(Entry& e, int n, const std::string& backend) {
   if (!options_.wisdom_file.empty()) planner.wisdom_file(options_.wisdom_file);
   auto transform = std::make_shared<Transform>(planner.plan(n));
   if (options_.measure_costs) {
-    // Anchor to cycles so "fused" model units and CombinedModel units are
-    // comparable across backends: one short measurement per (n, backend),
-    // paid at first touch, cached for the Engine's lifetime.
+    // Anchor to cycles so every candidate is priced in one unit: one short
+    // measurement per (n, backend), paid at first touch, cached for the
+    // Engine's lifetime.
     e.unit_cost = measure_with_backend(transform->backend(), transform->plan(),
                                        kAnchorProtocol)
                       .cycles();
@@ -166,9 +166,9 @@ std::size_t Engine::prewarm() {
     return 0;  // unreadable/corrupt wisdom: prewarm is best-effort
   }
   const std::string cpu = simd::to_string(simd::active_level());
-  // Dedup to (n, backend): wisdom may record several strategies for one
-  // shape, but the Engine caches exactly one Transform per pair.
-  std::set<std::pair<int, std::string>> shapes;
+  // A recorded size warms every candidate, as its first touch would:
+  // plan-oblivious backends ("fused") record no wisdom of their own.
+  std::set<int> sizes;
   for (const Wisdom::Key& key : wisdom.keys()) {
     if (key.cpu != cpu) continue;  // tuned for another host/SIMD level
     if (key.n < 1 || key.n > kMaxLog2Size) continue;
@@ -176,15 +176,17 @@ std::size_t Engine::prewarm() {
         candidates_.end()) {
       continue;
     }
-    shapes.emplace(key.n, key.backend);
+    sizes.insert(key.n);
   }
   std::size_t built = 0;
-  for (const auto& [n, backend] : shapes) {
-    try {
-      if (transform(n, backend) != nullptr) ++built;
-    } catch (const std::exception&) {
-      // A shape that cannot build now will retry on first touch; prewarm
-      // must not keep the daemon from serving everything else.
+  for (const int n : sizes) {
+    for (const std::string& backend : candidates_) {
+      try {
+        if (transform(n, backend) != nullptr) ++built;
+      } catch (const std::exception&) {
+        // A shape that cannot build now will retry on first touch; prewarm
+        // must not keep the daemon from serving everything else.
+      }
     }
   }
   return built;

@@ -17,13 +17,12 @@
 //     machine, then every Engine in every process reuses it).
 //   * Serve-time backend arbitration — each registered candidate backend is
 //     priced for the request shape (single vector vs batch, size, thread
-//     budget) from its own cost_model() or the CombinedModel at its vector
-//     width, anchored to measured cycles by default so cross-backend units
-//     are comparable, and
-//     scaled by ExecutorBackend::batch_factor for the batch shape.  The
+//     budget) from a first-touch measured anchor (cycles per vector; with
+//     measure_costs off, its model cost instead), scaled by
+//     ExecutorBackend::batch_factor for the batch shape.  The
 //     measure-or-model autotuning idea, applied across backends at serve
-//     time: "fused" wins big single vectors (memory passes), "simd" wins
-//     tiny-n batches (interleave), per the models — not per a hardcode.
+//     time: "fused" wins big single vectors by its measured anchor, "simd"
+//     wins tiny-n batches (interleave) — not per a hardcode.
 //   * One way to group — a caller holding separately placed vectors passes
 //     them as a pointer array to execute_many(n, xs, count, ctx), which
 //     stages them into ONE arbitrated run_many call.  Every request, a
@@ -82,11 +81,10 @@ struct EngineOptions {
   /// Wisdom file consulted/updated by first-touch planning ("" = none).
   std::string wisdom_file;
 
-  /// Anchor each (n, backend) model cost to measured cycles (one short
-  /// measurement at first touch: one warmup run, median of three) so
-  /// arbitration compares cycles with cycles.  Off = raw model units (only
-  /// meaningful when every candidate's model shares units — e.g. custom
-  /// backends in tests).
+  /// Price each (n, backend) by measured cycles (one short measurement at
+  /// first touch: one warmup run, median of three) so arbitration compares
+  /// cycles with cycles.  Off = raw model units (only meaningful when every
+  /// candidate's model shares units — e.g. custom backends in tests).
   bool measure_costs = true;
 
   /// Backend circuit breaker: after this many consecutive serving-time
@@ -167,14 +165,16 @@ class Engine {
   /// lookup on a hot serve path.
   std::shared_ptr<const Transform> transform(int n, const std::string& backend);
 
-  /// Rebuilds the shared Transform cache for every (n, backend) shape the
-  /// configured wisdom file records for this host's SIMD level and this
-  /// Engine's candidate backends — so a freshly (re)started daemon pays its
-  /// first-touch planning stalls *before* taking traffic instead of on the
-  /// first unlucky request (`whtd --prewarm`).  Returns the number of
-  /// Transforms built; shapes whose build throws are skipped (they will
-  /// retry on first touch, exactly as without prewarming).  No wisdom file
-  /// configured, or none readable, prewarms nothing.
+  /// Builds the shared Transform of every candidate backend for each size
+  /// n the configured wisdom file records for this host's SIMD level and
+  /// one of this Engine's candidates — what the first touch of n would
+  /// build — so a freshly (re)started daemon pays its first-touch planning
+  /// stalls *before* taking traffic instead of on the first unlucky request
+  /// (`whtd --prewarm`).  Plan-oblivious candidates ("fused") record no
+  /// wisdom, and are warmed through the sizes the others record.  Returns
+  /// the number of Transforms built; shapes whose build throws are skipped
+  /// (they will retry on first touch, exactly as without prewarming).  No
+  /// wisdom file configured, or none readable, prewarms nothing.
   std::size_t prewarm();
 
   /// Durability barrier for the configured wisdom file: re-merges the

@@ -11,7 +11,6 @@
 #include "core/executor.hpp"
 #include "core/parallel_executor.hpp"
 #include "core/schedule.hpp"
-#include "model/blocked_cost.hpp"
 #include "model/combined_model.hpp"
 #include "model/simd_cost.hpp"
 #include "simd/fused_executor.hpp"
@@ -160,9 +159,10 @@ class SimdBackend final : public ExecutorBackend {
   int threads_;
 };
 
-/// Cache-blocked stage-fused engine: plans lower to a flat blocked schedule
-/// (a property of the size and the probed cache geometry, not of the tree
-/// shape), executed by the fused SIMD kernels with scalar/strided fallback.
+/// Cache-blocked stage-fused engine: every plan of one size runs one flat
+/// blocked schedule (a property of the size and the probed cache geometry,
+/// not of the tree shape), executed by the fused SIMD kernels with
+/// scalar/strided fallback.
 class FusedBackend final : public ExecutorBackend {
  public:
   explicit FusedBackend(int threads)
@@ -192,14 +192,7 @@ class FusedBackend final : public ExecutorBackend {
     return fanout_factor(count, std::min(threads, threads_));
   }
 
-  std::function<double(const core::Plan&)> cost_model() const override {
-    model::BlockedCostConfig config;
-    config.blocking = blocking_;
-    config.vector_width = vector_width();
-    return [config](const core::Plan& plan) {
-      return model::blocked_cost(plan, config);
-    };
-  }
+  bool plan_oblivious() const override { return true; }
 
  private:
   /// Schedules depend only on (size, blocking) — immutable derived state.
@@ -220,7 +213,7 @@ class FusedBackend final : public ExecutorBackend {
     const std::lock_guard<std::mutex> lock(schedule_mutex_);
     if (!lowered_[n]) {
       lowered_[n] = std::make_unique<const core::Schedule>(
-          core::lower_plan(plan, blocking_));
+          core::lower_size(n, blocking_));
       schedules_[n].store(lowered_[n].get(), std::memory_order_release);
     }
     return *lowered_[n];

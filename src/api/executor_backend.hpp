@@ -25,9 +25,10 @@
 //   "simd"          vectorized tree walk + batch-interleaved run_many with
 //                   runtime CPUID dispatch (AVX-512F / AVX2 / scalar; see
 //                   simd/simd_executor.hpp); threads fan out batch chunks
-//   "fused"         cache-blocked stage-fused schedule engine: plans lower
-//                   to flat blocked passes (core/schedule.hpp) run by the
-//                   fused SIMD kernels (simd/fused_executor.hpp) — the
+//   "fused"         cache-blocked stage-fused schedule engine: each size
+//                   runs one flat blocked schedule (core/schedule.hpp) on
+//                   the fused SIMD kernels (simd/fused_executor.hpp), whatever
+//                   the plan, so the Planner searches nothing for it — the
 //                   memory-bound big-n engine; threads fan out batch chunks
 //                   and split one vector beyond the largest cache block
 #pragma once
@@ -109,12 +110,19 @@ class ExecutorBackend {
   /// Optional full replacement for the Planner's model-driven pricing: a
   /// callable mapping a candidate plan to this backend's model cost, or an
   /// empty function (the default) to use the CombinedModel at
-  /// vector_width().  Backends whose execution does not follow the tree
-  /// walk override this — "fused" prices lowered schedules (memory passes,
-  /// not just butterflies; model/blocked_cost.hpp).
+  /// vector_width().  No built-in backend overrides it; it is the seam
+  /// through which a custom backend (or a test's scripted one) prices its
+  /// own plans.
   virtual std::function<double(const core::Plan&)> cost_model() const {
     return {};
   }
+
+  /// True when run() executes the same computation for every plan of one
+  /// size, so no plan is better than another ("fused": the schedule is a
+  /// property of n and the cache geometry).  The Planner then searches
+  /// nothing for this backend: every strategy but kFixed returns
+  /// core::Plan::iterative(n) with no evaluations and no wisdom entry.
+  virtual bool plan_oblivious() const { return false; }
 
   /// Serve-shape pricing hook for the Engine's cross-backend arbiter
   /// (api/engine.hpp): the predicted per-vector cost ratio of one
@@ -177,11 +185,10 @@ perf::MeasureResult measure_with_backend(const ExecutorBackend& backend,
 
 /// The model-driven price of a plan on `backend`, the one rule the Planner's
 /// model strategies search with and the Engine's model-priced arbiter ranks
-/// with: the backend's own cost_model() when it has one ("fused" prices
-/// memory passes of the lowered schedule), otherwise the CombinedModel at
-/// the backend's vector_width().  `cache` (may be nullptr) memoizes the
-/// CombinedModel's per-subtree miss recursion across one search; it must
-/// outlive the returned callable.
+/// with: the backend's own cost_model() when it has one, otherwise the
+/// CombinedModel at the backend's vector_width().  `cache` (may be nullptr)
+/// memoizes the CombinedModel's per-subtree miss recursion across one
+/// search; it must outlive the returned callable.
 std::function<double(const core::Plan&)> model_with_backend(
     const ExecutorBackend& backend, model::CostCache* cache = nullptr);
 

@@ -54,7 +54,11 @@ Planner& Planner::max_leaf(int k) {
 }
 
 Planner& Planner::max_parts(int parts) {
-  if (parts < -1) throw std::invalid_argument("Planner: bad max_parts");
+  // A split has at least two parts, so a cap of 1 leaves the DP nothing to
+  // compose above the largest leaf.
+  if (parts < -1 || parts == 1) {
+    throw std::invalid_argument("Planner: max_parts must be -1, 0 or >= 2");
+  }
   max_parts_ = parts;
   return *this;
 }
@@ -231,6 +235,12 @@ Transform Planner::plan(int n) const {
 
   PlanningInfo info;
   info.strategy = strategy_;
+
+  // A plan-oblivious backend runs every plan of one size alike, so a search
+  // (or a wisdom entry) could only choose among equals.
+  if (strategy_ != Strategy::kFixed && backend->plan_oblivious()) {
+    return Transform(core::Plan::iterative(n), std::move(backend), info);
+  }
 
   // Wisdom short-circuit: a recorded winner for this exact (cpu, n,
   // strategy, backend) tuple replaces the search; a miss runs the strategy

@@ -23,6 +23,10 @@
 //                but not bound by DP's optimal-substructure assumption
 //   kFixed       the caller's plan verbatim (grammar string or core::Plan)
 //
+// A plan-oblivious backend (ExecutorBackend::plan_oblivious(), e.g. "fused")
+// runs every plan of one size alike, so every strategy but kFixed returns
+// core::Plan::iterative(n) for it: no search, no evaluations, no wisdom.
+//
 // The model-driven strategies (kEstimate, kAnneal) price the backend that
 // will execute the plan: with backend("simd") the instruction term uses the
 // SIMD cost model at the runtime-dispatched vector width
@@ -72,6 +76,7 @@ class Planner {
 
   /// Cap on split arity explored by the DP strategies; 0 = all compositions,
   /// -1 (default) = auto (binary/ternary, the WHT package's practice).
+  /// Throws std::invalid_argument below -1 and at 1 (a split has >= 2 parts).
   Planner& max_parts(int parts);
 
   /// Random candidates drawn by kSampled (default 200).
@@ -105,12 +110,13 @@ class Planner {
   /// go through the process-wide WisdomRegistry (in-memory, merge-on-save,
   /// atomic file replacement), so concurrent planners sharing a file do not
   /// lose each other's winners.  Empty (the default) disables the cache;
-  /// kFixed never consults it.
+  /// kFixed and plan-oblivious backends never consult it.
   Planner& wisdom_file(std::string path);
 
   /// Plans WHT(2^n) and returns the executable Transform.  Throws
   /// std::invalid_argument on bad arguments (n out of range, unknown
-  /// backend, kFixed size mismatch, kExhaustive size too large).
+  /// backend, kFixed size mismatch, kExhaustive size too large on a backend
+  /// that is not plan-oblivious).
   Transform plan(int n) const;
 
   /// kFixed convenience: plans for the pinned plan's own size.

@@ -15,8 +15,10 @@
 //   avx512<TAB>16<TAB>measure<TAB>simd<TAB>split[small[4],...]
 //
 // Earlier builds also wrote `@prop<TAB>key<TAB>value` lines (a host fit of
-// the blocked cost model); the loader skips them, so those files still
-// load every plan, and the next save drops them.
+// a since-deleted "fused" cost model); the loader skips them, so those
+// files still load every plan, and the next save drops them.  Plan-oblivious
+// backends ("fused") record no entries; keys older builds wrote for them
+// still load.
 //
 // Hook it up with Planner::wisdom_file(path): lookups hit before any
 // search; misses run the strategy and append the winner.

@@ -8,22 +8,6 @@ namespace whtlab::core {
 
 namespace {
 
-void flatten_node(const PlanNode& node, int stage_base,
-                  std::vector<SchedulePass>& out) {
-  if (node.kind == NodeKind::kSmall) {
-    out.push_back({stage_base, node.log2_size});
-    return;
-  }
-  // Rightmost child first (Equation 1 applies the rightmost factor first),
-  // so the last child covers the lowest stages — the same orientation as
-  // the executors' accumulated stride.
-  int stage = stage_base;
-  for (std::size_t i = node.children.size(); i-- > 0;) {
-    flatten_node(*node.children[i], stage, out);
-    stage += node.children[i]->log2_size;
-  }
-}
-
 /// Splits the stages [lo, hi) into ceil(r / max_radix) near-equal fused
 /// passes (never a radix-1 tail when it can be avoided: 7 stages at radix 8
 /// become 3+2+2, not 3+3+1).
@@ -65,13 +49,6 @@ void validate_config(const BlockingConfig& config) {
 
 }  // namespace
 
-std::vector<SchedulePass> flatten_plan(const Plan& plan) {
-  std::vector<SchedulePass> out;
-  out.reserve(static_cast<std::size_t>(plan.leaf_count()));
-  flatten_node(plan.root(), 0, out);
-  return out;
-}
-
 Schedule lower_size(int n, const BlockingConfig& config) {
   if (n < 1) throw std::invalid_argument("lower_size: n must be >= 1");
   validate_config(config);
@@ -112,20 +89,6 @@ Schedule lower_size(int n, const BlockingConfig& config) {
     schedule.rounds.push_back({p.stage + p.radix_log2, {}, {p}});
   }
   return schedule;
-}
-
-Schedule lower_plan(const Plan& plan, const BlockingConfig& config) {
-  // The flattened partition validates the tree and pins down the semantics
-  // (the stage set), but the blocker regroups it freely: every partition of
-  // [0, n) executes the same butterflies, so the schedule depends only on
-  // the size and the cache geometry.
-  const std::vector<SchedulePass> flat = flatten_plan(plan);
-  int covered = 0;
-  for (const SchedulePass& p : flat) covered += p.radix_log2;
-  if (covered != plan.log2_size()) {
-    throw std::logic_error("lower_plan: leaf stages do not cover the size");
-  }
-  return lower_size(plan.log2_size(), config);
 }
 
 int sweep_count(const Schedule& schedule) {

@@ -9,17 +9,20 @@
 // butterflies are disjoint (a+b, a-b) pairs over values the previous stages
 // fully determined.
 //
-// This module exploits that freedom to lower a recursive core::Plan into a
-// flat, iterative, cache-blocked schedule:
+// This module exploits that freedom: lower_size() builds the one flat,
+// iterative, cache-blocked schedule for WHT(2^n) that every plan of that
+// size may run.  The stages are blocked against an explicit cache hierarchy
+// (BlockingConfig):
 //
-//   * flatten_plan() reads the leaf intervals off the split tree — the
-//     stage partition the plan denotes;
-//   * lower_plan() re-blocks those stages against an explicit cache
-//     hierarchy (BlockingConfig): contiguous blocks sized to L1/L2 are
-//     loaded once and carried through every stage that fits (nested
-//     ScheduleRounds), and the stages above the largest block become
-//     radix-2^k fused passes — one memory sweep retires k stages, the
-//     memory-bound regime's only lever.
+//   * contiguous blocks sized to L1/L2 are loaded once and carried through
+//     every stage that fits (nested ScheduleRounds);
+//   * the stages above the largest block become radix-2^k fused passes —
+//     one memory sweep retires k stages, the memory-bound regime's only
+//     lever.
+//
+// The schedule is a property of n and the machine, not of any tree shape,
+// which is why the "fused" backend is plan-oblivious and the Planner
+// searches nothing for it.
 //
 // The scalar interpreter (execute_schedule) is the parity reference and the
 // strided fallback; the vectorized twin lives in simd/fused_executor.hpp.
@@ -36,7 +39,6 @@
 #include <vector>
 
 #include "core/codelet.hpp"
-#include "core/plan.hpp"
 
 namespace whtlab::core {
 
@@ -71,9 +73,9 @@ struct Schedule {
 };
 
 /// Cache geometry the blocker targets.  Defaults describe a generic x86
-/// (16 KiB L1 working block, 1 MiB L2 block); simd::detect_blocking() probes
-/// the host and honours WHTLAB_FUSED_L1_LOG2 / WHTLAB_FUSED_L2_LOG2
-/// overrides.  All sizes are log2 counts of doubles.
+/// (16 KiB L1 working block, 1 MiB L2 block); simd::detect_blocking() sizes
+/// the blocks to the host's probed caches.  All sizes are log2 counts of
+/// doubles.
 struct BlockingConfig {
   int unit_log2 = kMaxUnrolled;  ///< contiguous base-pass size (codelet ceiling)
   int max_radix_log2 = 3;        ///< widest in-cache strided pass (radix-8)
@@ -88,22 +90,12 @@ struct BlockingConfig {
   int stream_radix_log2 = 5;
 };
 
-/// The stage partition `plan` denotes: leaf intervals in ascending stage
-/// order (the rightmost-child-first traversal of Equation 1).  Radixes are
-/// the leaf sizes; stages sum to plan.log2_size().
-std::vector<SchedulePass> flatten_plan(const Plan& plan);
-
-/// Lowers `plan` to a cache-blocked schedule.  The stage partition is
-/// re-blocked freely against `config` (sound for any WHT plan — see the
-/// header comment), so two plans of equal size lower identically: the
-/// schedule is a property of the machine, not of the tree shape.
-Schedule lower_plan(const Plan& plan, const BlockingConfig& config = {});
-
-/// lower_plan without the tree: schedule for WHT(2^n).
+/// The cache-blocked schedule for WHT(2^n) under `config`: bit-identical to
+/// every plan of that size (see the header comment).
 Schedule lower_size(int n, const BlockingConfig& config = {});
 
 /// Number of top-level rounds = full-array memory sweeps the schedule
-/// performs (the quantity the blocked cost model prices).
+/// performs (beyond the largest cache block, each one a trip to memory).
 int sweep_count(const Schedule& schedule);
 
 /// Scalar interpreter: executes `schedule` in place on the 2^n elements

@@ -18,20 +18,25 @@ void fill_random(util::AlignedBuffer& buffer, std::uint64_t seed) {
   for (auto& v : buffer) v = rng.uniform(-1.0, 1.0);
 }
 
-}  // namespace
-
-int auto_inner_loop(const RunFn& run, std::uint64_t size) {
-  util::AlignedBuffer x(size);
-  fill_random(x, 1);
+/// auto_inner_loop's heuristic, probing on the caller's filled buffer `x`.
+int probe_inner_loop(const RunFn& run, double* x) {
   // One probe execution to estimate the per-run cost.
   const std::uint64_t begin = read_cycles();
-  run(x.data());
+  run(x);
   const std::uint64_t end = read_cycles();
   const double run_ns = cycles_to_ns(end - begin);
   constexpr double target_ns = 50'000.0;
   if (run_ns >= target_ns) return 1;
   const double batches = target_ns / std::max(run_ns, 1.0);
   return static_cast<int>(std::min(batches, 65536.0)) + 1;
+}
+
+}  // namespace
+
+int auto_inner_loop(const RunFn& run, std::uint64_t size) {
+  util::AlignedBuffer x(size);
+  fill_random(x, 1);
+  return probe_inner_loop(run, x.data());
 }
 
 int auto_inner_loop(const core::Plan& plan, core::CodeletBackend backend) {
@@ -52,8 +57,12 @@ MeasureResult measure_run(const RunFn& run, std::uint64_t size,
   util::AlignedBuffer work(size);
   fill_random(master, options.seed);
 
-  const int inner =
-      options.inner_loop > 0 ? options.inner_loop : auto_inner_loop(run, size);
+  // The probe runs on `work` (restored before every later run), so the
+  // protocol holds two vector-sized buffers, not three.
+  std::memcpy(work.data(), master.data(), size * sizeof(double));
+  const int inner = options.inner_loop > 0
+                        ? options.inner_loop
+                        : probe_inner_loop(run, work.data());
 
   for (int i = 0; i < options.warmup; ++i) {
     std::memcpy(work.data(), master.data(), size * sizeof(double));

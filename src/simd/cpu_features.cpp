@@ -1,7 +1,6 @@
 #include "simd/cpu_features.hpp"
 
 #include <atomic>
-#include <cstdint>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -134,10 +133,6 @@ CacheSizes probe_cache_sizes() {
     if (level == "2") sizes.l2_bytes = bytes;
     if (level == "3") sizes.l3_bytes = bytes;
   }
-  const std::int64_t l1 = util::env_int("WHTLAB_L1_BYTES", 0);
-  const std::int64_t l2 = util::env_int("WHTLAB_L2_BYTES", 0);
-  if (l1 > 0) sizes.l1d_bytes = static_cast<std::size_t>(l1);
-  if (l2 > 0) sizes.l2_bytes = static_cast<std::size_t>(l2);
   return sizes;
 }
 

@@ -64,9 +64,7 @@ struct CacheSizes {
   std::size_t l3_bytes = 0;
 };
 
-/// Probed once per process from /sys/devices/system/cpu/cpu0/cache (Linux);
-/// WHTLAB_L1_BYTES / WHTLAB_L2_BYTES environment variables override the
-/// corresponding probed entries (the cross-machine reproducibility knob).
+/// Probed once per process from /sys/devices/system/cpu/cpu0/cache (Linux).
 const CacheSizes& cache_sizes();
 
 }  // namespace whtlab::simd

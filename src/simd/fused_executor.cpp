@@ -10,7 +10,6 @@
 #include "core/codelet.hpp"
 #include "simd/kernels.hpp"
 #include "util/cpu_relax.hpp"
-#include "util/env.hpp"
 #include "util/parallel_chunks.hpp"
 
 namespace whtlab::simd {
@@ -206,12 +205,6 @@ core::BlockingConfig detect_blocking() {
   if (caches.l2_bytes > 0) {
     config.l2_block_log2 = floor_log2(caches.l2_bytes / (2 * sizeof(double)));
   }
-  config.l1_block_log2 = static_cast<int>(
-      util::env_int("WHTLAB_FUSED_L1_LOG2", config.l1_block_log2));
-  config.l2_block_log2 = static_cast<int>(
-      util::env_int("WHTLAB_FUSED_L2_LOG2", config.l2_block_log2));
-  config.stream_radix_log2 = static_cast<int>(
-      util::env_int("WHTLAB_FUSED_STREAM_RADIX", config.stream_radix_log2));
   config.l1_block_log2 = std::max(config.l1_block_log2, config.unit_log2);
   config.l2_block_log2 = std::max(config.l2_block_log2, config.l1_block_log2);
   return config;

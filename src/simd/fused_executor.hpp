@@ -1,6 +1,6 @@
 // Vectorized interpreter for cache-blocked fused schedules.
 //
-// core/schedule.hpp lowers a plan into nested cache-blocked rounds of fused
+// core/schedule.hpp lowers a size into nested cache-blocked rounds of fused
 // passes; this module executes such a schedule with the per-ISA fused
 // kernels (simd/kernels.hpp): the unit pass is the in-register contiguous
 // codelet swept across a block, and every strided pass is a flat streaming
@@ -30,9 +30,8 @@ namespace whtlab::simd {
 
 /// Blocking geometry for this host: L1/L2 block sizes derived from the
 /// probed cache_sizes() (half of each level, in doubles), defaults where a
-/// level is unknown.  WHTLAB_FUSED_L1_LOG2 / WHTLAB_FUSED_L2_LOG2 /
-/// WHTLAB_FUSED_STREAM_RADIX override the computed values (the ablation /
-/// cross-machine knobs).
+/// level is unknown.  Callers that need another geometry pass their own
+/// core::BlockingConfig to core::lower_size.
 core::BlockingConfig detect_blocking();
 
 /// Executes `schedule` in place on the 2^n elements x[0], x[stride], ...

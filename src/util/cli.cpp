@@ -7,8 +7,8 @@ namespace whtlab::util {
 
 namespace {
 
-/// `text` read whole by `parse` (std::stoll or std::stod): no number, a
-/// number with trailing text, or one out of range throws
+/// `text` read whole by `parse` (std::stoi, std::stoll or std::stod): no
+/// number, a number with trailing text, or one out of range throws
 /// std::invalid_argument naming the flag.
 template <typename Parse>
 auto parse_whole(const std::string& name, const std::string& text,
@@ -120,7 +120,12 @@ std::vector<int> Cli::get_int_list(const std::string& name) const {
   std::string current;
   for (const char c : get(name) + ",") {
     if (c == ',') {
-      if (!current.empty()) out.push_back(std::stoi(current));
+      if (!current.empty()) {
+        out.push_back(parse_whole(
+            name, current, [](const std::string& s, std::size_t* pos) {
+              return std::stoi(s, pos);
+            }));
+      }
       current.clear();
     } else {
       current += c;

@@ -32,7 +32,9 @@ class Cli {
   /// std::invalid_argument rather than reading its prefix.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
-  /// Comma-separated integers ("1,2,4"); empty entries are skipped.
+  /// Comma-separated integers ("1,2,4"); empty entries are skipped, and an
+  /// entry that is not wholly an int ("2x", "99999999999") throws
+  /// std::invalid_argument naming the flag.
   std::vector<int> get_int_list(const std::string& name) const;
 
   /// Positional arguments, in order.

@@ -25,7 +25,6 @@
 #include "core/sequency.hpp"             // IWYU pragma: export
 #include "core/verify.hpp"               // IWYU pragma: export
 #include "model/analytic_misses.hpp"     // IWYU pragma: export
-#include "model/blocked_cost.hpp"        // IWYU pragma: export
 #include "model/cache_model.hpp"         // IWYU pragma: export
 #include "model/calibrate.hpp"           // IWYU pragma: export
 #include "model/combined_model.hpp"      // IWYU pragma: export

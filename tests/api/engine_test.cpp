@@ -1,6 +1,6 @@
 // wht::Engine: shared plan cache, serve-time backend arbitration by request
-// shape, submit() serving on its caller, the n-range gate, and
-// thread-safety of the whole serving surface, exact striped counters
+// shape, submit() serving on its caller, the n-range gate, wisdom prewarm,
+// and thread-safety of the whole serving surface, exact striped counters
 // included (runs under the TSan CI job).
 #include "api/engine.hpp"
 
@@ -10,16 +10,21 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdio>
 #include <functional>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/executor_backend.hpp"
 #include "api/planner.hpp"
+#include "api/wisdom.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
+#include "simd/cpu_features.hpp"
 #include "util/rng.hpp"
 
 namespace whtlab::api {
@@ -470,6 +475,51 @@ TEST(Engine, ConcurrentMixedServingIsCorrect) {
     per_backend += vectors;
   }
   EXPECT_EQ(per_backend, stats.vectors);
+}
+
+/// Writes a wisdom file holding `keys`, each with the iterative plan of its
+/// size, and returns its path.
+std::string wisdom_with(const std::string& name,
+                        const std::vector<Wisdom::Key>& keys) {
+  const std::string path = ::testing::TempDir() + name;
+  std::remove(path.c_str());
+  Wisdom wisdom;
+  for (const Wisdom::Key& key : keys) {
+    wisdom.insert(key, core::Plan::iterative(key.n));
+  }
+  wisdom.save(path);
+  return path;
+}
+
+TEST(EnginePrewarm, ARecordedSizeWarmsEveryCandidate) {
+  // "fused" records no wisdom, so one generated key at n = 12 must warm
+  // all three candidates of n = 12, as the first touch of 12 would.
+  const std::string cpu = simd::to_string(simd::active_level());
+  EngineOptions options;
+  options.backends = {"generated", "simd", "fused"};
+  options.wisdom_file = wisdom_with("engine_prewarm_all.txt",
+                                    {{cpu, 12, "estimate", "generated"}});
+  Engine engine(options);
+  EXPECT_EQ(engine.prewarm(), 3u);
+  std::remove(options.wisdom_file.c_str());
+}
+
+TEST(EnginePrewarm, OtherCpusAndNonCandidatesWarmNothing) {
+  const std::string cpu = simd::to_string(simd::active_level());
+  const std::string other_cpu =
+      simd::active_level() == simd::SimdLevel::kScalar ? "avx2" : "scalar";
+  for (const auto& [name, key] :
+       {std::pair<std::string, Wisdom::Key>{
+            "engine_prewarm_cpu.txt", {other_cpu, 12, "estimate", "generated"}},
+        std::pair<std::string, Wisdom::Key>{
+            "engine_prewarm_backend.txt", {cpu, 12, "estimate", "template"}}}) {
+    EngineOptions options;
+    options.backends = {"generated", "simd", "fused"};
+    options.wisdom_file = wisdom_with(name, {key});
+    Engine engine(options);
+    EXPECT_EQ(engine.prewarm(), 0u) << name;
+    std::remove(options.wisdom_file.c_str());
+  }
 }
 
 }  // namespace

@@ -207,6 +207,15 @@ TEST(Planner, OptionValidation) {
   EXPECT_THROW(Planner().plan(27), std::invalid_argument);
 }
 
+TEST(Planner, MaxPartsOfOneIsRefusedByTheSetter) {
+  // A split has at least two parts: a cap of 1 would leave the DP nothing
+  // to compose above the largest leaf, so the setter refuses it instead of
+  // plan() failing later.
+  EXPECT_THROW(Planner().max_parts(1), std::invalid_argument);
+  EXPECT_NO_THROW(Planner().max_parts(-1).max_parts(0).max_parts(2));
+  EXPECT_TRUE(Planner().max_parts(2).plan(12).plan().valid());
+}
+
 TEST(Planner, MaxLeafIsRespected) {
   auto t = Planner().strategy(Strategy::kEstimate).max_leaf(2).plan(9);
   EXPECT_LE(t.plan().max_leaf_log2(), 2);

@@ -1,7 +1,7 @@
-// Plan-lowering unit tests: the flattened stage partition reads the leaf
-// intervals off the tree, the blocker's rounds cover every stage exactly
-// once under its caps, and the scalar schedule interpreter is bit-identical
-// to the recursive executor (the property that makes re-blocking sound).
+// Schedule unit tests: the blocker's rounds cover every stage exactly once
+// under its caps, and the scalar schedule interpreter is bit-identical to
+// the recursive executor (the property that makes one schedule per size
+// sound).
 #include "core/schedule.hpp"
 
 #include <gtest/gtest.h>
@@ -11,44 +11,11 @@
 
 #include "core/executor.hpp"
 #include "core/plan.hpp"
-#include "core/plan_io.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/rng.hpp"
 
 namespace whtlab::core {
 namespace {
-
-TEST(FlattenPlan, LeafIntervalsAscendRightmostFirst) {
-  // split[small[3], split[small[2], small[4]], small[1]] of size 10:
-  // rightmost leaf covers the lowest stages.
-  const Plan plan = parse_plan(
-      "split[small[3],split[small[2],small[4]],small[1]]");
-  const std::vector<SchedulePass> flat = flatten_plan(plan);
-  ASSERT_EQ(flat.size(), 4u);
-  EXPECT_EQ(flat[0].stage, 0);
-  EXPECT_EQ(flat[0].radix_log2, 1);  // the trailing small[1]
-  EXPECT_EQ(flat[1].stage, 1);
-  EXPECT_EQ(flat[1].radix_log2, 4);  // small[4] inside the nested split
-  EXPECT_EQ(flat[2].stage, 5);
-  EXPECT_EQ(flat[2].radix_log2, 2);  // small[2]
-  EXPECT_EQ(flat[3].stage, 7);
-  EXPECT_EQ(flat[3].radix_log2, 3);  // leading small[3]
-}
-
-TEST(FlattenPlan, PartitionCoversAllStages) {
-  for (int n = 1; n <= 16; ++n) {
-    for (const Plan& plan :
-         {Plan::iterative(n), Plan::right_recursive(n),
-          Plan::balanced_binary(n, 4)}) {
-      int stage = 0;
-      for (const SchedulePass& pass : flatten_plan(plan)) {
-        EXPECT_EQ(pass.stage, stage) << plan.to_string();
-        stage += pass.radix_log2;
-      }
-      EXPECT_EQ(stage, n) << plan.to_string();
-    }
-  }
-}
 
 /// Collects (stage, radix) coverage of a round tree, depth first in
 /// execution order (inner rounds before own passes).
@@ -147,22 +114,6 @@ TEST(ExecuteSchedule, RejectsMalformedHandBuiltSchedules) {
   overflowing_tile.rounds.push_back({4, {}, {{0, 2}, {3, 3}}});  // 3+3 > 4
   EXPECT_THROW(execute_schedule(overflowing_tile, x.data()),
                std::invalid_argument);
-}
-
-TEST(LowerPlan, SizeDecidesTheSchedule) {
-  // Two different trees of one size lower to the identical schedule: the
-  // machine, not the tree shape, decides the blocked execution order.
-  const Schedule a = lower_plan(Plan::iterative(12));
-  const Schedule b = lower_plan(Plan::balanced_binary(12, 4));
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  std::vector<SchedulePass> pa, pb;
-  for (const ScheduleRound& r : a.rounds) collect_passes(r, 12, pa);
-  for (const ScheduleRound& r : b.rounds) collect_passes(r, 12, pb);
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pa[i].stage, pb[i].stage);
-    EXPECT_EQ(pa[i].radix_log2, pb[i].radix_log2);
-  }
 }
 
 TEST(ExecuteSchedule, BitIdenticalToRecursiveExecutorAcrossConfigs) {

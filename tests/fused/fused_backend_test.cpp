@@ -13,12 +13,14 @@
 
 #include <atomic>
 #include <bit>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/wht.hpp"
+#include "api/wisdom.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "core/schedule.hpp"
@@ -36,7 +38,7 @@ std::vector<SimdLevel> dispatchable_levels() {
   return levels;
 }
 
-/// Plan shapes the lowering must be oblivious to.
+/// Plan shapes the one schedule of each size must match bit for bit.
 std::vector<core::Plan> plan_shapes(int n) {
   std::vector<core::Plan> plans;
   plans.push_back(core::Plan::right_recursive(n));
@@ -105,7 +107,8 @@ TEST_P(FusedParityTest, AllSizesAllShapesUnitStride) {
   const SimdLevel level = GetParam();
   for (int n = 1; n <= 20; ++n) {
     for (const core::Plan& plan : plan_shapes(n)) {
-      const core::Schedule schedule = core::lower_plan(plan, detect_blocking());
+      const core::Schedule schedule =
+          core::lower_size(plan.log2_size(), detect_blocking());
       util::AlignedBuffer x(plan.size());
       util::AlignedBuffer reference(plan.size());
       util::Rng rng(static_cast<std::uint64_t>(n) * 211 + 9);
@@ -157,7 +160,8 @@ TEST_P(FusedParityTest, StridedFallsBackAndKeepsGapsUntouched) {
   for (int n : {4, 9, 12}) {
     for (const std::ptrdiff_t stride : {2, 3, 7}) {
       const core::Plan plan = core::Plan::balanced_binary(n, 4);
-      const core::Schedule schedule = core::lower_plan(plan, detect_blocking());
+      const core::Schedule schedule =
+          core::lower_size(plan.log2_size(), detect_blocking());
       const std::uint64_t size = plan.size();
       util::AlignedBuffer strided(size * static_cast<std::uint64_t>(stride));
       util::AlignedBuffer dense(size);
@@ -242,7 +246,8 @@ TEST_P(FusedParityTest, ExecuteManyBatchesWithPadding) {
   const ForcedLevel forced(level);
   for (int n : {1, 6, 11}) {
     const core::Plan plan = core::Plan::balanced_binary(n, 4);
-    const core::Schedule schedule = core::lower_plan(plan, detect_blocking());
+    const core::Schedule schedule =
+        core::lower_size(plan.log2_size(), detect_blocking());
     const std::uint64_t size = plan.size();
     for (std::size_t count : {std::size_t{1}, std::size_t{5}, std::size_t{12}}) {
       for (const std::uint64_t pad : {std::uint64_t{0}, std::uint64_t{3}}) {
@@ -338,20 +343,50 @@ TEST(FusedBackendFacade, TwoThreadSingleAtTwentyMatchesGenerated) {
   EXPECT_EQ(out_fused, out_scalar);
 }
 
-TEST(FusedBackendFacade, SuppliesItsOwnCostModelToThePlanner) {
-  auto backend = api::BackendRegistry::global().create("fused");
-  const auto model = backend->cost_model();
-  ASSERT_TRUE(static_cast<bool>(model));
-  // Pass-count pricing: beyond-L2 sizes cost strictly more per point than
-  // in-cache ones, and two shapes of one size price identically.
-  const double small = model(core::Plan::iterative(10));
-  const double big = model(core::Plan::iterative(22));
-  EXPECT_GT(big, small);
-  EXPECT_EQ(model(core::Plan::iterative(14)),
-            model(core::Plan::balanced_binary(14, 4)));
-  // kEstimate planning through the hook works end to end.
-  auto t = api::Planner().backend("fused").plan(16);
-  EXPECT_TRUE(t.plan().valid());
+TEST(FusedBackendFacade, EveryStrategyPlansNothing) {
+  // Every plan of one size runs one schedule, so no strategy searches: each
+  // returns the iterative plan without a single evaluation.  kExhaustive's
+  // size guard does not apply, since nothing is enumerated.
+  for (const api::Strategy strategy :
+       {api::Strategy::kEstimate, api::Strategy::kMeasure,
+        api::Strategy::kExhaustive, api::Strategy::kSampled,
+        api::Strategy::kAnneal}) {
+    for (const int n : {1, 9, 18}) {
+      const auto t = api::Planner().backend("fused").strategy(strategy).plan(n);
+      const std::string label =
+          std::string(api::to_string(strategy)) + " n=" + std::to_string(n);
+      EXPECT_EQ(t.plan(), core::Plan::iterative(n))
+          << label << " planned " << t.plan().to_string();
+      EXPECT_EQ(t.planning().evaluations, 0u) << label;
+      EXPECT_EQ(t.planning().cost, 0.0) << label;
+      EXPECT_FALSE(t.planning().from_wisdom) << label;
+      EXPECT_EQ(t.planning().strategy, strategy) << label;
+    }
+  }
+  // kFixed keeps the caller's plan verbatim.
+  const core::Plan pinned = core::Plan::balanced_binary(12, 4);
+  EXPECT_EQ(api::Planner().backend("fused").fixed(pinned).plan().plan(),
+            pinned);
+}
+
+TEST(FusedBackendFacade, PlanningRecordsNoWisdom) {
+  const std::string path = ::testing::TempDir() + "fused_plans_no_wisdom.txt";
+  std::remove(path.c_str());
+  for (const api::Strategy strategy :
+       {api::Strategy::kEstimate, api::Strategy::kAnneal}) {
+    const auto t = api::Planner()
+                       .backend("fused")
+                       .strategy(strategy)
+                       .wisdom_file(path)
+                       .plan(10);
+    EXPECT_FALSE(t.planning().from_wisdom);
+  }
+  // A searched backend on the same file still records its winner.
+  api::Planner().backend("simd").wisdom_file(path).plan(10);
+  const std::vector<api::Wisdom::Key> keys = api::Wisdom::load(path).keys();
+  ASSERT_EQ(keys.size(), 1u);
+  EXPECT_EQ(keys.front().backend, "simd");
+  std::remove(path.c_str());
 }
 
 TEST(FusedBackendFacade, RejectsPlansTooLargeToAddress) {

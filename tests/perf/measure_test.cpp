@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 
 #include "core/executor.hpp"
@@ -77,6 +78,25 @@ TEST(MeasureRun, TimesAnArbitraryEngine) {
   EXPECT_GT(result.min_cycles, 0.0);
   EXPECT_LE(result.min_cycles, result.median_cycles);
   EXPECT_LE(result.min_cycles, result.mean_cycles);
+}
+
+TEST(MeasureRun, ProbeWarmupAndRepsShareOneBuffer) {
+  // The auto probe runs on the work buffer the reps use, so the protocol
+  // holds no third vector-sized buffer of its own.
+  MeasureOptions options;
+  options.warmup = 2;
+  options.repetitions = 3;
+  options.inner_loop = 0;
+  std::set<const double*> buffers;
+  int invocations = 0;
+  const auto result = measure_run(
+      [&buffers, &invocations](double* x) {
+        buffers.insert(x);
+        ++invocations;
+      },
+      1u << 12, options);
+  EXPECT_EQ(invocations, 1 + options.warmup + options.repetitions * result.inner_loop);
+  EXPECT_EQ(buffers.size(), 1u);
 }
 
 TEST(MeasureRun, ExplicitInnerLoopSkipsProbe) {

@@ -65,7 +65,7 @@ TEST_P(ThreadSpawnFault, FusedBatchRunsUnstartedChunksOnTheCaller) {
   const int n = 10;
   const core::Plan plan = core::Plan::right_recursive(n);
   const core::Schedule schedule =
-      core::lower_plan(plan, simd::detect_blocking());
+      core::lower_size(plan.log2_size(), simd::detect_blocking());
   const std::size_t count = 6;
   const std::uint64_t size = plan.size();
   const std::vector<double> input = util::random_vector(count * size, 6);

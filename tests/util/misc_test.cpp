@@ -160,6 +160,23 @@ TEST(Cli, IntListSkipsEmptyEntries) {
   EXPECT_TRUE(cli.get_int_list("none").empty());
 }
 
+TEST(Cli, IntListRejectsTrailingTextAndOutOfRangeEntries) {
+  Cli cli;
+  cli.add_flag("threads", "list");
+  cli.add_flag("clients", "list");
+  const char* argv[] = {"prog", "--threads", "1,2x,4y", "--clients",
+                        "1,99999999999"};
+  ASSERT_TRUE(cli.parse(5, const_cast<char**>(argv)));
+  EXPECT_THROW(cli.get_int_list("threads"), std::invalid_argument);
+  EXPECT_THROW(cli.get_int_list("clients"), std::invalid_argument);
+  try {
+    cli.get_int_list("threads");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Cli, UnknownFlagFails) {
   Cli cli;
   const char* argv[] = {"prog", "--bogus"};

@@ -11,7 +11,8 @@
 //           daemon merges same-n singles popped in one poll round, so
 //           concurrent clients at the same n share batched runs)
 //   batch   --batch vectors per request (the bandwidth shape; direct
-//           arbitrated execute_many)
+//           arbitrated execute_many; the JSON records the count as
+//           "batch_vectors", since "batch" names this shape's section)
 //   mixed   singles at n-2/n/n+2 interleaved with batches
 //
 // An in-process Engine baseline (same shapes, one thread) is recorded
@@ -653,7 +654,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"bench\": \"ipc\",\n  \"host_cores\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(out, "  \"single_n\": %d, \"batch_n\": %d, \"batch\": %zu,\n",
+  std::fprintf(out,
+               "  \"single_n\": %d, \"batch_n\": %d, "
+               "\"batch_vectors\": %zu,\n",
                single_n, batch_n, batch);
   for (std::size_t s = 0; s < results.size(); ++s) {
     print_cells(out, shapes[s].name.c_str(), results[s], baselines[s],

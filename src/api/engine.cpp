@@ -14,7 +14,6 @@
 #include "api/wisdom.hpp"
 #include "perf/measure.hpp"
 #include "simd/cpu_features.hpp"
-#include "util/env.hpp"
 #include "util/fault.hpp"
 
 namespace whtlab::api {
@@ -72,10 +71,6 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   if (options_.quarantine_strikes > 0 && options_.probation_ms < 1) {
     throw std::invalid_argument("wht::Engine: probation_ms must be >= 1");
   }
-  if (util::env_int("WHTLAB_TELEMETRY", options_.telemetry ? 1 : 0) == 0) {
-    options_.telemetry = false;
-  }
-  telemetry_.set_decay_window(options_.telemetry_decay_window);
   candidates_ = options_.backends;
   if (candidates_.empty()) {
     candidates_ = {"generated", "simd", "fused"};

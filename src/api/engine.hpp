@@ -110,17 +110,13 @@ struct EngineOptions {
 
   /// Online telemetry: every served request records its observed
   /// cycles-per-vector into a per-(n, backend, single/batch) accumulator
-  /// table (telemetry/registry.hpp), exported via telemetry_snapshot().
-  /// Telemetry only observes: the arbiter prices every shape from its
-  /// first-touch anchor alone, so routing is the same with it on or off.
-  /// Recording is a handful of relaxed atomic ops per request; the
-  /// WHTLAB_TELEMETRY=0 environment knob (applied at construction) turns it
-  /// off.
+  /// table (telemetry/registry.hpp), exported via telemetry_snapshot() as
+  /// lifetime totals.  Telemetry only observes: the arbiter prices every
+  /// shape from its first-touch anchor alone, so routing is the same with
+  /// it on or off.  Recording costs two tick reads, two relaxed atomic adds
+  /// and the min/max loads per request; off skips all of it (the baseline
+  /// that telemetry-overhead measurements compare against).
   bool telemetry = true;
-
-  /// Records per stripe between histogram halvings — the EWMA horizon of
-  /// the live series (accumulator.hpp).  0 = never decay (lifetime stats).
-  std::uint64_t telemetry_decay_window = 4096;
 };
 
 class Engine {

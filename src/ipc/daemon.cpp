@@ -114,9 +114,6 @@ DaemonOptions DaemonOptions::from_env() {
   options.engine.probation_ms =
       env_value("WHTLAB_IPC_PROBATION_MS", std::uint64_t{2000});
   options.engine.verify_finite = env_value("WHTLAB_IPC_VERIFY", true);
-  // (WHTLAB_TELEMETRY=0 itself is read by the Engine constructor.)
-  options.engine.telemetry_decay_window = env_value(
-      "WHTLAB_TELEMETRY_DECAY", options.engine.telemetry_decay_window);
   return options;
 }
 
@@ -137,8 +134,6 @@ void DaemonOptions::validate() const {
   check_range<std::int64_t>("engine.quarantine_strikes",
                             engine.quarantine_strikes, 0, 1000000);
   check_range<U>("engine.probation_ms", engine.probation_ms, 1, 86400000);
-  check_range<U>("engine.telemetry_decay_window",
-                 engine.telemetry_decay_window, 0, U{1} << 32);
 }
 
 Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {

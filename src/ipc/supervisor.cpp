@@ -15,6 +15,7 @@
 
 #include "api/engine.hpp"
 #include "ipc/shm.hpp"
+#include "telemetry/registry.hpp"
 
 namespace whtlab::ipc {
 
@@ -37,16 +38,9 @@ void on_super_hup(int) { g_super_hup.store(1, std::memory_order_relaxed); }
 void print_stats(Daemon& daemon) {
   std::printf("whtd: %s\n", to_string(daemon.stats()).c_str());
   // The same snapshot the shm stats page exports (whtd_stat renders it out
-  // of process): one line per live (n, backend, shape) series.
-  for (const auto& s : daemon.engine().telemetry_snapshot()) {
-    if (s.stats.count == 0) continue;
-    std::printf("whtd: telemetry n=%d backend=%s shape=%s count=%llu "
-                "mean=%.0f p50=%.0f p99=%.0f\n",
-                s.n, s.backend.c_str(), s.batch ? "batch" : "single",
-                static_cast<unsigned long long>(s.stats.count),
-                s.stats.mean(), s.stats.percentile(0.50),
-                s.stats.percentile(0.99));
-  }
+  // of process), in the Prometheus exposition.
+  std::fputs(telemetry::to_text(daemon.engine().telemetry_snapshot()).c_str(),
+             stdout);
   std::fflush(stdout);
 }
 

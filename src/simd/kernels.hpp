@@ -59,8 +59,7 @@ struct KernelSet {
   /// Gather/scatter strided leaf: WHT(2^k) on x[0], x[stride], ...,
   /// 2^k >= width, any stride > 1.  nullptr where the ISA cannot express it
   /// (AVX2 gathers but cannot scatter) — callers then keep the scalar
-  /// fallback.  Gated at runtime by WHTLAB_SIMD_GATHER (see
-  /// simd_executor.cpp).
+  /// fallback.
   void (*leaf_strided)(int k, double* x, std::ptrdiff_t stride) = nullptr;
 };
 

@@ -4,28 +4,27 @@
 // observations next to the first-touch anchors its arbiter prices from).
 //
 // One Accumulator tracks a single series of non-negative integer
-// observations (cycles per vector on the Engine's hot path):
+// observations (cycles per vector on the Engine's hot path), every field a
+// lifetime total:
 //
-//   * count / sum / sum-of-squares  -> mean, variance, stddev;
-//   * min / max                     -> lifetime extremes (never decayed);
-//   * a fixed 64-bucket log2-scaled histogram -> p50/p99/any quantile
-//     without allocation (bucket b holds values with bit_width == b;
-//     bench_ipc records its round trips into the same buckets);
-//   * epoch-based decay: every `decay_window` records a stripe halves its
-//     count/sum/sumsq/buckets, so the running mean and the percentiles are
-//     exponentially weighted toward the most recent epoch (this IS the live
-//     EWMA that observers such as `whtd_stat` read — there is no separate
-//     EWMA cell to update on the hot path).
+//   * sum                           -> mean;
+//   * min / max                     -> lifetime extremes;
+//   * a fixed 64-bucket log2-scaled histogram -> count (its mass) and
+//     p50/p99/any quantile without allocation (bucket b holds values with
+//     bit_width == b; bench_ipc records its round trips into the same
+//     buckets).
 //
-// Recording is wait-free-ish (a handful of relaxed fetch_adds; min/max
-// degrade to a CAS only when they actually change) and the storage is
-// striped: each recording thread lands on its own cache-line-padded Cell,
-// so concurrent recorders on one series do not bounce a shared line.
-// snapshot() merges the stripes into a plain Stats value.  Totals for
-// count/sum/min/max/buckets are exact under any interleaving (integer
+// No field is ever halved or reset, so a count never falls: an observer who
+// wants a recent window subtracts two snapshots (count, and count x mean
+// for the sum).
+//
+// Recording is two relaxed fetch_adds (min/max degrade to a CAS only when
+// they actually change) and the storage is striped: each recording thread
+// lands on its own cache-line-padded Cell, so concurrent recorders on one
+// series do not bounce a shared line.  snapshot() merges the stripes into a
+// plain Stats value.  Every field is exact under any interleaving (integer
 // fetch_add / monotone CAS), which is what the 8-thread bit-stability test
-// asserts; sumsq uses an unsynchronised load-add-store on an atomic double
-// (a same-stripe race can drop an addend) and is advisory.
+// asserts.
 #pragma once
 
 #include <algorithm>
@@ -33,7 +32,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <thread>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <x86intrin.h>
@@ -63,26 +61,16 @@ inline std::uint64_t now_ticks() {
 }
 
 /// Plain-value snapshot of one series (also the merge unit: parallel
-/// aggregation is just field-wise addition, Chan-style, since the moments
-/// are kept as raw sums).
+/// aggregation is just field-wise addition, since every field is a
+/// lifetime total).
 struct Stats {
-  std::uint64_t count = 0;
-  std::uint64_t min = ~std::uint64_t{0};  ///< lifetime; ~0 when count == 0
+  std::uint64_t count = 0;  ///< histogram mass: observations recorded
+  std::uint64_t min = ~std::uint64_t{0};  ///< ~0 when count == 0
   std::uint64_t max = 0;
   double sum = 0.0;
-  double sumsq = 0.0;
   std::uint64_t buckets[kBuckets] = {};
 
   double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
-
-  double variance() const {
-    if (count < 2) return 0.0;
-    const double m = mean();
-    const double v = sumsq / static_cast<double>(count) - m * m;
-    return v > 0.0 ? v : 0.0;  // clamp catastrophic cancellation
-  }
-
-  double stddev() const { return std::sqrt(variance()); }
 
   /// Quantile from the log2 histogram: the upper bound (2^b - 1, as a
   /// double) of the bucket holding the q-th ranked observation.  Power-of-
@@ -90,12 +78,10 @@ struct Stats {
   /// q (so p50 <= p99 <= max-bucket-bound always holds).  q outside [0, 1]
   /// is clamped; returns 0 for an empty series.
   double percentile(double q) const {
-    std::uint64_t total = 0;
-    for (const std::uint64_t b : buckets) total += b;
-    if (total == 0) return 0.0;
+    if (count == 0) return 0.0;
     q = std::clamp(q, 0.0, 1.0);
     const std::uint64_t rank =
-        static_cast<std::uint64_t>(q * static_cast<double>(total - 1));
+        static_cast<std::uint64_t>(q * static_cast<double>(count - 1));
     std::uint64_t seen = 0;
     for (int b = 0; b < kBuckets; ++b) {
       seen += buckets[b];
@@ -111,7 +97,6 @@ struct Stats {
     min = std::min(min, other.min);
     max = std::max(max, other.max);
     sum += other.sum;
-    sumsq += other.sumsq;
     for (int b = 0; b < kBuckets; ++b) buckets[b] += other.buckets[b];
   }
 };
@@ -120,24 +105,13 @@ namespace detail {
 
 /// One stripe.  Padded to its own cache lines so stripes never share.
 struct alignas(64) Cell {
-  std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> sum{0};
-  std::atomic<double> sumsq{0.0};
   std::atomic<std::uint64_t> min{~std::uint64_t{0}};
   std::atomic<std::uint64_t> max{0};
   std::atomic<std::uint64_t> buckets[kBuckets] = {};
 
-  /// `decay_mask` is the power-of-two decay window minus one (so the epoch
-  /// check is a mask, not a division), or 0 for never-decay.
-  void record(std::uint64_t value, std::uint64_t decay_mask) {
-    const std::uint64_t c = count.fetch_add(1, std::memory_order_relaxed) + 1;
+  void record(std::uint64_t value) {
     sum.fetch_add(value, std::memory_order_relaxed);
-    // Advisory moment: plain load-add-store on the atomic double — a racing
-    // recorder on the same stripe can drop an addend, which variance()
-    // (monitoring-grade) tolerates; the exact fields below never lose.
-    const double sq = static_cast<double>(value) * static_cast<double>(value);
-    sumsq.store(sumsq.load(std::memory_order_relaxed) + sq,
-                std::memory_order_relaxed);
     buckets[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
     // Load-then-CAS: after warm-up min/max almost never move, so the common
     // case is two relaxed loads and no RMW at all.
@@ -149,40 +123,16 @@ struct alignas(64) Cell {
     while (value > x &&
            !max.compare_exchange_weak(x, value, std::memory_order_relaxed)) {
     }
-    // Exactly one recorder observes each crossing of the window boundary,
-    // so at most one decay runs per epoch even under contention.
-    if (decay_mask != 0 && (c & decay_mask) == 0) decay();
-  }
-
-  /// Halves the aging fields (count/sum/sumsq/buckets) by subtraction, so
-  /// concurrent increments are never lost; min/max are lifetime extremes
-  /// and stay.  A snapshot racing a decay can see mixed epochs — the mean
-  /// is barely perturbed (numerator and denominator halve together) and
-  /// the stats are monitoring-grade, not ledger-grade.
-  void decay() {
-    const std::uint64_t c = count.load(std::memory_order_relaxed);
-    count.fetch_sub(c / 2, std::memory_order_relaxed);
-    const std::uint64_t s = sum.load(std::memory_order_relaxed);
-    sum.fetch_sub(s / 2, std::memory_order_relaxed);
-    double q = sumsq.load(std::memory_order_relaxed);
-    while (!sumsq.compare_exchange_weak(q, q * 0.5,
-                                        std::memory_order_relaxed)) {
-    }
-    for (auto& b : buckets) {
-      const std::uint64_t v = b.load(std::memory_order_relaxed);
-      b.fetch_sub(v / 2, std::memory_order_relaxed);
-    }
   }
 
   void load_into(Stats& out) const {
     Stats part;
-    part.count = count.load(std::memory_order_relaxed);
     part.min = min.load(std::memory_order_relaxed);
     part.max = max.load(std::memory_order_relaxed);
     part.sum = static_cast<double>(sum.load(std::memory_order_relaxed));
-    part.sumsq = sumsq.load(std::memory_order_relaxed);
     for (int b = 0; b < kBuckets; ++b) {
       part.buckets[b] = buckets[b].load(std::memory_order_relaxed);
+      part.count += part.buckets[b];
     }
     out.merge(part);
   }
@@ -191,6 +141,7 @@ struct alignas(64) Cell {
     return std::min(static_cast<int>(std::bit_width(value)), kBuckets - 1);
   }
 };
+static_assert(sizeof(Cell) == 9 * 64, "a stripe is 9 cache lines");
 
 }  // namespace detail
 
@@ -211,19 +162,7 @@ class Accumulator {
   Accumulator(const Accumulator&) = delete;
   Accumulator& operator=(const Accumulator&) = delete;
 
-  /// Records between halvings, per stripe; 0 (default) never decays.
-  /// Rounded up to a power of two (minimum 2) so the hot-path epoch check
-  /// is a mask instead of a division.
-  void set_decay_window(std::uint64_t window) {
-    const std::uint64_t mask =
-        window == 0 ? 0 : std::bit_ceil(std::max<std::uint64_t>(window, 2)) - 1;
-    decay_mask_.store(mask, std::memory_order_relaxed);
-  }
-
-  void record(std::uint64_t value) {
-    cells_[stripe_index()].record(
-        value, decay_mask_.load(std::memory_order_relaxed));
-  }
+  void record(std::uint64_t value) { cells_[stripe_index()].record(value); }
 
   Stats snapshot() const {
     Stats out;
@@ -231,13 +170,8 @@ class Accumulator {
     return out;
   }
 
-  void decay() {
-    for (auto& cell : cells_) cell.decay();
-  }
-
  private:
   detail::Cell cells_[kStripes];
-  std::atomic<std::uint64_t> decay_mask_{0};  ///< pow2 window - 1; 0 = never
 };
 
 }  // namespace whtlab::telemetry

@@ -8,17 +8,8 @@ namespace whtlab::telemetry {
 Accumulator& Registry::series(int n, const std::string& backend, bool batch) {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::unique_ptr<Accumulator>& cell = series_[{n, backend, batch}];
-  if (!cell) {
-    cell = std::make_unique<Accumulator>();
-    cell->set_decay_window(decay_window_);
-  }
+  if (!cell) cell = std::make_unique<Accumulator>();
   return *cell;  // map nodes are stable; series are never erased
-}
-
-void Registry::set_decay_window(std::uint64_t window) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  decay_window_ = window;
-  for (auto& [key, cell] : series_) cell->set_decay_window(window);
 }
 
 Snapshot Registry::snapshot() const {

@@ -12,7 +12,10 @@
 //
 // snapshot() returns plain values; to_text() renders them one line per
 // metric in the Prometheus exposition idiom (`name{labels} value`), sorted
-// by (n, backend, shape) so successive scrapes diff cleanly.
+// by (n, backend, shape) so successive scrapes diff cleanly.  Every series
+// holds lifetime totals, so a scrape never reports fewer observations than
+// the one before it, and the traffic between two scrapes is their
+// difference.  `whtd --stats` prints this exposition.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +51,6 @@ class Registry {
   /// pointer and record without locking.
   Accumulator& series(int n, const std::string& backend, bool batch);
 
-  /// Decay window applied to every existing and future series (records per
-  /// stripe between halvings; 0 = never decay).
-  void set_decay_window(std::uint64_t window);
-
   /// Point-in-time copy of every series, sorted by (n, backend, shape).
   Snapshot snapshot() const;
 
@@ -62,7 +61,6 @@ class Registry {
 
   mutable std::mutex mutex_;  ///< guards the map structure, not recording
   std::map<Key, std::unique_ptr<Accumulator>> series_;
-  std::uint64_t decay_window_ = 0;
 };
 
 /// Prometheus-style text exposition of a snapshot: for every series,
@@ -73,8 +71,10 @@ class Registry {
 ///   wht_cycles_per_vector_min{...} 2480
 ///   wht_cycles_per_vector_max{...} 19881
 /// Observations count record() calls (requests on the single path, batch
-/// dispatches on the batch path); the value distribution is cycles (ticks)
-/// per served vector.  Stable order, one line per metric, newline-terminated.
+/// dispatches on the batch path) since the series was created, so
+/// wht_observations_total is a true counter; the value distribution is
+/// cycles (ticks) per served vector.  Stable order, one line per metric,
+/// newline-terminated.
 std::string to_text(const Snapshot& snapshot);
 
 }  // namespace whtlab::telemetry

@@ -1,5 +1,5 @@
-// Engine live telemetry: every served request is recorded, and recording
-// only observes.
+// Engine live telemetry: every served request is recorded and stays
+// counted (series are lifetime totals), and recording only observes.
 //
 // Backends here execute the real transform and then busy-wait a
 // *controllable* wall-clock delay, so their measured first-touch anchors
@@ -70,7 +70,6 @@ EngineOptions drift_options() {
   EngineOptions options;
   options.backends = {"drift-fast", "drift-slow"};
   options.measure_costs = true;  // anchors in cycles, like the live series
-  options.telemetry_decay_window = 0;  // lifetime stats: deterministic counts
   return options;
 }
 
@@ -127,6 +126,25 @@ TEST_F(EngineDriftTest, TelemetryOnlyObservesASlowdown) {
   }
   EXPECT_GT(live_mean, 4.0 * decision.cost)
       << "the series records the slowdown the price ignores";
+}
+
+TEST(EngineTelemetry, SeriesCountsAreLifetimeTotals) {
+  EngineOptions options;
+  options.backends = {"generated"};
+  Engine engine(options);
+  const int n = 6;
+  constexpr std::uint64_t kRequests = 10000;
+  const std::vector<double> input = random_vector(std::size_t{1} << n, 6);
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    std::vector<double> x = input;
+    engine.execute(n, x.data());
+  }
+  const auto snapshot = engine.telemetry_snapshot();
+  ASSERT_EQ(snapshot.size(), 2u) << "one (n, backend) pair: single + batch";
+  EXPECT_FALSE(snapshot[0].batch);
+  EXPECT_EQ(snapshot[0].stats.count, kRequests)
+      << "every served single stays counted";
+  EXPECT_EQ(snapshot[0].stats.count, engine.stats().singles);
 }
 
 }  // namespace

@@ -7,10 +7,10 @@
 // daemon serves live traffic and publishes at an aggressive cadence, and
 // asserts structural invariants that a torn read would break: magic and
 // version intact, series table in bounds, NUL-terminated backend names,
-// min <= max and p50 <= p99 within every populated series, and — with
-// decay disabled — per-series counts and serving totals that only ever move
-// forward.  Once traffic stops, the published request total must equal the
-// requests sent.
+// min <= max and p50 <= p99 within every populated series, and per-series
+// counts and serving totals that only ever move forward (every series is a
+// lifetime total).  Once traffic stops, the published request total must
+// equal the requests sent.
 //
 // Fork discipline (as in ipc_serve_test): the child is forked BEFORE the
 // Daemon is constructed, while the process is single-threaded, and leaves
@@ -90,7 +90,7 @@ int reader_main(const std::string& endpoint) {
       if (s.count == 0) continue;
       if (s.min > s.max) return 26;
       if (s.p50 > s.p99) return 27;
-      // Decay is off: a series can only accumulate.
+      // Lifetime totals: a series can only accumulate.
       auto& prev = last_count[{s.n, s.backend, s.batch}];
       if (s.count < prev) return 28;
       prev = s.count;
@@ -110,7 +110,6 @@ TEST(IpcStatsPage, ForkedObserverNeverSeesATornSnapshot) {
   options.endpoint = endpoint;
   options.slots = 2;
   options.stats_publish_ms = 2;  // aggressive cadence: maximal seqlock churn
-  options.engine.telemetry_decay_window = 0;  // counts must be monotone
   Daemon daemon(options);
   daemon.start();
 

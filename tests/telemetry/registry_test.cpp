@@ -40,20 +40,6 @@ TEST(TelemetryRegistry, SnapshotIsKeyOrderedAndComplete) {
   EXPECT_EQ(snap[2].backend, "simd");
 }
 
-TEST(TelemetryRegistry, DecayWindowAppliesToExistingAndFutureSeries) {
-  Registry registry;
-  Accumulator& early = registry.series(4, "generated", false);
-  registry.set_decay_window(64);
-  Accumulator& late = registry.series(5, "generated", false);
-  for (int i = 0; i < 10000; ++i) {
-    early.record(10);
-    late.record(10);
-  }
-  EXPECT_LT(early.snapshot().count, 10000u)
-      << "window retrofits existing series";
-  EXPECT_LT(late.snapshot().count, 10000u) << "window applies at creation";
-}
-
 TEST(TelemetryRegistry, ToTextEmitsLabeledMetrics) {
   Registry registry;
   Accumulator& series = registry.series(16, "fused", /*batch=*/false);

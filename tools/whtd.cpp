@@ -5,7 +5,7 @@
 //
 //   whtd &                          # serve endpoint "whtlab"
 //   whtd --endpoint lab --slots 8 --credits 5000
-//   whtd --stats                    # periodic shared-counter lines
+//   whtd --stats                    # periodic counters + telemetry text
 //   whtd --supervise --pid-file d.pid   # watchdog + rolling restarts
 //
 // Defaults come from DaemonOptions::from_env() (the WHTLAB_IPC_* knobs);
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   cli.add_flag("stable-ms", "supervisor: healthy uptime that resets the restart budget");
   cli.add_flag("handoff-ready-ms", "supervisor: successor prewarm bound for SIGHUP handoffs");
   cli.add_flag("stats-interval-ms", "period of the --stats counter line (default 1000)");
-  cli.add_bool("stats", "print shared counters periodically (see --stats-interval-ms)");
+  cli.add_bool("stats", "print shared counters and telemetry periodically (see --stats-interval-ms)");
   cli.add_bool("prewarm", "rebuild wisdom-recorded transforms before serving");
   cli.add_bool("once-ready", "print READY on stdout once serving (for scripts)");
   cli.add_bool("supervise", "watchdogged child: restart on crash/wedge, SIGHUP rolling restart");

@@ -27,7 +27,7 @@ namespace fault = util::fault;
 constexpr const char* kFallbackBackend = "generated";
 
 /// The first-touch anchor measurement, kept deliberately cheap: it runs on
-/// the first request of every (n, backend).
+/// the first request of every n, over all of its candidates at once.
 constexpr perf::MeasureOptions kAnchorProtocol{/*warmup=*/1,
                                                /*repetitions=*/3};
 
@@ -106,50 +106,98 @@ Engine::Entry& Engine::slot(int n, const std::string& backend) {
   return *cell;  // map nodes are stable; cells are never erased
 }
 
-Engine::Entry& Engine::ensure_built(Entry& e, int n,
-                                    const std::string& backend) {
+std::shared_ptr<const Transform> Engine::plan(
+    int n, const std::string& backend) const {
+  Planner planner;
+  planner.strategy(options_.strategy)
+      .backend(backend)
+      .threads(options_.threads);
+  if (!options_.wisdom_file.empty()) planner.wisdom_file(options_.wisdom_file);
+  return std::make_shared<const Transform>(planner.plan(n));
+}
+
+std::vector<std::exception_ptr> Engine::build_candidates(int n,
+                                                         Entry* const* cells) {
+  std::vector<std::exception_ptr> errors(candidates_.size());
+  const std::lock_guard<std::mutex> lock(build_mutexes_[n]);
+  std::vector<std::size_t> ids;  // planned candidates, awaiting their price
+  std::vector<std::shared_ptr<const Transform>> planned;
+  for (std::size_t i = 0; i < candidates_.size(); ++i) {
+    if (cells[i]->ready.load(std::memory_order_relaxed)) continue;
+    // A backend named twice shares one cell: build it once.
+    if (std::find(cells, cells + i, cells[i]) != cells + i) continue;
+    try {
+      planned.push_back(plan(n, candidates_[i]));
+      ids.push_back(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  }
+  if (ids.empty()) return errors;
+
+  std::vector<perf::SetResult> anchors(ids.size());
+  if (options_.measure_costs) {
+    // Anchor to cycles so every candidate is priced in one unit: the
+    // planned candidates are timed as one raced set on one buffer pair,
+    // paid at first touch, cached for the Engine's lifetime.  The runs are
+    // sequential, so one context serves them all.
+    ExecContext ctx;
+    std::vector<perf::RunFn> runs;
+    for (const auto& t : planned) {
+      runs.push_back([&t, &ctx](double* x) {
+        t->backend().run(t->plan(), x, 1, ctx);
+      });
+    }
+    anchors = perf::measure_set(runs, planned.front()->size(), kAnchorProtocol);
+  }
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const std::size_t i = ids[k];
+    const Transform& t = *planned[k];
+    Entry& e = *cells[i];
+    try {
+      if (anchors[k].error) std::rethrow_exception(anchors[k].error);
+      e.unit_cost = options_.measure_costs
+                        ? anchors[k].result.cycles()
+                        : model_with_backend(t.backend())(t.plan());
+    } catch (...) {
+      errors[i] = std::current_exception();  // its cell stays unbuilt
+      continue;
+    }
+    if (options_.telemetry) {
+      e.telem_single = &telemetry_.series(n, candidates_[i], /*batch=*/false);
+      e.telem_batch = &telemetry_.series(n, candidates_[i], /*batch=*/true);
+    }
+    e.transform = std::move(planned[k]);
+    e.ready.store(true, std::memory_order_release);
+  }
+  return errors;
+}
+
+Engine::Entry& Engine::unpriced(int n, const std::string& backend) {
+  Entry& e = slot(n, backend);
   if (!e.ready.load(std::memory_order_acquire)) {
-    const std::lock_guard<std::mutex> lock(e.build_mutex);
+    const std::lock_guard<std::mutex> lock(build_mutexes_[n]);
     if (!e.ready.load(std::memory_order_relaxed)) {
-      build_entry(e, n, backend);  // a throw caches nothing: next touch retries
+      e.transform = plan(n, backend);  // a throw caches nothing
       e.ready.store(true, std::memory_order_release);
     }
   }
   return e;
 }
 
-Engine::Entry& Engine::entry(int n, const std::string& backend) {
-  return ensure_built(slot(n, backend), n, backend);
-}
-
-void Engine::build_entry(Entry& e, int n, const std::string& backend) {
-  Planner planner;
-  planner.strategy(options_.strategy)
-      .backend(backend)
-      .threads(options_.threads);
-  if (!options_.wisdom_file.empty()) planner.wisdom_file(options_.wisdom_file);
-  auto transform = std::make_shared<Transform>(planner.plan(n));
-  if (options_.measure_costs) {
-    // Anchor to cycles so every candidate is priced in one unit: one short
-    // measurement per (n, backend), paid at first touch, cached for the
-    // Engine's lifetime.
-    e.unit_cost = measure_with_backend(transform->backend(), transform->plan(),
-                                       kAnchorProtocol)
-                      .cycles();
-  } else {
-    e.unit_cost = model_with_backend(transform->backend())(transform->plan());
-  }
-  if (options_.telemetry) {
-    e.telem_single = &telemetry_.series(n, backend, /*batch=*/false);
-    e.telem_batch = &telemetry_.series(n, backend, /*batch=*/true);
-  }
-  e.transform = std::move(transform);
-}
-
 std::shared_ptr<const Transform> Engine::transform(int n,
                                                    const std::string& backend) {
   check_n(n);
-  return entry(n, backend).transform;
+  const auto it = std::find(candidates_.begin(), candidates_.end(), backend);
+  if (it == candidates_.end()) return unpriced(n, backend).transform;
+  // A candidate is built with the rest of its size, as a request would.
+  const auto id = static_cast<std::size_t>(it - candidates_.begin());
+  Entry* const* cells = route(n);
+  if (!cells[id]->ready.load(std::memory_order_acquire)) {
+    const std::exception_ptr error = build_candidates(n, cells)[id];
+    if (error) std::rethrow_exception(error);
+  }
+  return cells[id]->transform;
 }
 
 std::size_t Engine::prewarm() {
@@ -175,13 +223,15 @@ std::size_t Engine::prewarm() {
   }
   std::size_t built = 0;
   for (const int n : sizes) {
-    for (const std::string& backend : candidates_) {
-      try {
-        if (transform(n, backend) != nullptr) ++built;
-      } catch (const std::exception&) {
-        // A shape that cannot build now will retry on first touch; prewarm
-        // must not keep the daemon from serving everything else.
-      }
+    // A candidate that cannot build now is left for its first touch to
+    // retry; prewarm must not keep the daemon from serving everything else.
+    Entry* const* cells = route(n);
+    try {
+      build_candidates(n, cells);
+    } catch (const std::exception&) {
+    }
+    for (std::size_t i = 0; i < candidates_.size(); ++i) {
+      built += cells[i]->ready.load(std::memory_order_acquire) ? 1 : 0;
     }
   }
   return built;
@@ -218,6 +268,7 @@ Engine::Choice Engine::choose(int n, std::size_t count, Decision* decision) {
   Entry* const* cells = route(n);
   Choice choice;
   std::exception_ptr first_error;
+  bool built = false;
   // Two passes at most: first honouring quarantine, then — only if the
   // breaker has sidelined every single candidate — ignoring it, because a
   // degraded answer beats refusing to serve.
@@ -225,7 +276,18 @@ Engine::Choice Engine::choose(int n, std::size_t count, Decision* decision) {
     for (std::size_t i = 0; i < candidates_.size(); ++i) {
       if (honour_quarantine && quarantine_blocked(i)) continue;
       try {
-        Entry& e = ensure_built(*cells[i], n, candidates_[i]);
+        Entry& e = *cells[i];
+        if (!e.ready.load(std::memory_order_acquire)) {
+          // First touch of n: every unbuilt candidate is built together.
+          if (!built) {
+            built = true;
+            for (const std::exception_ptr& error : build_candidates(n, cells)) {
+              if (error && !first_error) first_error = error;
+            }
+          }
+          // Its build threw: absent from this ranking, retried next touch.
+          if (!e.ready.load(std::memory_order_acquire)) continue;
+        }
         // Per-vector price for this shape: the first-touch anchor, scaled
         // by batch_factor for the batch path.
         double per_vector = e.unit_cost;
@@ -377,7 +439,7 @@ std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
   }
   // The reference backend's own failures propagate: there is nothing left
   // to fall back to, and masking them would hide real breakage.
-  run(*entry(n, kFallbackBackend).transform);
+  run(*transform(n, kFallbackBackend));
   bump(kFailures, 1);
   bump(kFallbacks, count);
   return fallback_column_;

@@ -17,12 +17,13 @@
 //     machine, then every Engine in every process reuses it).
 //   * Serve-time backend arbitration — each registered candidate backend is
 //     priced for the request shape (single vector vs batch, size, thread
-//     budget) from a first-touch measured anchor (cycles per vector; with
-//     measure_costs off, its model cost instead), scaled by
-//     ExecutorBackend::batch_factor for the batch shape.  The
-//     measure-or-model autotuning idea, applied across backends at serve
-//     time: "fused" wins big single vectors by its measured anchor, "simd"
-//     wins tiny-n batches (interleave) — not per a hardcode.
+//     budget) from a first-touch measured anchor (cycles per vector, all of
+//     one size's candidates timed as one raced set; with measure_costs off,
+//     its model cost instead), scaled by ExecutorBackend::batch_factor for
+//     the batch shape.  The measure-or-model autotuning idea, applied
+//     across backends at serve time: "fused" wins big single vectors by
+//     its measured anchor, "simd" wins tiny-n batches (interleave) — not
+//     per a hardcode.
 //   * One way to group — a caller holding separately placed vectors passes
 //     them as a pointer array to execute_many(n, xs, count, ctx), which
 //     stages them into ONE arbitrated run_many call.  Every request, a
@@ -42,6 +43,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <map>
 #include <memory>
@@ -81,10 +83,14 @@ struct EngineOptions {
   /// Wisdom file consulted/updated by first-touch planning ("" = none).
   std::string wisdom_file;
 
-  /// Price each (n, backend) by measured cycles (one short measurement at
-  /// first touch: one warmup run, median of three) so arbitration compares
-  /// cycles with cycles.  Off = raw model units (only meaningful when every
-  /// candidate's model shares units — e.g. custom backends in tests).
+  /// Price each (n, backend) by measured cycles so arbitration compares
+  /// cycles with cycles.  The first touch of n times all of n's candidates
+  /// as one raced set on one buffer pair (perf::measure_set): a probe and
+  /// one warmup run each, then up to three timed rounds, round-robin.  A
+  /// candidate more than 2x behind the best after round one stops there
+  /// and is priced at that sample; the others at their median of three.
+  /// Off = raw model units (only meaningful when every candidate's model
+  /// shares units — e.g. custom backends in tests).
   bool measure_costs = true;
 
   /// Backend circuit breaker: after this many consecutive serving-time
@@ -144,11 +150,12 @@ class Engine {
 
   /// Prices every candidate backend for a request of `count` vectors of
   /// 2^n doubles and returns the ranking — the same pricing loop the serve
-  /// paths route by.  First touch of an (n, backend) pair plans (and, by
-  /// default, anchor-measures) it; later calls are arithmetic on the cached
-  /// per-unit costs — no re-planning, no re-measurement.  A candidate whose
-  /// first-touch build throws is skipped for this decision and retried on
-  /// the next; arbitrate itself throws only when every candidate fails.
+  /// paths route by.  First touch of n plans every candidate (and, by
+  /// default, anchor-measures them as one set); later calls are arithmetic
+  /// on the cached per-unit costs — no re-planning, no re-measurement.  A
+  /// candidate whose plan or anchor throws is skipped for this decision and
+  /// retried alone on the next; arbitrate itself throws only when every
+  /// candidate fails.
   ///
   /// Every entry point taking `n` (arbitrate, transform, execute,
   /// execute_many, submit) throws std::invalid_argument for n outside
@@ -156,7 +163,9 @@ class Engine {
   Decision arbitrate(int n, std::size_t count = 1);
 
   /// The shared immutable Transform for (n, backend); planned on first
-  /// touch, cached for the Engine's lifetime.  The shared_ptr keeps it
+  /// touch, cached for the Engine's lifetime.  A candidate backend's first
+  /// touch builds every candidate of n, as a request's would; any other
+  /// backend is planned alone and never priced.  The shared_ptr keeps it
   /// alive independently of the Engine — hold it to skip even the cache
   /// lookup on a hot serve path.
   std::shared_ptr<const Transform> transform(int n, const std::string& backend);
@@ -249,9 +258,9 @@ class Engine {
   /// pricing a candidate touches one line.
   struct alignas(64) Entry {
     /// Lock-free ready flag: once true, transform/unit_cost are immutable
-    /// and readable without the build mutex (release/acquire pairing).
-    /// Build failures cache nothing — the next touch retries, so one
-    /// transient error (ENOSPC during a wisdom write, an OOM during an
+    /// and readable without the size's build mutex (release/acquire
+    /// pairing).  Build failures cache nothing — the next touch retries, so
+    /// one transient error (ENOSPC during a wisdom write, an OOM during an
     /// anchor measurement) never poisons a size for the Engine's lifetime.
     std::atomic<bool> ready{false};
     double unit_cost = 0.0;  ///< per-vector serve cost (cycles or model units)
@@ -259,20 +268,28 @@ class Engine {
     /// Live telemetry series for this (n, backend), resolved once at build
     /// so the hot recording path never touches the registry lock (series
     /// addresses are stable for the Engine's lifetime).  Null when
-    /// telemetry is off.
+    /// telemetry is off, and for a non-candidate entry (nothing routes to
+    /// it, so nothing records into it).
     telemetry::Accumulator* telem_single = nullptr;
     telemetry::Accumulator* telem_batch = nullptr;
-    std::mutex build_mutex;
   };
 
   /// The map cell for (n, backend) — one short map-lock, no building.
   Entry& slot(int n, const std::string& backend);
-  /// The built entry; builds under the entry's own mutex on first touch
-  /// (throwing what planning threw, caching nothing on failure) and is a
-  /// single atomic load afterwards.
-  Entry& entry(int n, const std::string& backend);
-  Entry& ensure_built(Entry& e, int n, const std::string& backend);
-  void build_entry(Entry& e, int n, const std::string& backend);
+  /// A fresh Transform for (n, backend) from the configured Planner.
+  std::shared_ptr<const Transform> plan(int n,
+                                        const std::string& backend) const;
+  /// First touch of n's candidates: under n's build mutex, plans every
+  /// candidate whose cell is not ready, prices the planned ones together —
+  /// measured as one raced set (perf::measure_set), or by their models —
+  /// and publishes each.  Returns one error per candidate id: what its plan
+  /// or anchor threw (its cell stays unbuilt, retried at the next touch),
+  /// or null.
+  std::vector<std::exception_ptr> build_candidates(int n, Entry* const* cells);
+  /// The built entry of a backend that is not a candidate (transform(n,
+  /// "template"), or the reference fallback when it is not a candidate):
+  /// planned on first touch with no price, since nothing prices it.
+  Entry& unpriced(int n, const std::string& backend);
 
   /// The candidates' cells for n, in candidates_ order: one acquire load
   /// once published (first touch resolves them through slot()).
@@ -356,6 +373,9 @@ class Engine {
 
   std::mutex entries_mutex_;  ///< guards the map structure, not the builds
   std::map<std::pair<int, std::string>, std::unique_ptr<Entry>> entries_;
+  /// Per n: serializes the builds of that size's entries, so timing one
+  /// size's candidates holds no Engine-wide lock.
+  std::mutex build_mutexes_[kMaxLog2Size + 1];
   /// Per-n routes, published once through routes_[n] and never rebuilt:
   /// cells are stable and carry their own ready flag.  route_storage_[n]
   /// owns the array and is written only by the thread that published it.

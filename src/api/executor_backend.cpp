@@ -317,8 +317,9 @@ perf::MeasureResult measure_with_backend(const ExecutorBackend& backend,
                                          const core::Plan& plan,
                                          const perf::MeasureOptions& options) {
   // The protocol (warmup, probe-sized batches, master-copy restore) lives
-  // once, in perf::measure_run; this merely plugs the backend in as the
-  // engine so e.g. "parallel" and "simd" are timed on their own code paths.
+  // once, in perf::measure_set (measure_run is its set of one); this merely
+  // plugs the backend in as the engine so e.g. "parallel" and "simd" are
+  // timed on their own code paths.
   ExecContext ctx;
   return perf::measure_run(
       [&backend, &plan, &ctx](double* x) { backend.run(plan, x, 1, ctx); },

@@ -215,23 +215,25 @@ void Daemon::publish_stats_page() {
   page->header.totals.batches = totals.batches;
   page->header.totals.failures = totals.failures;
   page->header.totals.fallbacks = totals.fallbacks;
-  const std::uint32_t count = static_cast<std::uint32_t>(
-      std::min<std::size_t>(series.size(), kStatsSeriesCapacity));
-  page->header.series_count = count;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const telemetry::SeriesSnapshot& in = series[i];
-    StatsSeries& out = page->series[i];
+  // Only series with traffic: the first touch of n registers both shapes
+  // of every candidate, and most of them never serve a request.
+  std::uint32_t count = 0;
+  for (const telemetry::SeriesSnapshot& in : series) {
+    if (in.stats.count == 0) continue;
+    if (count == kStatsSeriesCapacity) break;
+    StatsSeries& out = page->series[count++];
     out.n = in.n;
     out.batch = in.batch ? 1 : 0;
     std::snprintf(out.backend, sizeof(out.backend), "%s",
                   in.backend.c_str());
     out.count = in.stats.count;
-    out.min = in.stats.count == 0 ? 0 : in.stats.min;
+    out.min = in.stats.min;
     out.max = in.stats.max;
     out.mean = in.stats.mean();
     out.p50 = in.stats.percentile(0.50);
     out.p99 = in.stats.percentile(0.99);
   }
+  page->header.series_count = count;
   stats_write_end(page->header);
 }
 

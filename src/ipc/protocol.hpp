@@ -356,7 +356,7 @@ struct StatsPageHeader {
   /// consistent copy with stats_read(); the writer never waits.
   std::atomic<std::uint64_t> seq;
   std::uint64_t published_ns;  ///< monotonic_ns() of the last publish
-  std::uint32_t series_count;  ///< valid StatsSeries entries
+  std::uint32_t series_count;  ///< valid StatsSeries entries (count > 0 only)
   std::uint32_t reserved;
   StatsTotals totals;
 };

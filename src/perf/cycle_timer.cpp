@@ -23,37 +23,4 @@ std::uint64_t read_cycles() {
 #endif
 }
 
-namespace {
-
-double calibrate() {
-#ifdef WHTLAB_HAVE_RDTSC
-  using Clock = std::chrono::steady_clock;
-  const auto wall_begin = Clock::now();
-  const std::uint64_t tsc_begin = read_cycles();
-  // ~10 ms busy window is ample for 4 significant digits.
-  for (;;) {
-    const auto elapsed = Clock::now() - wall_begin;
-    if (elapsed >= std::chrono::milliseconds(10)) break;
-  }
-  const std::uint64_t tsc_end = read_cycles();
-  const auto wall_end = Clock::now();
-  const double seconds =
-      std::chrono::duration<double>(wall_end - wall_begin).count();
-  return static_cast<double>(tsc_end - tsc_begin) / seconds;
-#else
-  return 1e9;  // fallback counts nanoseconds directly
-#endif
-}
-
-}  // namespace
-
-double cycles_per_second() {
-  static const double rate = calibrate();
-  return rate;
-}
-
-double cycles_to_ns(std::uint64_t cycles) {
-  return static_cast<double>(cycles) / cycles_per_second() * 1e9;
-}
-
 }  // namespace whtlab::perf

@@ -7,7 +7,9 @@
 //
 // TSC ticks are a constant-rate clock, not core clock cycles, but the paper
 // only ever uses cycle counts comparatively (ratios, correlations,
-// percentiles), for which any fixed-rate tick is equivalent.
+// percentiles), for which any fixed-rate tick is equivalent.  So nothing
+// converts ticks to time and no tick rate is calibrated: code that needs
+// wall time (the measurement protocol's probe) reads steady_clock itself.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +18,5 @@ namespace whtlab::perf {
 
 /// Reads the timestamp counter (serialized).  Monotonic, constant rate.
 std::uint64_t read_cycles();
-
-/// Measured tick rate in Hz (memoized; first call takes ~10 ms to calibrate
-/// against steady_clock).
-double cycles_per_second();
-
-/// Converts a tick delta to nanoseconds using the calibrated rate.
-double cycles_to_ns(std::uint64_t cycles);
 
 }  // namespace whtlab::perf

@@ -2,16 +2,27 @@
 //
 // Measuring µs-scale transforms reliably requires warmup (instruction cache,
 // branch predictors, page faults), repetition, and a robust summary.  The
-// protocol here:
+// protocol times a *set* of candidates that compute the same transform
+// (measure_set); timing one engine alone (measure_run) is the set of one:
 //
-//   1. allocate a line-aligned buffer and a pseudo-random master copy;
-//   2. warmup executions (not timed);
-//   3. `repetitions` timed executions; before each, the working buffer is
-//      restored from the master by memcpy (the WHT is data-oblivious, so the
-//      copy only serves to keep values bounded; the copy is outside the
-//      timed region but *warms the cache identically before every rep*,
-//      making reps comparable);
-//   4. report minimum, median, and mean cycles.
+//   1. allocate one line-aligned work buffer and one pseudo-random master
+//      copy for the whole set;
+//   2. per candidate, one probe execution sizes its timed unit (unless
+//      inner_loop is given; see below), then `warmup` untimed executions;
+//   3. `repetitions` timed rounds, round-robin over the candidates still
+//      timed (A B C, A B C, ...), so a slow phase of the host lands on every
+//      candidate instead of looking like one candidate's cost.  Before
+//      every untimed execution and every timed unit the work buffer is
+//      restored from the master by memcpy (the WHT is data-oblivious, so
+//      the copy only serves to keep values bounded; it is outside the timed
+//      region but *warms the cache identically before every rep*, making
+//      reps comparable);
+//   4. the set is raced (Maron & Moore, "Hoeffding races", NIPS 1993):
+//      after round one, a candidate whose sample is more than 2x that
+//      round's best stops being timed and is priced at that one sample,
+//      since its rank is already settled;
+//   5. every other candidate reports the minimum, median, and mean of its
+//      `repetitions` samples.
 //
 // Experiments use the median (robust to timer interrupts); the paper's
 // single-shot PAPI readings correspond most closely to the minimum.
@@ -23,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <vector>
 
@@ -55,6 +67,16 @@ struct MeasureResult {
 /// x[0 .. size) in place.
 using RunFn = std::function<void(double* x)>;
 
+/// One candidate's outcome in a measured set.
+struct SetResult {
+  /// Its summary; a candidate raced out after round one reports its one
+  /// sample as min, median and mean.
+  MeasureResult result;
+  /// What its run threw, if it threw: the set stopped running it there and
+  /// went on timing the others (`result` is then meaningless).
+  std::exception_ptr error;
+};
+
 /// Picks a batch size so one timed unit of `run` over `size` doubles takes
 /// >= ~50 us (one probe execution on a random buffer).
 int auto_inner_loop(const RunFn& run, std::uint64_t size);
@@ -62,12 +84,19 @@ int auto_inner_loop(const RunFn& run, std::uint64_t size);
 /// Same heuristic for a plan under core::execute with `backend` codelets.
 int auto_inner_loop(const core::Plan& plan, core::CodeletBackend backend);
 
-/// The measurement protocol itself, engine-agnostic: times `run` on a
-/// master-restored aligned buffer of `size` doubles per the steps above.
-/// MeasureOptions::backend is ignored (the engine is `run`).  Throws
-/// std::invalid_argument on repetitions < 1 or warmup < 0.  Every other
-/// measurement entry point (measure_plan, api::measure_with_backend) is a
+/// The measurement protocol itself, engine-agnostic: times every run of
+/// `runs` on one shared master-restored aligned buffer of `size` doubles
+/// per the steps above, and returns one result per run, in order.
+/// MeasureOptions::backend is ignored (the engines are `runs`); an explicit
+/// inner_loop applies to every candidate.  Throws std::invalid_argument on
+/// repetitions < 1 or warmup < 0.  Every other measurement entry point is a
 /// thin wrapper over this, so the protocol exists exactly once.
+std::vector<SetResult> measure_set(const std::vector<RunFn>& runs,
+                                   std::uint64_t size,
+                                   const MeasureOptions& options = {});
+
+/// The set of one: times `run` alone (probe + warmup + repetitions x
+/// inner_loop executions), rethrowing whatever it threw.
 MeasureResult measure_run(const RunFn& run, std::uint64_t size,
                           const MeasureOptions& options = {});
 

@@ -24,7 +24,7 @@ TEST(Umbrella, EverySubsystemReachable) {
 
   const std::vector<double> xs{1, 2, 3, 4};
   EXPECT_NEAR(stats::pearson(xs, xs), 1.0, 1e-12);
-  EXPECT_GT(perf::cycles_per_second(), 0.0);
+  EXPECT_GT(perf::read_cycles(), 0u);
 }
 
 }  // namespace

@@ -150,5 +150,48 @@ TEST(IpcStatsPage, ForkedObserverNeverSeesATornSnapshot) {
   EXPECT_EQ(published, sent);
 }
 
+TEST(IpcStatsPage, PublishesOnlySeriesWithTraffic) {
+  // The first touch of n = 6 registers both shapes of every candidate, yet
+  // only the winner's single path serves: the page carries that series
+  // alone, not the empty rows beside it.
+  const std::string endpoint = unique_endpoint("statsbusy");
+  DaemonOptions options;
+  options.endpoint = endpoint;
+  options.slots = 1;
+  options.stats_publish_ms = 2;
+  Daemon daemon(options);
+  daemon.start();
+
+  auto client = Client::connect({.endpoint = endpoint});
+  const int n = 6;
+  constexpr std::uint64_t kSent = 5;
+  for (std::uint64_t r = 0; r < kSent; ++r) {
+    double* x = client.stage(n, 1);
+    const auto input = util::random_vector(std::size_t{1} << n, r + 1);
+    std::memcpy(x, input.data(), input.size() * sizeof(double));
+    ASSERT_EQ(client.transform(n, x, 1), Status::kOk);
+  }
+
+  const Shm shm = Shm::open_readonly(stats_shm_name_for(endpoint));
+  const auto* shared = static_cast<const StatsPage*>(shm.data());
+  auto page = std::make_unique<StatsPage>();
+  bool published = false;
+  for (int spin = 0; spin < 5000 && !published; ++spin) {
+    published = stats_read(*shared, *page) &&
+                page->header.totals.requests == kSent;
+    if (!published) ::usleep(1000);
+  }
+  ASSERT_TRUE(published) << "the page never caught up with the traffic";
+  ASSERT_GE(page->header.series_count, 1u);
+  std::uint64_t served_singles = 0;
+  for (std::uint32_t i = 0; i < page->header.series_count; ++i) {
+    const StatsSeries& s = page->series[i];
+    EXPECT_GT(s.count, 0u) << s.backend << (s.batch ? " batch" : " single");
+    EXPECT_EQ(s.n, n);
+    if (s.batch == 0) served_singles += s.count;
+  }
+  EXPECT_EQ(served_singles, kSent) << "the served single series is on it";
+}
+
 }  // namespace
 }  // namespace whtlab::ipc

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "core/executor.hpp"
 #include "core/plan.hpp"
@@ -17,18 +19,6 @@ TEST(CycleTimer, Monotonic) {
   const std::uint64_t a = read_cycles();
   const std::uint64_t b = read_cycles();
   EXPECT_LE(a, b);
-}
-
-TEST(CycleTimer, RatePlausible) {
-  // Any machine this runs on ticks between 100 MHz and 10 GHz.
-  const double rate = cycles_per_second();
-  EXPECT_GT(rate, 1e8);
-  EXPECT_LT(rate, 1e10);
-}
-
-TEST(CycleTimer, ConversionConsistent) {
-  EXPECT_NEAR(cycles_to_ns(static_cast<std::uint64_t>(cycles_per_second())),
-              1e9, 1e6);
 }
 
 TEST(Measure, ReturnsOrderedSummary) {
@@ -134,6 +124,93 @@ TEST(MeasureRun, MeasurePlanIsAThinWrapper) {
   EXPECT_EQ(direct.inner_loop, via_run.inner_loop);
   EXPECT_GT(direct.min_cycles, 0.0);
   EXPECT_GT(via_run.min_cycles, 0.0);
+}
+
+/// A RunFn that busy-waits `spin_us` on the wall clock (so its cost is a
+/// knob, not a property of the host) and counts its executions and the
+/// buffers it ran on.
+RunFn spinner(std::uint64_t spin_us, int* invocations,
+              std::set<const double*>* buffers) {
+  return [spin_us, invocations, buffers](double* x) {
+    ++*invocations;
+    buffers->insert(x);
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::microseconds(spin_us);
+    while (std::chrono::steady_clock::now() < deadline) {
+    }
+  };
+}
+
+TEST(MeasureSet, RacesOutACandidateFarBehindAfterRoundOne) {
+  // 10 us against 1 ms: after round one the slow candidate is 100x the
+  // best, far past the 2x cutoff, so it is timed exactly once and priced
+  // at that sample; the fast one runs the whole protocol.
+  MeasureOptions options;
+  options.warmup = 2;
+  options.repetitions = 3;
+  int fast = 0, slow = 0;
+  std::set<const double*> buffers;
+  const auto results = measure_set(
+      {spinner(10, &fast, &buffers), spinner(1000, &slow, &buffers)}, 1u << 10,
+      options);
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_FALSE(results[0].error);
+  ASSERT_FALSE(results[1].error);
+  const MeasureResult& f = results[0].result;
+  const MeasureResult& s = results[1].result;
+  EXPECT_EQ(fast, 1 + options.warmup + options.repetitions * f.inner_loop);
+  EXPECT_EQ(s.inner_loop, 1) << "a 1 ms run is one timed unit";
+  EXPECT_EQ(slow, 1 + options.warmup + 1);
+  EXPECT_EQ(s.min_cycles, s.median_cycles);
+  EXPECT_EQ(s.mean_cycles, s.median_cycles);
+  EXPECT_GT(s.cycles(), 2 * f.cycles());
+  EXPECT_EQ(buffers.size(), 1u) << "one work buffer serves the whole set";
+}
+
+TEST(MeasureSet, TimedRoundsGoRoundRobin) {
+  // With an explicit inner loop there is no probe: each candidate's warmup
+  // runs, then one timed round visits every candidate in order.
+  MeasureOptions options;
+  options.warmup = 1;
+  options.repetitions = 1;
+  options.inner_loop = 1;
+  std::vector<int> order;
+  std::vector<RunFn> runs;
+  for (int c = 0; c < 3; ++c) {
+    runs.push_back([&order, c](double*) { order.push_back(c); });
+  }
+  measure_set(runs, 8, options);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0, 1, 2}));
+}
+
+TEST(MeasureSet, AThrowingCandidateLeavesTheOthersTimed) {
+  MeasureOptions options;
+  options.warmup = 1;
+  options.repetitions = 3;
+  options.inner_loop = 2;
+  int calls = 0, good = 0;
+  std::set<const double*> buffers;
+  const auto results = measure_set(
+      {[&calls](double*) {
+         if (++calls == 2) throw std::runtime_error("backend went away");
+       },
+       spinner(5, &good, &buffers)},
+      8, options);
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].error);
+  EXPECT_THROW(std::rethrow_exception(results[0].error), std::runtime_error);
+  EXPECT_EQ(calls, 2) << "the set stops running a candidate that threw";
+  EXPECT_FALSE(results[1].error);
+  EXPECT_EQ(good, options.warmup + options.repetitions * options.inner_loop);
+  EXPECT_GT(results[1].result.cycles(), 0.0);
+}
+
+TEST(MeasureRun, RethrowsWhatTheRunThrew) {
+  MeasureOptions options;
+  options.inner_loop = 1;
+  EXPECT_THROW(measure_run([](double*) { throw std::runtime_error("x"); }, 8,
+                           options),
+               std::runtime_error);
 }
 
 TEST(Measure, DeterministicCountsAreStableAcrossCalls) {

@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
   cli.add_flag("wait-ms", "wait this long for the daemon to come up", "2000");
   cli.add_flag("pace-ms", "sleep between requests (spread a chaos run)", "0");
   cli.add_flag("deadline-ms",
-               "per-request execution deadline (0 = none; a daemon with "
-               "shedding armed answers kTimeout past it)", "0");
+               "per-request execution deadline (0 = none; the daemon "
+               "answers kTimeout past it)", "0");
   cli.add_bool("verify", "check results bit-exact against in-process plans");
   cli.add_bool("reconnect", "auto-reconnect and replay across daemon restarts");
   cli.add_bool("strict",

@@ -414,8 +414,7 @@ std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
     if (fault::enabled() && fault::point("engine.corrupt." + backend)) {
       x[0] = std::numeric_limits<double>::quiet_NaN();
     }
-    if (resilient && options_.verify_finite &&
-        !all_finite(x, count, size, dist) &&
+    if (resilient && !all_finite(x, count, size, dist) &&
         all_finite(snapshot.data(), count, size,
                    static_cast<std::ptrdiff_t>(size))) {
       // Finite input, non-finite output: the backend corrupted the result.

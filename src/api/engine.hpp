@@ -93,26 +93,21 @@ struct EngineOptions {
   /// shares units — e.g. custom backends in tests).
   bool measure_costs = true;
 
-  /// Backend circuit breaker: after this many consecutive serving-time
-  /// failures (an exception out of the backend, or a non-finite output
-  /// caught by the verify hook) a backend is quarantined — the arbiter
-  /// stops routing to it and the failed request is transparently re-run on
+  /// Backend circuit breaker: every served output is checked, and a
+  /// serving-time failure — an exception out of the backend, or a
+  /// non-finite output from a finite input — is transparently re-run on
   /// the `generated` reference backend from a pristine input snapshot.
-  /// 0 disables the breaker entirely (the library default: no snapshot
-  /// copies, no behavior change); the whtd daemon arms it.
+  /// After this many consecutive failures a backend is quarantined: the
+  /// arbiter stops routing to it.  (A non-finite *input* legitimately
+  /// yields non-finite output and is the caller's business.)  0 disables
+  /// the breaker entirely (the library default: no snapshot copies, no
+  /// output scan, no behavior change); the whtd daemon arms it.
   int quarantine_strikes = 0;
 
   /// How long a quarantined backend sits out before the arbiter re-probes
   /// it with live traffic.  A successful probe clears the quarantine; a
   /// failed one re-trips it for another probation period.
   std::uint64_t probation_ms = 2000;
-
-  /// Verify hook: scan every served output for non-finite values and treat
-  /// a corrupt result from a finite input as a backend failure (feeds the
-  /// circuit breaker).  Only meaningful with quarantine_strikes > 0 — the
-  /// snapshot that makes the fallback re-run possible is what makes
-  /// detection actionable.
-  bool verify_finite = false;
 
   /// Online telemetry: every served request records its observed
   /// cycles-per-vector into a per-(n, backend, single/batch) accumulator
@@ -326,9 +321,9 @@ class Engine {
 
   /// Runs the chosen transform; with the breaker armed, absorbs a backend
   /// failure (exception, injected fault, or non-finite output from a finite
-  /// input when verify_finite) by striking the backend, restoring the input
-  /// from a snapshot, and re-running on the reference backend.  Returns the
-  /// Stats column of the backend that actually served.
+  /// input) by striking the backend, restoring the input from a snapshot,
+  /// and re-running on the reference backend.  Returns the Stats column of
+  /// the backend that actually served.
   std::size_t run_guarded(const Choice& choice, int n, double* x,
                           std::size_t count, std::ptrdiff_t dist,
                           ExecContext* ctx);

@@ -348,7 +348,8 @@ double* Client::stage(int n, std::size_t count) {
                 "ipc::Client::stage: " + std::to_string(need) +
                     " doubles exceed the slot arena (" +
                     std::to_string(arena_.capacity()) +
-                    "); raise WHTLAB_IPC_ARENA_BYTES on the daemon");
+                    "); raise the daemon's arena_doubles (whtd "
+                    "--arena-doubles)");
   }
   double* p = arena_.allocate(static_cast<std::size_t>(need));
   if (p != nullptr) return p;

@@ -81,9 +81,9 @@ class Client {
     /// requests before abandoning them and freeing the slot.
     std::uint64_t drain_ms = 500;
     /// Per-request execution deadline stamped into every wire request
-    /// (Request::deadline_ns = submit time + this).  A daemon with load
-    /// shedding armed drops a request still queued past its deadline with
-    /// a typed kTimeout instead of executing it — the client's way of
+    /// (Request::deadline_ns = submit time + this).  The daemon drops a
+    /// request still queued past its deadline with a typed kTimeout
+    /// instead of executing it — the client's way of
     /// saying "after this long, the answer is worthless, don't burn cycles
     /// on it".  The stamp survives replay unchanged: the deadline bounds
     /// total latency, outages included.  0 = no deadline (never shed).

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -16,7 +15,6 @@
 #include "ipc/futex.hpp"
 #include "ipc/credit_bucket.hpp"
 #include "ipc/validate.hpp"
-#include "util/env.hpp"
 #include "util/fault.hpp"
 
 namespace whtlab::ipc {
@@ -34,26 +32,6 @@ bool pid_alive(std::uint32_t pid) {
 /// Hard cap on request n: beyond this even one vector cannot be staged in
 /// any plausible arena, and plan trees this deep are a config error.
 constexpr std::uint32_t kMaxRequestN = 30;
-
-/// An env knob as `T`, in units of `scale` (ms knobs feed ns fields): a
-/// non-integer, a negative value, or one `T` cannot hold throws instead of
-/// wrapping.  The ranges are DaemonOptions::validate()'s.
-template <typename T>
-T env_value(const char* name, T fallback, std::uint64_t scale = 1) {
-  std::int64_t value = 0;
-  try {
-    value = util::env_int(name, static_cast<std::int64_t>(fallback / scale));
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("ipc: ") + name +
-                                " is not an integer");
-  }
-  if (value < 0 || static_cast<std::uint64_t>(value) >
-                       std::numeric_limits<T>::max() / scale) {
-    throw std::invalid_argument(std::string("ipc: ") + name + "=" +
-                                std::to_string(value) + " is out of range");
-  }
-  return static_cast<T>(static_cast<std::uint64_t>(value) * scale);
-}
 
 /// Rejects (never clamps): a daemon started with a typo must fail loudly,
 /// not serve misconfigured.
@@ -87,36 +65,6 @@ struct Daemon::SlotLocal {
   }
 };
 
-DaemonOptions DaemonOptions::from_env() {
-  DaemonOptions options;
-  if (const auto name = util::env_string("WHTLAB_IPC_NAME")) {
-    options.endpoint = *name;  // shm_name_for rejects empty / slashed names
-  }
-  options.slots = env_value("WHTLAB_IPC_SLOTS", options.slots);
-  options.arena_doubles =
-      env_value("WHTLAB_IPC_ARENA_BYTES",
-                options.arena_doubles * sizeof(double)) /
-      sizeof(double);
-  options.timeout_ms = env_value("WHTLAB_IPC_TIMEOUT_MS", options.timeout_ms);
-  options.sweep_ms = env_value("WHTLAB_IPC_SWEEP_MS", options.sweep_ms);
-  options.credit_limit = env_value("WHTLAB_IPC_CREDITS", options.credit_limit);
-  options.credit_window_ns = env_value(
-      "WHTLAB_IPC_CREDIT_WINDOW_MS", options.credit_window_ns, 1000000ULL);
-  options.shed_expired = env_value("WHTLAB_IPC_SHED", options.shed_expired);
-  options.strike_limit =
-      env_value("WHTLAB_IPC_STRIKES", options.strike_limit);
-  options.drain_ms = env_value("WHTLAB_IPC_DRAIN_MS", options.drain_ms);
-  options.stats_publish_ms =
-      env_value("WHTLAB_IPC_STATS_PUBLISH_MS", options.stats_publish_ms);
-  // The daemon arms the Engine circuit breaker by default: a serving
-  // process must degrade to the reference backend, not crash or corrupt.
-  options.engine.quarantine_strikes = env_value("WHTLAB_IPC_QUARANTINE", 3);
-  options.engine.probation_ms =
-      env_value("WHTLAB_IPC_PROBATION_MS", std::uint64_t{2000});
-  options.engine.verify_finite = env_value("WHTLAB_IPC_VERIFY", true);
-  return options;
-}
-
 void DaemonOptions::validate() const {
   using U = std::uint64_t;
   check_range<U>("slots", slots, 1, 1024);
@@ -130,7 +78,6 @@ void DaemonOptions::validate() const {
                  3600000ULL * 1000000ULL);
   check_range<U>("strike_limit", strike_limit, 0, 1000000);
   check_range<U>("drain_ms", drain_ms, 1, 86400000);
-  check_range<U>("stats_publish_ms", stats_publish_ms, 0, 3600000);
   check_range<std::int64_t>("engine.quarantine_strikes",
                             engine.quarantine_strikes, 0, 1000000);
   check_range<U>("engine.probation_ms", engine.probation_ms, 1, 86400000);
@@ -154,7 +101,8 @@ Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
   if (total > (static_cast<unsigned __int128>(1) << 47)) {
     throw std::invalid_argument(
         "ipc::Daemon: slots * arena would need an implausible segment "
-        "(> 128 TiB); lower WHTLAB_IPC_SLOTS or WHTLAB_IPC_ARENA_BYTES");
+        "(> 128 TiB); lower slots or arena_doubles (whtd --slots / "
+        "--arena-doubles)");
   }
 
   slot_local_.resize(options_.slots);
@@ -520,8 +468,7 @@ Daemon::Stats Daemon::stats() const {
 void Daemon::service_loop() {
   const std::uint64_t sweep_ns = options_.sweep_ms * 1000000ULL;
   std::uint64_t last_sweep = monotonic_ns();
-  const std::uint64_t publish_ns = options_.stats_publish_ms * 1000000ULL;
-  std::uint64_t last_publish = 0;  // 0: publish on the first iteration
+  publish_stats_page();  // a page from the start, then a fresh one per sweep
 
   while (!stop_requested_.load(std::memory_order_acquire)) {
     // Supervision heartbeat: stamped at least once per iteration, and the
@@ -553,11 +500,8 @@ void Daemon::service_loop() {
     const std::uint64_t now = monotonic_ns();
     if (now - last_sweep >= sweep_ns) {
       sweep();
-      last_sweep = now;
-    }
-    if (publish_ns != 0 && now - last_publish >= publish_ns) {
       publish_stats_page();
-      last_publish = now;
+      last_sweep = now;
     }
 
     if (draining_.load(std::memory_order_acquire)) {
@@ -715,7 +659,7 @@ void Daemon::handle_request(std::uint32_t index, SlotShared* cell,
   // Overload degradation, cheapest checks first.  Shedding precedes the
   // credit charge: an expired request must not pay for work that will not
   // happen.
-  if (options_.shed_expired && request_expired(request, now)) {
+  if (request_expired(request, now)) {
     stats.shed_expired.fetch_add(1, std::memory_order_relaxed);
     respond(index, cell, request.seq, Status::kTimeout);
     return;

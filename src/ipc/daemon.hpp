@@ -25,6 +25,9 @@
 //   * Credit flow control — per-slot CreditBucket (credit_bucket.hpp),
 //     off by default; over-budget requests answer kThrottled immediately,
 //     without execution, so one greedy client cannot queue out the others.
+//   * Deadline shedding — a request whose stamped deadline_ns passed
+//     before execution answers a typed kTimeout instead of burning Engine
+//     time; a request without a deadline is never shed.
 //   * Dead-client reclamation — a pid-liveness sweep every sweep_ms frees
 //     slots whose owner died (SIGKILL included) and resets their rings; an
 //     answer for a slot that changed hands is dropped by generation check.
@@ -64,58 +67,47 @@ namespace whtlab::ipc {
 
 struct DaemonOptions {
   /// Serving endpoint name; the segment is /dev/shm/whtlab.<endpoint>.
+  /// [--endpoint]
   std::string endpoint = "whtlab";
 
-  /// Client slots — the admission-control bound.  [WHTLAB_IPC_SLOTS]
+  /// Client slots — the admission-control bound.  [--slots]
   std::uint32_t slots = 16;
 
   /// Per-slot staging arena in doubles; bounds the largest servable request
-  /// (count << n <= arena_doubles).  [WHTLAB_IPC_ARENA_BYTES / 8]
+  /// (count << n <= arena_doubles).  [--arena-doubles]
   std::uint64_t arena_doubles = std::uint64_t{1} << 19;  // 4 MiB
 
   /// Suggested client wait deadline, published in the header; clients may
-  /// override locally.  [WHTLAB_IPC_TIMEOUT_MS]
+  /// override locally.  [--timeout-ms]
   std::uint64_t timeout_ms = 5000;
 
   /// Liveness sweep period — the reclamation latency bound for a SIGKILLed
-  /// client's slot.  [WHTLAB_IPC_SWEEP_MS]
+  /// client's slot.  Every sweep also republishes the Engine's telemetry
+  /// into the observer-only /dev/shm/whtlab.<endpoint>.stats page
+  /// (protocol.hpp, StatsPage); observers (`whtd_stat`) map it read-only
+  /// and read under the seqlock, so publishing never blocks serving.
+  /// [--sweep-ms]
   std::uint64_t sweep_ms = 50;
 
   /// Credit-based flow control: per-client work budget in *vectors* (one
   /// credit buys one staged vector), refilled continuously at credit_limit
   /// per credit_window_ns.  A request whose cost exceeds the balance gets a
   /// typed kThrottled without execution.  0 disables.
-  /// [WHTLAB_IPC_CREDITS / WHTLAB_IPC_CREDIT_WINDOW_MS]
+  /// [--credits / --credit-window-ms]
   std::uint64_t credit_limit = 0;
   std::uint64_t credit_window_ns = 1000000000ULL;
-
-  /// Deadline-aware load shedding: drop requests whose stamped deadline_ns
-  /// already passed when the daemon would execute them, answering a typed
-  /// kTimeout instead of burning Engine time on an answer nobody waits
-  /// for.  On by default — a request without a deadline is never shed.
-  /// [WHTLAB_IPC_SHED]
-  bool shed_expired = true;
 
   /// Trust-boundary strikes before a slot is evicted (generation bump +
   /// reclaim).  Violations the shipped client library can never produce —
   /// corrupt ring cursors, out-of-arena shapes, seq replays — each count
   /// one strike; at the limit the offender loses its slot.  0 = count but
-  /// never evict.  [WHTLAB_IPC_STRIKES]
+  /// never evict.  [--strikes]
   std::uint32_t strike_limit = 3;
 
   /// Graceful-drain budget: drain() finishes in-flight work and waits for
   /// clients to consume their answers for at most this long before aborting
-  /// the drain (typed, counted — never hung).  [WHTLAB_IPC_DRAIN_MS]
+  /// the drain (typed, counted — never hung).  [--drain-ms]
   std::uint64_t drain_ms = 5000;
-
-  /// Telemetry stats-page publish period: the service loop republishes the
-  /// Engine's telemetry snapshot into the observer-only
-  /// /dev/shm/whtlab.<endpoint>.stats segment (protocol.hpp, StatsPage) at
-  /// most this often.  Observers (`whtd_stat`) map it read-only and read
-  /// under the seqlock, so publishing never blocks serving.  0 disables
-  /// publishing (the page still exists, frozen at zero).
-  /// [WHTLAB_IPC_STATS_PUBLISH_MS]
-  std::uint64_t stats_publish_ms = 250;
 
   /// Warm-standby mode: bind the *staging* segment (endpoint + ".next")
   /// instead of the canonical one, so this daemon can construct and prewarm
@@ -128,17 +120,12 @@ struct DaemonOptions {
   /// wisdom file, circuit breaker, telemetry, ...).  The daemon serves
   /// singles on its service thread and merges the same-n singles of one
   /// poll round itself through the pointer-array execute_many, so it never
-  /// calls submit().
+  /// calls submit().  whtd arms the circuit breaker here.
   api::EngineOptions engine;
 
-  /// Defaults with every WHTLAB_IPC_* environment knob applied.  Parses
-  /// only: a non-integer or negative value throws std::invalid_argument,
-  /// and ranges are validate()'s.
-  static DaemonOptions from_env();
-
-  /// Throws std::invalid_argument naming the first field outside its range
-  /// (the ranges the WHTLAB_IPC_* knobs document).  The Daemon constructor
-  /// calls it, and so does whtd before it forks anything.
+  /// Throws std::invalid_argument naming the first field outside its range.
+  /// The Daemon constructor calls it, and so does whtd before it forks
+  /// anything.
   void validate() const;
 };
 

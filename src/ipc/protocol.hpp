@@ -196,7 +196,7 @@ struct DaemonCounters {
 /// another mid-traffic; each is exact).
 DaemonCounters load_counters(const SharedStats& shared);
 
-/// One-line rendering for log lines (`whtd --stats`, --stats-interval-ms):
+/// One-line rendering for log lines (`whtd --stats`, once a second):
 /// "requests=N vectors=N ... drain_refused=N", in list order.
 std::string to_string(const DaemonCounters& counters);
 
@@ -306,8 +306,8 @@ struct Layout {
 // --- telemetry stats page ---------------------------------------------------
 //
 // A second, tiny, *observer-only* segment per endpoint
-// ("/whtlab.<endpoint>.stats") into which the daemon periodically publishes
-// the Engine's telemetry snapshot.  Deliberately separate from the serving
+// ("/whtlab.<endpoint>.stats") into which the daemon publishes the Engine's
+// telemetry snapshot on every liveness sweep.  Deliberately separate from the serving
 // segment: the request-path ABI is untouched, observers map it read-only
 // (Shm::open_readonly), and a scraper crash can never perturb serving
 // state.  Consistency is a seqlock — the single writer (the service loop)

@@ -21,6 +21,11 @@ namespace whtlab::ipc {
 
 namespace {
 
+/// How long a SIGTERMed serving process may outlive its drain budget:
+/// serve() waits drain_ms + this for the drain to finish, and the
+/// supervisor waits as long before it SIGKILLs the child.
+constexpr std::uint64_t kDrainGraceMs = 2000;
+
 /// serve()'s shutdown request: the signal number, 0 while serving.
 std::atomic<int> g_serve_signal{0};
 void on_serve_signal(int sig) {
@@ -136,7 +141,7 @@ int serve(const DaemonOptions& options, const ServeOptions& serve_options,
         return 3;
       }
       ::close(go_fd);
-      daemon.promote(serve_options.promote_wait_ms);
+      daemon.promote();
       std::fprintf(stderr, "whtd: promoted onto %s (epoch %llu)\n",
                    daemon.shm_name().c_str(),
                    static_cast<unsigned long long>(daemon.epoch()));
@@ -157,8 +162,7 @@ int serve(const DaemonOptions& options, const ServeOptions& serve_options,
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       if (serve_options.stats) {
         const auto now = std::chrono::steady_clock::now();
-        if (now - last_stats >=
-            std::chrono::milliseconds(serve_options.stats_interval_ms)) {
+        if (now - last_stats >= std::chrono::seconds(1)) {
           print_stats(daemon);
           last_stats = now;
         }
@@ -174,7 +178,7 @@ int serve(const DaemonOptions& options, const ServeOptions& serve_options,
       std::fprintf(stderr, "whtd: SIGTERM, draining (budget %llu ms)\n",
                    static_cast<unsigned long long>(options.drain_ms));
       daemon.drain();
-      daemon.wait_drained(options.drain_ms + 2000);
+      daemon.wait_drained(options.drain_ms + kDrainGraceMs);
     } else {
       std::fprintf(stderr, "whtd: signal %d, stopping\n", sig);
     }
@@ -193,8 +197,7 @@ int serve(const DaemonOptions& options, const ServeOptions& serve_options,
 namespace {
 
 /// Forks one serving child.  `standby` children get the handoff pipes and
-/// bind the staging segment.  reload() runs INSIDE the child, so a rolling
-/// restart picks up environment/config changes.
+/// bind the staging segment.
 pid_t spawn_child(const SupervisorOptions& options, bool standby,
                   int ready_fd, int go_fd) {
   const pid_t pid = ::fork();
@@ -205,8 +208,7 @@ pid_t spawn_child(const SupervisorOptions& options, bool standby,
   std::signal(SIGHUP, SIG_DFL);
   int code = 1;
   try {
-    DaemonOptions daemon_options =
-        options.reload ? options.reload() : options.daemon;
+    DaemonOptions daemon_options = options.daemon;
     daemon_options.standby = standby;
     ServeOptions serve_options = options.child;
     serve_options.pid_file.clear();  // the supervisor owns the pid file
@@ -236,11 +238,6 @@ bool await_ready(int ready_fd, pid_t successor, std::uint64_t wait_ms) {
   }
 }
 
-std::uint64_t drain_grace_ms(const SupervisorOptions& options) {
-  return options.drain_grace_ms != 0 ? options.drain_grace_ms
-                                     : options.daemon.drain_ms + 2000;
-}
-
 /// SIGTERM, wait out the drain grace, SIGKILL if it overstays.  Returns
 /// the child's exit status (0 for the SIGKILL fallback).
 int stop_child(pid_t child, std::uint64_t grace_ms) {
@@ -267,6 +264,7 @@ int run_supervisor(const SupervisorOptions& options) {
   std::signal(SIGTERM, on_super_term);
   std::signal(SIGHUP, on_super_hup);
 
+  const std::uint64_t grace_ms = options.daemon.drain_ms + kDrainGraceMs;
   std::int64_t restarts = 0;
   pid_t child = spawn_child(options, /*standby=*/false, -1, -1);
   if (child < 0) {
@@ -282,7 +280,7 @@ int run_supervisor(const SupervisorOptions& options) {
     if (g_super_term.load(std::memory_order_relaxed) != 0) {
       // Shutdown: the child gets the SIGTERM (graceful drain) and the
       // drain grace before the SIGKILL insurance.
-      const int code = stop_child(child, drain_grace_ms(options));
+      const int code = stop_child(child, grace_ms);
       remove_pid_file(options.pid_file);
       return code;
     }
@@ -332,8 +330,8 @@ int run_supervisor(const SupervisorOptions& options) {
       write_byte(go_pipe[1], 'G');
       ::close(go_pipe[1]);
       write_pid_file(options.pid_file, next);
-      const std::uint64_t grace = drain_grace_ms(options);
-      const std::uint64_t reap_deadline = monotonic_ns() + grace * 1000000ULL;
+      const std::uint64_t reap_deadline =
+          monotonic_ns() + grace_ms * 1000000ULL;
       int status = 0;
       bool reaped = false;
       while (monotonic_ns() < reap_deadline) {

@@ -18,16 +18,16 @@
 //                         stable_ms, so a long-healthy daemon's crash is
 //                         a fresh incident, not part of a crash loop;
 //                       * on SIGHUP executes a warm-standby handoff: fork
-//                         the successor FIRST (standby segment, config and
-//                         environment re-read in the child, Engine
-//                         prewarmed from wisdom), wait for its readiness
-//                         byte, only then SIGTERM the incumbent (drain)
-//                         and send the successor its go byte — it promotes
-//                         onto the canonical endpoint (the live predecessor
-//                         finishes its in-flight work, then cedes by
-//                         releasing the name at drain completion; epoch
-//                         bump) and serves, warm.  Reconnect-enabled
-//                         clients cross the restart with zero failures;
+//                         the successor FIRST (standby segment, the same
+//                         DaemonOptions, Engine prewarmed from wisdom),
+//                         wait for its readiness byte, only then SIGTERM
+//                         the incumbent (drain) and send the successor
+//                         its go byte — it promotes onto the canonical
+//                         endpoint (the live predecessor finishes its
+//                         in-flight work, then cedes by releasing the
+//                         name at drain completion; epoch bump) and
+//                         serves, warm.  Reconnect-enabled clients cross
+//                         the restart with zero failures;
 //                       * keeps --pid-file pointing at the *currently
 //                         serving* child across every restart and handoff
 //                         (atomic tmp+rename writes, unlinked on clean
@@ -42,7 +42,6 @@
 #include <sys/types.h>
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "ipc/daemon.hpp"
@@ -52,16 +51,12 @@ namespace whtlab::ipc {
 /// Per-serving-process configuration (everything beyond DaemonOptions).
 struct ServeOptions {
   bool prewarm = false;  ///< rebuild wisdom-recorded transforms before serving
-  bool stats = false;    ///< print the shared-counter line periodically
-  std::int64_t stats_interval_ms = 1000;
+  bool stats = false;    ///< print the shared-counter line every second
   bool once_ready = false;  ///< print READY on stdout once serving
   /// Pid file (atomic tmp+rename; unlinked on clean exit).  Leave empty
   /// under a supervisor — the supervisor owns the pid file and points it
   /// at whichever child currently serves.
   std::string pid_file;
-  /// promote() bound for standby children: how long the successor waits
-  /// for the predecessor to cede the canonical endpoint.
-  std::uint64_t promote_wait_ms = 10000;
 };
 
 /// One serving process: construct the Daemon, prewarm, (standby: handshake
@@ -72,12 +67,8 @@ int serve(const DaemonOptions& options, const ServeOptions& serve_options,
           int ready_fd = -1, int go_fd = -1);
 
 struct SupervisorOptions {
-  DaemonOptions daemon;
-  ServeOptions child;  ///< pid_file ignored — the supervisor owns it
-  /// Re-reads configuration for every (re)spawned child, *inside* the
-  /// child after fork — a rolling restart picks up environment and config
-  /// changes.  Defaults to reusing `daemon` verbatim.
-  std::function<DaemonOptions()> reload;
+  DaemonOptions daemon;  ///< what every (re)spawned child serves
+  ServeOptions child;    ///< pid_file ignored — the supervisor owns it
   std::string pid_file;  ///< tracks the currently serving child
   /// Heartbeat staleness that counts as wedged (live pid, dead loop).
   std::int64_t wedge_ms = 10000;
@@ -91,9 +82,6 @@ struct SupervisorOptions {
   /// (its construct + prewarm) before aborting the handoff and keeping the
   /// incumbent.
   std::uint64_t handoff_ready_ms = 30000;
-  /// Grace for a SIGTERMed child to finish draining before SIGKILL;
-  /// 0 = daemon.drain_ms + 2000.
-  std::uint64_t drain_grace_ms = 0;
 };
 
 /// The watchdog loop (see file comment).  Returns the final child's exit

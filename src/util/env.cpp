@@ -22,15 +22,4 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   return value;
 }
 
-double env_double(const char* name, double fallback) {
-  const auto text = env_string(name);
-  if (!text) return fallback;
-  std::size_t pos = 0;
-  const double value = std::stod(*text, &pos);
-  if (pos != text->size()) {
-    throw std::invalid_argument(std::string(name) + ": not a number: " + *text);
-  }
-  return value;
-}
-
 }  // namespace whtlab::util

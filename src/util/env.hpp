@@ -1,8 +1,10 @@
-// Environment-variable configuration knobs.
+// Environment-variable lookups.
 //
-// The experiment harness scales with `WHTLAB_SAMPLES`, `WHTLAB_MAXN`, and
-// `WHTLAB_SEED` (see DESIGN.md).  These helpers parse them with defaults so
-// every bench binary interprets the knobs identically.
+// The fig drivers scale with `WHTLAB_SAMPLES`, `WHTLAB_SAMPLES_LARGE`,
+// `WHTLAB_MAXN` and `WHTLAB_SEED` (bench/common/harness.cpp), so every
+// driver interprets the knobs identically; `WHTLAB_SIMD` and
+// `WHTLAB_FAULTS` are read here too.  README's "Environment knobs" table
+// lists them all.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +20,5 @@ std::optional<std::string> env_string(const char* name);
 /// typo in an experiment invocation fails loudly instead of silently running
 /// the wrong configuration.
 std::int64_t env_int(const char* name, std::int64_t fallback);
-
-double env_double(const char* name, double fallback);
 
 }  // namespace whtlab::util

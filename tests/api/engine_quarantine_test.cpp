@@ -193,9 +193,7 @@ TEST_F(EngineQuarantineTest, FailedProbeRetripsImmediately) {
 }
 
 TEST_F(EngineQuarantineTest, VerifyFiniteCatchesCorruptOutput) {
-  EngineOptions options = breaker_options(/*strikes=*/1, /*probation_ms=*/60000);
-  options.verify_finite = true;
-  Engine engine(options);
+  Engine engine(breaker_options(/*strikes=*/1, /*probation_ms=*/60000));
   fault::arm("engine.corrupt.q-fast=once");
 
   const int n = 6;
@@ -213,9 +211,7 @@ TEST_F(EngineQuarantineTest, VerifyFiniteCatchesCorruptOutput) {
 }
 
 TEST_F(EngineQuarantineTest, NonFiniteInputIsTheCallersBusiness) {
-  EngineOptions options = breaker_options(/*strikes=*/1, /*probation_ms=*/60000);
-  options.verify_finite = true;
-  Engine engine(options);
+  Engine engine(breaker_options(/*strikes=*/1, /*probation_ms=*/60000));
 
   const int n = 4;
   auto x = random_vector(std::size_t{1} << n, 3);
@@ -248,6 +244,18 @@ TEST_F(EngineQuarantineTest, DisabledBreakerPropagatesExceptions) {
   auto x = random_vector(std::size_t{1} << 5, 1);
   EXPECT_THROW(engine.execute(5, x.data()), std::runtime_error)
       << "strikes == 0 must mean exactly the pre-breaker behavior";
+}
+
+TEST_F(EngineQuarantineTest, DisabledBreakerLeavesOutputUnchecked) {
+  Engine engine(breaker_options(/*strikes=*/0, /*probation_ms=*/2000));
+  fault::arm("engine.corrupt.q-fast=once");
+  auto x = random_vector(std::size_t{1} << 6, 9);
+  engine.execute(6, x.data());
+  // No breaker, no scan: the corrupt output is what the caller gets.
+  EXPECT_TRUE(std::isnan(x[0]));
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.failures, 0u);
+  EXPECT_EQ(stats.fallbacks, 0u);
 }
 
 }  // namespace

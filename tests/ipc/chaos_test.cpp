@@ -111,7 +111,6 @@ void run_chaos_daemon(const std::string& endpoint, int round) {
     options.sweep_ms = 20;
     options.engine.quarantine_strikes = 2;
     options.engine.probation_ms = 200;
-    options.engine.verify_finite = true;
     Daemon daemon(options);
     daemon.start();
     for (;;) ::pause();  // until SIGKILL — no clean shutdown ever runs

@@ -381,7 +381,6 @@ int run_lifecycle_supervisor(const std::string& endpoint,
   options.daemon.drain_ms = 3000;
   options.daemon.engine.wisdom_file = wisdom;
   options.child.prewarm = true;
-  options.child.promote_wait_ms = 10000;
   options.wedge_ms = 20000;
   options.handoff_ready_ms = 20000;
   return run_supervisor(options);

@@ -119,7 +119,6 @@ TEST(Overload, ExpiredRequestsAreShedTypedBeforeExecution) {
   DaemonOptions options;
   options.endpoint = endpoint;
   options.slots = 2;
-  ASSERT_TRUE(options.shed_expired) << "shedding must be the default";
   Daemon daemon(options);
   daemon.start();
   {

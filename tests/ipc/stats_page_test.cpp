@@ -109,7 +109,7 @@ TEST(IpcStatsPage, ForkedObserverNeverSeesATornSnapshot) {
   DaemonOptions options;
   options.endpoint = endpoint;
   options.slots = 2;
-  options.stats_publish_ms = 2;  // aggressive cadence: maximal seqlock churn
+  options.sweep_ms = 2;  // publish every 2 ms: maximal seqlock churn
   Daemon daemon(options);
   daemon.start();
 
@@ -158,7 +158,7 @@ TEST(IpcStatsPage, PublishesOnlySeriesWithTraffic) {
   DaemonOptions options;
   options.endpoint = endpoint;
   options.slots = 1;
-  options.stats_publish_ms = 2;
+  options.sweep_ms = 2;
   Daemon daemon(options);
   daemon.start();
 

@@ -193,13 +193,6 @@ TEST(Env, IntParsingWithDefault) {
   ::unsetenv("WHTLAB_TEST_ENV");
 }
 
-TEST(Env, DoubleParsing) {
-  ::setenv("WHTLAB_TEST_ENV_D", "0.25", 1);
-  EXPECT_EQ(env_double("WHTLAB_TEST_ENV_D", 1.0), 0.25);
-  ::unsetenv("WHTLAB_TEST_ENV_D");
-  EXPECT_EQ(env_double("WHTLAB_TEST_ENV_D", 1.0), 1.0);
-}
-
 TEST(Env, EmptyTreatedAsUnset) {
   ::setenv("WHTLAB_TEST_ENV_E", "", 1);
   EXPECT_FALSE(env_string("WHTLAB_TEST_ENV_E").has_value());

@@ -8,9 +8,10 @@
 //   whtd --stats                    # periodic counters + telemetry text
 //   whtd --supervise --pid-file d.pid   # watchdog + rolling restarts
 //
-// Defaults come from DaemonOptions::from_env() (the WHTLAB_IPC_* knobs);
-// flags override the environment, and both get DaemonOptions::validate()'s
-// ranges before anything is forked or bound.  Signals:
+// The flags are the daemon's configuration: each one sets a DaemonOptions
+// field, and DaemonOptions::validate() checks their ranges before anything
+// is forked or bound.  (WHTLAB_SIMD and WHTLAB_FAULTS act on whtd as on
+// any process.)  Signals:
 //
 //   SIGTERM  graceful drain (--drain-ms budget): stop admitting — new
 //            submissions answer the typed kDraining — finish in-flight
@@ -57,11 +58,12 @@ T flag_value(const whtlab::util::Cli& cli, const char* name, T fallback,
   return static_cast<T>(static_cast<std::uint64_t>(value) * scale);
 }
 
-/// Environment first, flags on top — run again by every supervised child
-/// (through SupervisorOptions::reload), so a rolling restart picks up
-/// WHTLAB_IPC_* changes made since the supervisor booted.
+/// The library defaults with every flag applied.  A serving daemon arms
+/// the Engine circuit breaker: it must degrade to the reference backend,
+/// not crash or corrupt (3 strikes, the default probation).
 whtlab::ipc::DaemonOptions options_from(const whtlab::util::Cli& cli) {
-  whtlab::ipc::DaemonOptions options = whtlab::ipc::DaemonOptions::from_env();
+  whtlab::ipc::DaemonOptions options;
+  options.engine.quarantine_strikes = 3;
   options.endpoint = cli.get("endpoint", options.endpoint);
   options.slots = flag_value(cli, "slots", options.slots);
   options.arena_doubles =
@@ -69,7 +71,6 @@ whtlab::ipc::DaemonOptions options_from(const whtlab::util::Cli& cli) {
   options.credit_limit = flag_value(cli, "credits", options.credit_limit);
   options.credit_window_ns = flag_value(cli, "credit-window-ms",
                                         options.credit_window_ns, 1000000ULL);
-  options.shed_expired = flag_value(cli, "shed", options.shed_expired);
   options.strike_limit = flag_value(cli, "strikes", options.strike_limit);
   options.timeout_ms = flag_value(cli, "timeout-ms", options.timeout_ms);
   options.sweep_ms = flag_value(cli, "sweep-ms", options.sweep_ms);
@@ -88,10 +89,9 @@ int main(int argc, char** argv) {
   cli.add_flag("arena-doubles", "per-slot staging arena, in doubles");
   cli.add_flag("credits", "per-client work credits (vectors) per window (0 = off)");
   cli.add_flag("credit-window-ms", "credit bucket full-refill period, ms");
-  cli.add_flag("shed", "deadline load shedding: 1 = drop expired requests (default), 0 = off");
   cli.add_flag("strikes", "protocol strikes before slot eviction (0 = never evict)");
   cli.add_flag("timeout-ms", "published client wait deadline, ms");
-  cli.add_flag("sweep-ms", "dead-client liveness sweep period, ms");
+  cli.add_flag("sweep-ms", "dead-client liveness sweep and stats-page publish period, ms");
   cli.add_flag("drain-ms", "graceful-drain budget for SIGTERM/handoffs, ms");
   cli.add_flag("wisdom", "wisdom file for first-touch planning");
   cli.add_flag("pid-file", "write the serving pid here (current child under --supervise)");
@@ -99,8 +99,7 @@ int main(int argc, char** argv) {
   cli.add_flag("max-restarts", "supervisor: give up after this many unstable restarts (0 = never)");
   cli.add_flag("stable-ms", "supervisor: healthy uptime that resets the restart budget");
   cli.add_flag("handoff-ready-ms", "supervisor: successor prewarm bound for SIGHUP handoffs");
-  cli.add_flag("stats-interval-ms", "period of the --stats counter line (default 1000)");
-  cli.add_bool("stats", "print shared counters and telemetry periodically (see --stats-interval-ms)");
+  cli.add_bool("stats", "print shared counters and telemetry every second");
   cli.add_bool("prewarm", "rebuild wisdom-recorded transforms before serving");
   cli.add_bool("once-ready", "print READY on stdout once serving (for scripts)");
   cli.add_bool("supervise", "watchdogged child: restart on crash/wedge, SIGHUP rolling restart");
@@ -113,17 +112,12 @@ int main(int argc, char** argv) {
   whtlab::ipc::SupervisorOptions supervisor;
   try {
     options = options_from(cli);
-    serve_options.stats_interval_ms = flag_value(
-        cli, "stats-interval-ms", serve_options.stats_interval_ms);
     supervisor.wedge_ms = flag_value(cli, "wedge-ms", supervisor.wedge_ms);
     supervisor.max_restarts =
         flag_value(cli, "max-restarts", supervisor.max_restarts);
     supervisor.stable_ms = flag_value(cli, "stable-ms", supervisor.stable_ms);
     supervisor.handoff_ready_ms =
         flag_value(cli, "handoff-ready-ms", supervisor.handoff_ready_ms);
-    if (serve_options.stats_interval_ms < 1) {
-      throw std::invalid_argument("--stats-interval-ms must be >= 1");
-    }
     if (supervisor.wedge_ms < 1) {
       throw std::invalid_argument("--wedge-ms must be >= 1");
     }
@@ -132,17 +126,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Asking for an interval implies asking for the stats line.
-  serve_options.stats = cli.has("stats") || cli.has("stats-interval-ms");
+  serve_options.stats = cli.has("stats");
   serve_options.prewarm = cli.has("prewarm");
   serve_options.once_ready = cli.has("once-ready");
 
   if (cli.has("supervise")) {
     supervisor.daemon = options;
     supervisor.child = serve_options;
-    // Config/env re-read per spawned child: flags pin what they name, the
-    // environment underneath may move between handoffs.
-    supervisor.reload = [cli] { return options_from(cli); };
     supervisor.pid_file = cli.get("pid-file", "");
     return whtlab::ipc::run_supervisor(supervisor);
   }

@@ -21,7 +21,6 @@
 //                             [--level scalar|avx2|avx512] [--no-baseline]
 //                             [--wisdom FILE]
 //       (util::Cli parsing: --name value and --name=value both work;
-//        --benchmark_repetitions is an alias for --reps;
 //        --no-baseline skips the slow scalar column for quick ablations —
 //        its JSON fields become null;
 //        --wisdom caches the "simd" kEstimate winners so repeat runs skip
@@ -56,7 +55,6 @@ int main(int argc, char** argv) {
   cli.add_flag("reps", "timed repetitions per cell (median reported)", "9");
   cli.add_flag("threads",
                "fused thread counts, comma-separated (1 is always timed)", "1");
-  cli.add_flag("benchmark_repetitions", "alias for --reps");
   cli.add_flag("level", "cap the SIMD level: scalar|avx2|avx512");
   cli.add_bool("no-baseline", "skip the slow scalar generated column");
   cli.add_flag("wisdom", "plan-cache file (skips re-planning on repeat runs)");
@@ -66,9 +64,7 @@ int main(int argc, char** argv) {
   const std::string wisdom = cli.get("wisdom");
   const int nmin = static_cast<int>(cli.get_int("nmin", 14));
   const int nmax = static_cast<int>(cli.get_int("nmax", 22));
-  const int reps = static_cast<int>(cli.has("benchmark_repetitions")
-                                        ? cli.get_int("benchmark_repetitions", 9)
-                                        : cli.get_int("reps", 9));
+  const int reps = static_cast<int>(cli.get_int("reps", 9));
   const bool baseline = !cli.has("no-baseline");
   if (cli.has("level")) simd::force_level(simd::parse_level(cli.get("level")));
   std::vector<int> threads = cli.get_int_list("threads");

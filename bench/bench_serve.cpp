@@ -18,8 +18,9 @@
 //              Engine::execute against the arbitrated backend's
 //              Transform::execute on a caller-owned context, in paired
 //              rounds: what the Engine layer adds per request, in ns
-//   mixed      singles + batches across n in [--nmin, --nmax] per the
-//              ISSUE's mixed serving workload
+//   mixed      each client cycles through one single at every 4th n in
+//              [--nmin, --nmax], then one batch of --batch vectors at
+//              --coalesce-n
 //   coalesce   submit() pipelines vs the same load as synchronous singles
 //
 // Every section transforms the same buffers in place for seconds.  Since

@@ -4,9 +4,10 @@
 // kEstimate strategy and times the SAME plan on the "generated" (scalar)
 // and "simd" backends, single-shot and batched (execute_many over `batch`
 // packed vectors — the high-throughput serving shape).  Emits an aligned
-// table on stdout and a JSON trajectory:
+// table on stdout and a JSON trajectory that records the host's core count:
 //
-//   { "bench": "simd_compare", "level": "avx512", "vector_width": 8, ...,
+//   { "bench": "simd_compare", "level": "avx512", "vector_width": 8,
+//     "host_cores": 4, ...,
 //     "results": [ { "n": 10, "single_scalar_cycles": ...,
 //                    "single_simd_cycles": ..., "single_speedup": ...,
 //                    "batch_scalar_cycles_per_vec": ...,
@@ -15,13 +16,12 @@
 //
 // Run:  ./bench_simd_compare [--out FILE] [--nmin N] [--nmax N]
 //                            [--batch N] [--reps N] [--level scalar|avx2|avx512]
-//       (util::Cli parsing: --name value and --name=value both work;
-//        --benchmark_repetitions is an alias for --reps, the same
-//        repetitions-then-median convention as the google-benchmark micros;
-//        every reported cycle count is the median over reps.)
+//       (util::Cli parsing: --name value and --name=value both work; every
+//        reported cycle count is the median over reps.)
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/wht.hpp"
@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   cli.add_flag("nmax", "largest size log2", "20");
   cli.add_flag("batch", "vectors per execute_many batch", "32");
   cli.add_flag("reps", "timed repetitions per cell (median reported)", "7");
-  cli.add_flag("benchmark_repetitions", "alias for --reps");
   cli.add_flag("level", "cap the SIMD level: scalar|avx2|avx512");
   if (!cli.parse(argc, argv)) return 2;
 
@@ -47,14 +46,14 @@ int main(int argc, char** argv) {
   const int nmax = static_cast<int>(cli.get_int("nmax", 20));
   const std::size_t batch =
       static_cast<std::size_t>(cli.get_int("batch", 32));
-  const int reps = static_cast<int>(cli.has("benchmark_repetitions")
-                                        ? cli.get_int("benchmark_repetitions", 7)
-                                        : cli.get_int("reps", 7));
+  const int reps = static_cast<int>(cli.get_int("reps", 7));
   if (cli.has("level")) simd::force_level(simd::parse_level(cli.get("level")));
 
   const simd::SimdLevel level = simd::active_level();
-  std::printf("simd level: %s (width %d), batch %zu, reps %d\n",
-              simd::to_string(level), simd::vector_width(level), batch, reps);
+  const unsigned host_cores = std::thread::hardware_concurrency();
+  std::printf("simd level: %s (width %d), batch %zu, reps %d, host cores %u\n",
+              simd::to_string(level), simd::vector_width(level), batch, reps,
+              host_cores);
   std::printf("%4s %16s %16s %8s %16s %16s %8s\n", "n", "scalar cyc",
               "simd cyc", "speedup", "scalar cyc/vec", "simd cyc/vec",
               "speedup");
@@ -110,9 +109,11 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"simd_compare\",\n  \"level\": \"%s\",\n"
-               "  \"vector_width\": %d,\n  \"batch\": %zu,\n"
-               "  \"repetitions\": %d,\n  \"results\": [\n",
-               simd::to_string(level), simd::vector_width(level), batch, reps);
+               "  \"vector_width\": %d,\n  \"host_cores\": %u,\n"
+               "  \"batch\": %zu,\n  \"repetitions\": %d,\n"
+               "  \"results\": [\n",
+               simd::to_string(level), simd::vector_width(level), host_cores,
+               batch, reps);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,

@@ -79,7 +79,8 @@ CanonicalSuite canonical_suite(int n);
 
 /// "Best" plan a la the WHT package: wht::Planner with Strategy::kMeasure
 /// (dynamic programming over measured runtime, binary/ternary splits; see
-/// DESIGN.md).  Deterministic given the machine; a few seconds at n = 18+.
+/// api/planner.hpp).  Deterministic given the machine; a few seconds at
+/// n = 18+.
 core::Plan best_plan_by_runtime(int n, int repetitions = 3);
 
 /// Wraps a fixed plan in the façade (generated backend) so figure drivers

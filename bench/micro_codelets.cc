@@ -1,9 +1,6 @@
-// Ablation: template-unrolled vs generated straight-line codelets.
-//
-// DESIGN.md calls out the codelet backend as a design choice; this bench
-// quantifies it per codelet size.  Expect near-identical times at -O2 (the
-// compiler fully unrolls the template version), which is the justification
-// for treating the two backends as interchangeable.
+// The generated codelets in isolation: the cost of each codelet size (the
+// leaves every plan bottoms out in), and the cost of strided access for one
+// size.
 #include <benchmark/benchmark.h>
 
 #include "core/codelet.hpp"
@@ -14,13 +11,13 @@ namespace {
 
 using namespace whtlab;
 
-void bench_codelet(benchmark::State& state, core::CodeletBackend backend) {
+void BM_GeneratedCodelet(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const std::uint64_t m = std::uint64_t{1} << k;
   util::AlignedBuffer x(m);
   util::Rng rng(7);
   for (auto& v : x) v = rng.uniform(-1, 1);
-  const auto fn = core::codelet(k, backend);
+  const auto fn = core::codelet(k);
   for (auto _ : state) {
     fn(x.data(), 1);
     benchmark::DoNotOptimize(x.data());
@@ -30,15 +27,6 @@ void bench_codelet(benchmark::State& state, core::CodeletBackend backend) {
                           static_cast<std::int64_t>(k * m));  // butterflies
 }
 
-void BM_TemplateCodelet(benchmark::State& state) {
-  bench_codelet(state, core::CodeletBackend::kTemplate);
-}
-
-void BM_GeneratedCodelet(benchmark::State& state) {
-  bench_codelet(state, core::CodeletBackend::kGenerated);
-}
-
-BENCHMARK(BM_TemplateCodelet)->DenseRange(1, core::kMaxUnrolled);
 BENCHMARK(BM_GeneratedCodelet)->DenseRange(1, core::kMaxUnrolled);
 
 // Strided access cost: the same codelet at unit vs large stride.
@@ -47,7 +35,7 @@ void BM_CodeletStride(benchmark::State& state) {
   const auto stride = static_cast<std::ptrdiff_t>(state.range(0));
   util::AlignedBuffer x(static_cast<std::size_t>((16 - 1) * stride + 1));
   x.fill(1.0);
-  const auto fn = core::codelet(k, core::CodeletBackend::kGenerated);
+  const auto fn = core::codelet(k);
   for (auto _ : state) {
     fn(x.data(), stride);
     benchmark::DoNotOptimize(x.data());

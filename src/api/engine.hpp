@@ -281,9 +281,10 @@ class Engine {
   /// or anchor threw (its cell stays unbuilt, retried at the next touch),
   /// or null.
   std::vector<std::exception_ptr> build_candidates(int n, Entry* const* cells);
-  /// The built entry of a backend that is not a candidate (transform(n,
-  /// "template"), or the reference fallback when it is not a candidate):
-  /// planned on first touch with no price, since nothing prices it.
+  /// The built entry of a backend that is not a candidate (say
+  /// transform(n, "generated") when the candidates leave it out, as the
+  /// reference fallback then does): planned on first touch with no price,
+  /// since nothing prices it.
   Entry& unpriced(int n, const std::string& backend);
 
   /// The candidates' cells for n, in candidates_ order: one acquire load

@@ -12,8 +12,7 @@
 //                    Transform copy conveniences, the Engine's pointer-array
 //                    execute_many) — kept separate from scratch() so a
 //                    caller staging data can still invoke a scratch-using
-//                    backend;
-//   * op counts      the "instrumented" backend's tallies for the run.
+//                    backend.
 //
 // A context is NOT thread-safe; give each call chain its own.  Callers who
 // don't want to manage contexts pass none: the Transform then borrows the
@@ -24,7 +23,6 @@
 
 #include <cstddef>
 
-#include "core/instrumented.hpp"
 #include "util/scratch_arena.hpp"
 
 namespace whtlab::api {
@@ -51,22 +49,9 @@ class ExecContext {
   util::ScratchArena& scratch_arena() { return scratch_; }
   util::ScratchArena& staging_arena() { return staging_; }
 
-  /// Op tallies recorded by the last instrumenting run on this context
-  /// since clear_op_counts(); nullptr when none ran.
-  const core::OpCounts* last_op_counts() const {
-    return has_counts_ ? &counts_ : nullptr;
-  }
-  void set_op_counts(const core::OpCounts& counts) {
-    counts_ = counts;
-    has_counts_ = true;
-  }
-  void clear_op_counts() { has_counts_ = false; }
-
  private:
   util::ScratchArena scratch_;
   util::ScratchArena staging_;
-  core::OpCounts counts_{};
-  bool has_counts_ = false;
 };
 
 }  // namespace whtlab::api

@@ -31,58 +31,30 @@ double fanout_factor(std::size_t count, int threads) {
   return 1.0 / static_cast<double>(workers);
 }
 
-/// Sequential interpreter over a fixed codelet table.
-class SequentialBackend final : public ExecutorBackend {
+/// Sequential interpreter over the generated codelets.
+class GeneratedBackend final : public ExecutorBackend {
  public:
-  SequentialBackend(std::string name, core::CodeletBackend codelets)
-      : name_(std::move(name)), codelets_(codelets) {}
-
   const std::string& name() const override { return name_; }
 
   void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
            ExecContext& /*ctx*/) const override {
-    core::execute_node(plan.root(), x, stride, core::codelet_table(codelets_));
+    core::execute_node(plan.root(), x, stride, core::codelet_table());
   }
 
  private:
-  std::string name_;
-  core::CodeletBackend codelets_;
-};
-
-/// Op-counting interpreter; numerically identical to the sequential one.
-/// Tallies go to the caller's context, so concurrent runs never race.
-class InstrumentedBackend final : public ExecutorBackend {
- public:
-  const std::string& name() const override { return name_; }
-
-  void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
-           ExecContext& ctx) const override {
-    if (stride == 1) {
-      ctx.set_op_counts(core::execute_instrumented(plan, x));
-    } else {
-      // The instrumented interpreter is unit-stride only; op counts are
-      // stride-independent, so count closed-form and run the plain path.
-      core::execute_node(plan.root(), x, stride,
-                         core::codelet_table(core::CodeletBackend::kGenerated));
-      ctx.set_op_counts(core::count_ops(plan));
-    }
-  }
-
- private:
-  std::string name_ = "instrumented";
+  std::string name_ = "generated";
 };
 
 /// Fork-join executor over the root split.
 class ParallelBackend final : public ExecutorBackend {
  public:
-  ParallelBackend(int threads, core::CodeletBackend codelets)
-      : threads_(threads), codelets_(codelets) {}
+  explicit ParallelBackend(int threads) : threads_(threads) {}
 
   const std::string& name() const override { return name_; }
 
   void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
            ExecContext& /*ctx*/) const override {
-    core::execute_parallel_strided(plan, x, stride, threads_, codelets_);
+    core::execute_parallel_strided(plan, x, stride, threads_);
   }
 
   /// Batches parallelize across vectors, not within one transform: each
@@ -90,7 +62,7 @@ class ParallelBackend final : public ExecutorBackend {
   /// the ROADMAP's batch-parallel execute_many.
   void run_many(const core::Plan& plan, double* x, std::size_t count,
                 std::ptrdiff_t dist, ExecContext& /*ctx*/) const override {
-    const auto& table = core::codelet_table(codelets_);
+    const auto& table = core::codelet_table();
     util::parallel_chunks(
         count, threads_, [&plan, &table, x, dist](std::uint64_t begin,
                                                   std::uint64_t end) {
@@ -110,7 +82,6 @@ class ParallelBackend final : public ExecutorBackend {
  private:
   std::string name_ = "parallel";
   int threads_;
-  core::CodeletBackend codelets_;
 };
 
 /// Vectorized tree walk with runtime CPUID dispatch; batches run
@@ -240,19 +211,10 @@ struct BackendRegistry::Impl {
 
 BackendRegistry::BackendRegistry() : impl_(std::make_shared<Impl>()) {
   impl_->factories["generated"] = [](const BackendOptions&) {
-    return std::make_unique<SequentialBackend>("generated",
-                                               core::CodeletBackend::kGenerated);
-  };
-  impl_->factories["template"] = [](const BackendOptions&) {
-    return std::make_unique<SequentialBackend>("template",
-                                               core::CodeletBackend::kTemplate);
-  };
-  impl_->factories["instrumented"] = [](const BackendOptions&) {
-    return std::make_unique<InstrumentedBackend>();
+    return std::make_unique<GeneratedBackend>();
   };
   impl_->factories["parallel"] = [](const BackendOptions& options) {
-    return std::make_unique<ParallelBackend>(std::max(options.threads, 1),
-                                             options.codelets);
+    return std::make_unique<ParallelBackend>(std::max(options.threads, 1));
   };
   impl_->factories["simd"] = [](const BackendOptions& options) {
     return std::make_unique<SimdBackend>(std::max(options.threads, 1));

@@ -1,26 +1,23 @@
 // Pluggable execution backends for the wht::Transform façade.
 //
-// The repo grew three hand-wired ways to run a plan — core::execute (plain
-// interpreter over either codelet table), core::execute_parallel (fork-join
-// over the root split), and core::execute_instrumented (op-counting twin).
-// ExecutorBackend puts them behind one polymorphic interface so a Transform
-// can own "how to run" as a value, and BackendRegistry makes the set
-// open-ended: future SIMD / GPU / sharded backends register under a string
-// key and become reachable from the Planner without touching callers.
+// ExecutorBackend puts every way of running a plan — the plan interpreter
+// over the generated codelets, its fork-join and SIMD variants, the fused
+// schedule engine — behind one polymorphic interface so a Transform can own
+// "how to run" as a value, and BackendRegistry makes the set open-ended:
+// GPU / sharded backends register under a string key and become reachable
+// from the Planner and the Engine without touching callers.
 //
 // Execution contract (the concurrent-serving redesign): a backend is an
 // immutable recipe.  run()/run_many() are const and re-entrant — one
 // instance may execute any number of plans from any number of threads at
-// once — and every per-call mutable need (scratch buffers, op tallies) goes
-// through the caller-supplied wht::ExecContext.  Backends may memoize
-// derived immutable state (the "fused" backend's lowered schedules) behind
-// their own internal synchronization; they must not keep per-call state in
-// members.
+// once — and every per-call mutable need (scratch buffers) goes through the
+// caller-supplied wht::ExecContext.  Backends may memoize derived immutable
+// state (the "fused" backend's lowered schedules) behind their own internal
+// synchronization; they must not keep per-call state in members.
 //
-// Built-in keys (always registered):
+// Built-in keys (always registered) — exactly the backends wht::Engine
+// serves:
 //   "generated"     sequential interpreter, build-time generated codelets
-//   "template"      sequential interpreter, compile-time template codelets
-//   "instrumented"  op-counting interpreter; tallies land in the ExecContext
 //   "parallel"      fork-join executor honouring BackendOptions::threads
 //   "simd"          vectorized tree walk + batch-interleaved run_many with
 //                   runtime CPUID dispatch (AVX-512F / AVX2 / scalar; see
@@ -40,8 +37,6 @@
 #include <vector>
 
 #include "api/exec_context.hpp"
-#include "core/codelet.hpp"
-#include "core/instrumented.hpp"
 #include "core/plan.hpp"
 #include "perf/measure.hpp"
 
@@ -55,7 +50,6 @@ namespace whtlab::api {
 struct BackendOptions {
   int threads = 1;  ///< worker threads ("parallel"; "simd" batches; "fused"
                     ///< batches and single vectors beyond the cache blocks)
-  core::CodeletBackend codelets = core::CodeletBackend::kGenerated;
 };
 
 /// One way of running a plan.  Instances are immutable after construction:
@@ -70,8 +64,8 @@ class ExecutorBackend {
   virtual const std::string& name() const = 0;
 
   /// Transforms the plan.size() elements x[0], x[stride], ... in place.
-  /// `ctx` supplies scratch and receives per-run outputs (op tallies);
-  /// callers serving from multiple threads pass one context per thread.
+  /// `ctx` supplies scratch; callers serving from multiple threads pass one
+  /// context per thread.
   virtual void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
                    ExecContext& ctx) const = 0;
 
@@ -88,8 +82,8 @@ class ExecutorBackend {
   }
 
   /// Context-free conveniences for one-shot callers (each call uses a fresh
-  /// context, so instrumented tallies are discarded and scratch is not
-  /// reused — serving loops should hold a context instead).
+  /// context, so scratch is not reused — serving loops should hold a
+  /// context instead).
   void run(const core::Plan& plan, double* x, std::ptrdiff_t stride = 1) const {
     ExecContext ctx;
     run(plan, x, stride, ctx);
@@ -175,10 +169,10 @@ class BackendRegistry {
 /// Runs the perf measurement protocol (warmup, batched repetitions,
 /// master-copy restore; see perf/measure.hpp) with `backend` as the
 /// execution engine, so e.g. "parallel" is timed on its parallel code path.
-/// MeasureOptions::backend is ignored; repetitions must be >= 1.  Used by
-/// Transform::measure and by the Planner's measuring strategies (candidates
-/// are timed on the backend the planned Transform will actually use).  One
-/// context serves the whole protocol, so scratch warms up with the plan.
+/// repetitions must be >= 1.  Used by Transform::measure and by the
+/// Planner's measuring strategies (candidates are timed on the backend the
+/// planned Transform will actually use).  One context serves the whole
+/// protocol, so scratch warms up with the plan.
 perf::MeasureResult measure_with_backend(const ExecutorBackend& backend,
                                          const core::Plan& plan,
                                          const perf::MeasureOptions& options = {});

@@ -39,11 +39,6 @@ Planner& Planner::threads(int count) {
   return *this;
 }
 
-Planner& Planner::codelets(core::CodeletBackend backend) {
-  codelets_ = backend;
-  return *this;
-}
-
 Planner& Planner::max_leaf(int k) {
   if (k < 1 || k > core::kMaxUnrolled) {
     throw std::invalid_argument("Planner: max_leaf out of [1, " +
@@ -228,7 +223,6 @@ Transform Planner::plan(int n) const {
 
   BackendOptions options;
   options.threads = threads_;
-  options.codelets = codelets_;
   const std::string name =
       !backend_.empty() ? backend_ : (threads_ > 1 ? "parallel" : "generated");
   auto backend = BackendRegistry::global().create(name, options);

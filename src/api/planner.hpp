@@ -59,17 +59,14 @@ class Planner {
   /// Planning strategy; default kEstimate (cheap and measurement-free).
   Planner& strategy(Strategy s);
 
-  /// Executor backend by registry name ("generated", "template",
-  /// "instrumented", "parallel", or anything registered later).  Unset:
-  /// "generated", or "parallel" when threads() > 1.
+  /// Executor backend by registry name ("generated", "parallel", "simd",
+  /// "fused", or anything registered later).  Unset: "generated", or
+  /// "parallel" when threads() > 1.
   Planner& backend(std::string name);
 
   /// Worker threads handed to the backend (BackendOptions::threads).
   /// Values > 1 switch the default backend to "parallel".
   Planner& threads(int count);
-
-  /// Codelet flavour used by the sequential/parallel backends.
-  Planner& codelets(core::CodeletBackend backend);
 
   /// Largest unrolled leaf the searches may use (1..core::kMaxUnrolled).
   Planner& max_leaf(int k);
@@ -129,7 +126,6 @@ class Planner {
   Strategy strategy_ = Strategy::kEstimate;
   std::string backend_;  ///< empty = auto
   int threads_ = 1;
-  core::CodeletBackend codelets_ = core::CodeletBackend::kGenerated;
   int max_leaf_ = core::kMaxUnrolled;
   int max_parts_ = -1;  ///< -1 = auto
   int samples_ = 200;

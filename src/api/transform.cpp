@@ -1,6 +1,5 @@
 #include "api/transform.hpp"
 
-#include <atomic>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -10,23 +9,15 @@ namespace whtlab::api {
 namespace {
 
 /// Per thread: the context every context-less Transform call on the thread
-/// borrows, and the op tallies of the thread's latest context-less
-/// instrumented call with the id of the Transform that made it.
+/// borrows.
 struct ThreadSlot {
   ExecContext ctx;
   bool borrowed = false;  ///< a context-less call on this thread holds ctx
-  std::uint64_t tally_owner = 0;  ///< Transform id; 0 = no tallies yet
-  core::OpCounts tallies{};
 };
 
 ThreadSlot& thread_slot() {
   thread_local ThreadSlot slot;
   return slot;
-}
-
-std::uint64_t next_transform_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -65,7 +56,6 @@ Transform::Transform(core::Plan plan, std::unique_ptr<ExecutorBackend> backend,
     : plan_(std::move(plan)),
       backend_(std::move(backend)),
       backend_name_(backend_->name()),
-      id_(next_transform_id()),
       info_(std::move(info)) {}
 
 void Transform::ensure_valid() const {
@@ -75,18 +65,11 @@ void Transform::ensure_valid() const {
 template <typename Run>
 void Transform::with_thread_context(Run&& run) const {
   ThreadSlot& slot = thread_slot();
-  const auto keep_tallies = [this, &slot](const ExecContext& ctx) {
-    if (const core::OpCounts* counts = ctx.last_op_counts()) {
-      slot.tallies = *counts;
-      slot.tally_owner = id_;
-    }
-  };
   if (slot.borrowed) {
     // Re-entered from inside a context-less call on this thread (a backend
     // calling back into a Transform): the outer call still owns slot.ctx.
     ExecContext fresh;
     run(fresh);
-    keep_tallies(fresh);
     return;
   }
   struct Borrow {
@@ -94,11 +77,7 @@ void Transform::with_thread_context(Run&& run) const {
     ~Borrow() { borrowed = false; }
     bool& borrowed;
   } borrow(slot.borrowed);
-  // Tallies a call that threw mid-batch left here must not be kept under
-  // this Transform's id.
-  slot.ctx.clear_op_counts();
   run(slot.ctx);
-  keep_tallies(slot.ctx);
 }
 
 void Transform::execute(double* x) const { execute(x, 1); }
@@ -161,12 +140,6 @@ std::vector<double> Transform::apply(const std::vector<double>& in) const {
     out.assign(stage, stage + size());
   });
   return out;
-}
-
-const core::OpCounts* Transform::last_op_counts() const {
-  ensure_valid();
-  const ThreadSlot& slot = thread_slot();
-  return slot.tally_owner == id_ ? &slot.tallies : nullptr;
 }
 
 perf::MeasureResult Transform::measure(const perf::MeasureOptions& options) const {

@@ -109,10 +109,8 @@ class Transform {
   void execute_many(double* x, std::size_t count) const;
   void execute_many(double* x, std::size_t count, std::ptrdiff_t dist) const;
 
-  /// Explicit-context variants: the caller owns per-call state (scratch, op
-  /// tallies) instead of the calling thread's context — the serving-loop
-  /// shape, and the only way to read op counts from a context the caller
-  /// controls.  They leave the thread's last_op_counts() slot untouched.
+  /// Explicit-context variants: the caller owns per-call state (scratch)
+  /// instead of the calling thread's context — the serving-loop shape.
   void execute(double* x, std::ptrdiff_t stride, ExecContext& ctx) const;
   void execute_many(double* x, std::size_t count, std::ptrdiff_t dist,
                     ExecContext& ctx) const;
@@ -125,20 +123,9 @@ class Transform {
   /// staging.  in.size() must equal size().
   std::vector<double> apply(const std::vector<double>& in) const;
 
-  /// Op tallies of the calling thread's most recent context-less
-  /// instrumented call, if *this* Transform ran it; nullptr otherwise.  Each
-  /// thread keeps one slot, so another Transform's context-less instrumented
-  /// call on this thread takes it over (this one then reads nullptr), and
-  /// explicit-context calls, whose tallies live on the caller's context,
-  /// never touch it.  The pointer stays valid until the thread's next
-  /// context-less instrumented call or its exit; copy the counts out to
-  /// keep them.
-  const core::OpCounts* last_op_counts() const;
-
   /// Measures this transform with the perf protocol (warmup, batched reps,
   /// master-copy restore; see perf/measure.hpp) — but driven through the
   /// owned backend, so "parallel" measures the parallel code path.
-  /// MeasureOptions::backend is ignored.
   perf::MeasureResult measure(const perf::MeasureOptions& options = {}) const;
 
  private:
@@ -150,15 +137,13 @@ class Transform {
   void ensure_valid() const;
 
   /// Runs `run(ctx)` on the calling thread's context, or on a fresh one when
-  /// a context-less call is already running on this thread, and keeps any
-  /// op tallies it records in the thread's last_op_counts() slot.
+  /// a context-less call is already running on this thread.
   template <typename Run>
   void with_thread_context(Run&& run) const;
 
   core::Plan plan_;
   std::unique_ptr<ExecutorBackend> backend_;
   std::string backend_name_;
-  std::uint64_t id_ = 0;  ///< process-unique; owns the thread's tallies slot
   PlanningInfo info_;
 };
 

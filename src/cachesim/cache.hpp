@@ -39,8 +39,9 @@ struct CacheConfig {
   static CacheConfig opteron_l1() { return {64 * 1024, 64, 2}; }
   /// Opteron Model 224 L2: 1 MB, 16-way, 64 B lines.
   static CacheConfig opteron_l2() { return {1024 * 1024, 64, 16}; }
-  /// This build machine's L1D geometry (48 KB, 12-way, 64 B — see
-  /// DESIGN.md; used as the PAPI stand-in when cycles are measured here).
+  /// L1D of the host the committed cells were measured on (48 KB, 12-way,
+  /// 64 B): simulating it pairs the miss counts (the PAPI stand-in) with
+  /// cycles measured on that host.
   static CacheConfig host_l1() { return {48 * 1024, 64, 12}; }
   /// This build machine's L2 (2 MB, 16-way, 64 B).
   static CacheConfig host_l2() { return {2 * 1024 * 1024, 64, 16}; }

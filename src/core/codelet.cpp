@@ -1,43 +1,15 @@
 #include "core/codelet.hpp"
 
 #include <stdexcept>
-
-#include "core/codelets_gen.hpp"
+#include <string>
 
 namespace whtlab::core {
 
-namespace {
-
-const std::array<CodeletFn, kMaxUnrolled + 1> kTemplateTable = {
-    nullptr,
-    &template_codelet<1>,
-    &template_codelet<2>,
-    &template_codelet<3>,
-    &template_codelet<4>,
-    &template_codelet<5>,
-    &template_codelet<6>,
-    &template_codelet<7>,
-    &template_codelet<8>,
-};
-
-}  // namespace
-
-const std::array<CodeletFn, kMaxUnrolled + 1>& codelet_table(
-    CodeletBackend backend) {
-  switch (backend) {
-    case CodeletBackend::kTemplate:
-      return kTemplateTable;
-    case CodeletBackend::kGenerated:
-      return generated_codelet_table();
-  }
-  throw std::invalid_argument("unknown codelet backend");
-}
-
-CodeletFn codelet(int k, CodeletBackend backend) {
+CodeletFn codelet(int k) {
   if (k < 1 || k > kMaxUnrolled) {
     throw std::out_of_range("codelet size out of range: " + std::to_string(k));
   }
-  return codelet_table(backend)[static_cast<std::size_t>(k)];
+  return codelet_table()[static_cast<std::size_t>(k)];
 }
 
 }  // namespace whtlab::core

@@ -1,21 +1,16 @@
 // Unrolled base-case codelets: WHT(2^k) on a strided vector, in place.
 //
 // The WHT package computes small transforms with generated straight-line
-// code ("codelets") to avoid loop and recursion overhead.  whtlab ships two
-// interchangeable backends:
+// code ("codelets") to avoid loop and recursion overhead.  whtlab reproduces
+// that build step: tools/codelet_gen emits the codelet table's definition
+// (codelets_gen.cpp in the build tree) as single-assignment code — one load
+// per element, k*2^(k-1) butterflies on named temporaries, one store per
+// element — exactly how the original package produced its codelets.
 //
-//   * kTemplate  — the generic implementation below with a compile-time size;
-//     at -O2 the compiler fully unrolls the fixed-trip-count loops, which is
-//     the moral equivalent of generated code and lives in-repo.
-//   * kGenerated — straight-line single-assignment code emitted by
-//     tools/codelet_gen at build time, mirroring exactly how the original
-//     package produced its codelets (one load per element, k*2^(k-1)
-//     butterflies on named temporaries, one store per element).
-//
-// Both backends perform, per call on WHT(2^k): 2^k loads, 2^k stores and
-// k*2^k additions/subtractions — the counts assumed by the instruction-count
-// model (model/instruction_model.hpp).  An ablation bench compares their
-// runtime (bench/micro_codelets.cc).
+// Per call on WHT(2^k) a codelet performs 2^k loads, 2^k stores and k*2^k
+// additions/subtractions — the counts assumed by the instruction-count
+// model (model/instruction_model.hpp).  bench/micro_codelets.cc times each
+// size.
 #pragma once
 
 #include <array>
@@ -29,38 +24,12 @@ namespace whtlab::core {
 /// are `stride` apart; the transform is in place.
 using CodeletFn = void (*)(double* x, std::ptrdiff_t stride);
 
-enum class CodeletBackend {
-  kTemplate,   ///< generic compile-time-unrolled implementation
-  kGenerated,  ///< build-time generated straight-line code
-};
+/// Dispatch table indexed by k (entry 0 is nullptr).  Defined by the
+/// generated translation unit.
+const std::array<CodeletFn, kMaxUnrolled + 1>& codelet_table();
 
-/// Generic codelet with compile-time size 2^K.  The temporaries array fits in
-/// registers for small K; all loops have constant trip counts.
-template <int K>
-inline void template_codelet(double* x, std::ptrdiff_t stride) {
-  static_assert(K >= 1 && K <= kMaxUnrolled);
-  constexpr int m = 1 << K;
-  double t[m];
-  for (int j = 0; j < m; ++j) t[j] = x[j * stride];
-  for (int stage = 0; stage < K; ++stage) {
-    const int half = 1 << stage;
-    for (int base = 0; base < m; base += 2 * half) {
-      for (int off = 0; off < half; ++off) {
-        const double a = t[base + off];
-        const double b = t[base + off + half];
-        t[base + off] = a + b;
-        t[base + off + half] = a - b;
-      }
-    }
-  }
-  for (int j = 0; j < m; ++j) x[j * stride] = t[j];
-}
-
-/// Dispatch table indexed by k (entry 0 unused).  Throws std::out_of_range
-/// for k outside [1, kMaxUnrolled].
-const std::array<CodeletFn, kMaxUnrolled + 1>& codelet_table(CodeletBackend backend);
-
-/// Single codelet lookup.
-CodeletFn codelet(int k, CodeletBackend backend);
+/// Single codelet lookup.  Throws std::out_of_range for k outside
+/// [1, kMaxUnrolled].
+CodeletFn codelet(int k);
 
 }  // namespace whtlab::core

@@ -30,8 +30,8 @@ void execute_node(const PlanNode& node, double* x, std::ptrdiff_t stride,
   }
 }
 
-void execute(const Plan& plan, double* x, CodeletBackend backend) {
-  execute_node(plan.root(), x, 1, codelet_table(backend));
+void execute(const Plan& plan, double* x) {
+  execute_node(plan.root(), x, 1, codelet_table());
 }
 
 }  // namespace whtlab::core

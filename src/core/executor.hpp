@@ -33,10 +33,8 @@
 namespace whtlab::core {
 
 /// Executes `plan` in place on x[0 .. 2^n).  `x` must hold plan.size()
-/// doubles.  The default backend is the generated straight-line codelets,
-/// matching the original package.
-void execute(const Plan& plan, double* x,
-             CodeletBackend backend = CodeletBackend::kGenerated);
+/// doubles.
+void execute(const Plan& plan, double* x);
 
 /// Executes a subtree on a strided vector: elements x[0], x[stride], ...
 /// Exposed so that the parallel executor and tests can drive subtrees.

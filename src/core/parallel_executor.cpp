@@ -14,8 +14,8 @@ constexpr std::uint64_t kParallelThreshold = 1 << 12;
 }  // namespace
 
 void execute_parallel_strided(const Plan& plan, double* x, std::ptrdiff_t stride,
-                              int num_threads, CodeletBackend backend) {
-  const auto& table = codelet_table(backend);
+                              int num_threads) {
+  const auto& table = codelet_table();
   const PlanNode& root = plan.root();
   if (num_threads <= 1 || root.kind == NodeKind::kSmall ||
       root.size() < kParallelThreshold) {
@@ -46,9 +46,8 @@ void execute_parallel_strided(const Plan& plan, double* x, std::ptrdiff_t stride
   }
 }
 
-void execute_parallel(const Plan& plan, double* x, int num_threads,
-                      CodeletBackend backend) {
-  execute_parallel_strided(plan, x, 1, num_threads, backend);
+void execute_parallel(const Plan& plan, double* x, int num_threads) {
+  execute_parallel_strided(plan, x, 1, num_threads);
 }
 
 }  // namespace whtlab::core

@@ -13,20 +13,17 @@
 
 #include <cstddef>
 
-#include "core/codelet.hpp"
 #include "core/plan.hpp"
 
 namespace whtlab::core {
 
 /// Executes `plan` in place using up to `num_threads` threads.
 /// num_threads <= 1 degenerates to the sequential executor.
-void execute_parallel(const Plan& plan, double* x, int num_threads,
-                      CodeletBackend backend = CodeletBackend::kGenerated);
+void execute_parallel(const Plan& plan, double* x, int num_threads);
 
 /// Strided variant: operates on the plan.size() elements x[0], x[stride], ...
 /// (the entry point the api::Transform strided path uses).
 void execute_parallel_strided(const Plan& plan, double* x, std::ptrdiff_t stride,
-                              int num_threads,
-                              CodeletBackend backend = CodeletBackend::kGenerated);
+                              int num_threads);
 
 }  // namespace whtlab::core

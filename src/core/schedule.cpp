@@ -98,8 +98,8 @@ int sweep_count(const Schedule& schedule) {
 namespace {
 
 // Strided fused tile kernels: WHT(2^k) on 2^k elements at stride s, the same
-// butterflies in the same stage order as template_codelet / the generated
-// codelets, fully inlined so a pass is one flat loop.
+// butterflies in the same stage order as the codelets tools/codelet_gen
+// emits, fully inlined so a pass is one flat loop.
 
 inline void radix2_tile(double* x, std::ptrdiff_t s) {
   const double a = x[0];
@@ -218,7 +218,7 @@ void execute_schedule(const Schedule& schedule, double* x, std::ptrdiff_t stride
 }
 
 void execute_schedule(const Schedule& schedule, double* x) {
-  execute_schedule(schedule, x, 1, codelet_table(CodeletBackend::kGenerated));
+  execute_schedule(schedule, x, 1, codelet_table());
 }
 
 }  // namespace whtlab::core

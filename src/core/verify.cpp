@@ -45,8 +45,7 @@ double max_abs_diff(const double* a, const double* b, std::uint64_t count) {
   return worst;
 }
 
-double verify_plan(const Plan& plan, CodeletBackend backend,
-                   std::uint64_t seed) {
+double verify_plan(const Plan& plan, std::uint64_t seed) {
   const std::uint64_t size = plan.size();
   util::AlignedBuffer via_plan(size);
   util::AlignedBuffer via_reference(size);
@@ -56,7 +55,7 @@ double verify_plan(const Plan& plan, CodeletBackend backend,
     via_plan[i] = v;
     via_reference[i] = v;
   }
-  execute(plan, via_plan.data(), backend);
+  execute(plan, via_plan.data());
   fast_wht_reference(plan.log2_size(), via_reference.data());
   return max_abs_diff(via_plan.data(), via_reference.data(), size);
 }

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 
-#include "core/codelet.hpp"
 #include "core/plan.hpp"
 
 namespace whtlab::core {
@@ -31,8 +30,6 @@ double max_abs_diff(const double* a, const double* b, std::uint64_t count);
 
 /// Executes `plan` and the fast reference on identical pseudo-random input
 /// (seeded deterministically) and returns the max absolute error.
-double verify_plan(const Plan& plan,
-                   CodeletBackend backend = CodeletBackend::kGenerated,
-                   std::uint64_t seed = 12345);
+double verify_plan(const Plan& plan, std::uint64_t seed = 12345);
 
 }  // namespace whtlab::core

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <ctime>
+#include <exception>
 #include <string>
 
 #include "ipc/shm.hpp"
@@ -70,6 +71,46 @@ bool stats_read(const StatsPage& shared, StatsPage& out, int retries) {
 
 std::string stats_shm_name_for(const std::string& endpoint) {
   return shm_name_for(endpoint) + ".stats";
+}
+
+bool stats_snapshot(const std::string& endpoint, StatsPage& out,
+                    std::string& error) {
+  const std::string name = stats_shm_name_for(endpoint);
+  Shm shm;
+  try {
+    shm = Shm::open_readonly(name);
+  } catch (const std::exception& e) {
+    error = e.what();
+    return false;
+  }
+  if (shm.size() < sizeof(StatsPage)) {
+    error = name + ": segment too small (" + std::to_string(shm.size()) +
+            " bytes) — not a stats page";
+    return false;
+  }
+  const auto* page = static_cast<const StatsPage*>(shm.data());
+  if (page->header.magic != kStatsMagic) {
+    error = name + ": bad magic — not a stats page";
+    return false;
+  }
+  if (page->header.version != kStatsVersion) {
+    error = name + ": stats page version " +
+            std::to_string(page->header.version) + ", this reader speaks " +
+            std::to_string(kStatsVersion);
+    return false;
+  }
+  if (!stats_read(*page, out)) {
+    error = name + ": no consistent snapshot (publish storm) — try again";
+    return false;
+  }
+  // Checked on the copy: the writer may change the shared count after it.
+  if (out.header.series_count > kStatsSeriesCapacity) {
+    error = name + ": malformed stats page: " +
+            std::to_string(out.header.series_count) +
+            " series, the page holds " + std::to_string(kStatsSeriesCapacity);
+    return false;
+  }
+  return true;
 }
 
 std::uint64_t monotonic_ns() {

@@ -388,6 +388,15 @@ bool stats_read(const StatsPage& shared, StatsPage& out, int retries = 64);
 /// ".stats".
 std::string stats_shm_name_for(const std::string& endpoint);
 
+/// The observer's whole read: maps the endpoint's stats page read-only and
+/// takes a consistent copy into `out`.  Returns false with a diagnostic in
+/// `error` when there is no such segment, the segment is shorter than a
+/// page, the page is malformed (bad magic or version, or a series_count
+/// above kStatsSeriesCapacity), or no consistent copy could be taken.  On
+/// true, out.series[0 .. series_count) all lie inside the page.
+bool stats_snapshot(const std::string& endpoint, StatsPage& out,
+                    std::string& error);
+
 /// Monotonic nanoseconds (CLOCK_MONOTONIC) — the protocol's only clock:
 /// credit refills, wait deadlines, sweep periods.
 std::uint64_t monotonic_ns();

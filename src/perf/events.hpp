@@ -10,8 +10,11 @@
 //   l1/l2 misses  -> trace-driven cache simulation (cachesim::simulate_plan)
 //                    in the Opteron geometry by default
 //
-// See DESIGN.md "Substitutions" for why each stand-in preserves the paper's
-// measurement semantics.
+// Each stand-in keeps the paper's semantics: cycles are timed on real
+// executions, as PAPI's cycle counter was; the op count tallies exactly the
+// operations the instruction-count model describes (core/instrumented.hpp);
+// and the simulated misses replay the executor's own access sequence
+// (core::reference_stream) through the chosen cache geometry.
 #pragma once
 
 #include "cachesim/cache.hpp"

@@ -24,9 +24,10 @@ void fill_random(util::AlignedBuffer& buffer, std::uint64_t seed) {
   for (auto& v : buffer) v = rng.uniform(-1.0, 1.0);
 }
 
-/// auto_inner_loop's heuristic, probing on the caller's filled buffer `x`.
-/// The probe reads the steady clock, not the cycle counter: converting
-/// ticks to time would need a calibrated tick rate.
+/// Step 2's probe: a batch size so one timed unit of `run` takes >= ~50 us,
+/// from one execution on the caller's filled buffer `x`.  The probe reads
+/// the steady clock, not the cycle counter: converting ticks to time would
+/// need a calibrated tick rate.
 int probe_inner_loop(const RunFn& run, double* x) {
   using Clock = std::chrono::steady_clock;
   const Clock::time_point begin = Clock::now();
@@ -52,18 +53,6 @@ MeasureResult summarize(std::vector<double> samples, int inner) {
 }
 
 }  // namespace
-
-int auto_inner_loop(const RunFn& run, std::uint64_t size) {
-  util::AlignedBuffer x(size);
-  fill_random(x, 1);
-  return probe_inner_loop(run, x.data());
-}
-
-int auto_inner_loop(const core::Plan& plan, core::CodeletBackend backend) {
-  return auto_inner_loop(
-      [&plan, backend](double* x) { core::execute(plan, x, backend); },
-      plan.size());
-}
 
 std::vector<SetResult> measure_set(const std::vector<RunFn>& runs,
                                    std::uint64_t size,
@@ -150,10 +139,8 @@ MeasureResult measure_run(const RunFn& run, std::uint64_t size,
 
 MeasureResult measure_plan(const core::Plan& plan,
                            const MeasureOptions& options) {
-  const core::CodeletBackend backend = options.backend;
-  return measure_run(
-      [&plan, backend](double* x) { core::execute(plan, x, backend); },
-      plan.size(), options);
+  return measure_run([&plan](double* x) { core::execute(plan, x); },
+                     plan.size(), options);
 }
 
 }  // namespace whtlab::perf

@@ -29,8 +29,8 @@
 //
 // For very small transforms a single execution is below timer resolution, so
 // the timed unit is a batch of `inner_loop` back-to-back executions and the
-// reported value is the per-execution average.  auto_inner_loop() picks a
-// batch size targeting ~50 µs per timed unit.
+// reported value is the per-execution average.  Unless inner_loop is given,
+// step 2's probe picks a batch size targeting ~50 µs per timed unit.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,6 @@
 #include <functional>
 #include <vector>
 
-#include "core/codelet.hpp"
 #include "core/plan.hpp"
 
 namespace whtlab::perf {
@@ -47,7 +46,6 @@ struct MeasureOptions {
   int warmup = 2;            ///< untimed executions before measuring
   int repetitions = 7;       ///< timed samples
   int inner_loop = 0;        ///< executions per timed sample; 0 = auto
-  core::CodeletBackend backend = core::CodeletBackend::kGenerated;
   std::uint64_t seed = 0xC0FFEE;  ///< master-buffer fill
 };
 
@@ -77,18 +75,10 @@ struct SetResult {
   std::exception_ptr error;
 };
 
-/// Picks a batch size so one timed unit of `run` over `size` doubles takes
-/// >= ~50 us (one probe execution on a random buffer).
-int auto_inner_loop(const RunFn& run, std::uint64_t size);
-
-/// Same heuristic for a plan under core::execute with `backend` codelets.
-int auto_inner_loop(const core::Plan& plan, core::CodeletBackend backend);
-
 /// The measurement protocol itself, engine-agnostic: times every run of
 /// `runs` on one shared master-restored aligned buffer of `size` doubles
-/// per the steps above, and returns one result per run, in order.
-/// MeasureOptions::backend is ignored (the engines are `runs`); an explicit
-/// inner_loop applies to every candidate.  Throws std::invalid_argument on
+/// per the steps above, and returns one result per run, in order.  An
+/// explicit inner_loop applies to every candidate.  Throws std::invalid_argument on
 /// repetitions < 1 or warmup < 0.  Every other measurement entry point is a
 /// thin wrapper over this, so the protocol exists exactly once.
 std::vector<SetResult> measure_set(const std::vector<RunFn>& runs,
@@ -100,8 +90,7 @@ std::vector<SetResult> measure_set(const std::vector<RunFn>& runs,
 MeasureResult measure_run(const RunFn& run, std::uint64_t size,
                           const MeasureOptions& options = {});
 
-/// Measures `plan` per the protocol above via core::execute with
-/// options.backend's codelets.
+/// Measures `plan` per the protocol above via core::execute.
 MeasureResult measure_plan(const core::Plan& plan,
                            const MeasureOptions& options = {});
 

@@ -212,7 +212,7 @@ core::BlockingConfig detect_blocking() {
 
 void execute_fused(const core::Schedule& schedule, double* x,
                    std::ptrdiff_t stride, SimdLevel level, int threads) {
-  const auto& table = core::codelet_table(core::CodeletBackend::kGenerated);
+  const auto& table = core::codelet_table();
   const KernelSet* kernels = kernels_for(level);
   if (kernels == nullptr || stride != 1 ||
       !vectorizable(schedule, static_cast<std::uint64_t>(kernels->width))) {

@@ -10,8 +10,8 @@
 // function body ever ends up compiled with the wrong target flags.
 //
 // Numerical contract: bit-identical to the scalar codelets.  Every butterfly
-// is the same (a+b, a−b) pair in the same stage order as template_codelet /
-// the generated straight-line code; the in-register stages compute a−b as
+// is the same (a+b, a−b) pair in the same stage order as the straight-line
+// codelets tools/codelet_gen emits; the in-register stages compute a−b as
 // a + (b XOR signbit), which is exact for IEEE doubles (sign-bit flip is
 // exact negation, and a + (−b) ≡ a − b).  The XOR replaces the previous
 // ±1.0 multiply: vxorpd has lower latency than vmulpd, runs on more ports,
@@ -295,8 +295,8 @@ void interleave_out(double* base, const double* scratch, std::ptrdiff_t dist,
 }
 
 /// W transforms in lockstep: lane l's element j at x[l + j*stride],
-/// stride >= W.  Structurally template_codelet with every scalar widened to
-/// a vector — no shuffles anywhere.
+/// stride >= W.  The stage loop of tools/codelet_gen's codelets with every
+/// scalar widened to a vector — no shuffles anywhere.
 template <int W>
 void leaf_lockstep(int k, double* x, std::ptrdiff_t stride) {
   using vec = vec_t<W>;

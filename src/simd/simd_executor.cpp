@@ -118,7 +118,7 @@ const KernelSet* kernels_for(SimdLevel level) {
 
 void execute(const core::Plan& plan, double* x, std::ptrdiff_t stride,
              SimdLevel level) {
-  const auto& scalar = core::codelet_table(core::CodeletBackend::kGenerated);
+  const auto& scalar = core::codelet_table();
   const KernelSet* kernels = kernels_for(level);
   if (kernels == nullptr) {
     core::execute_node(plan.root(), x, stride, scalar);
@@ -168,7 +168,7 @@ void execute_many(const core::Plan& plan, double* x, std::size_t count,
     return;
   }
 
-  const auto& scalar = core::codelet_table(core::CodeletBackend::kGenerated);
+  const auto& scalar = core::codelet_table();
   const WalkContext ctx{kernels, &scalar};
   const std::uint64_t groups = static_cast<std::uint64_t>(count) / width;
   const core::PlanNode& root = plan.root();

@@ -6,10 +6,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/executor.hpp"
-#include "core/instrumented.hpp"
 #include "core/plan.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/rng.hpp"
@@ -17,10 +17,21 @@
 namespace whtlab::api {
 namespace {
 
+/// The registry as the library builds it, read before main(): tests
+/// register their own backends into the same process-wide registry while
+/// they run.
+const std::vector<std::string> kNamesAtStartup =
+    BackendRegistry::global().names();
+
+TEST(BackendRegistry, BuiltinsAreExactlyTheServedBackends) {
+  // Every built-in is a backend wht::Engine can route to; nothing else.
+  EXPECT_EQ(kNamesAtStartup, (std::vector<std::string>{"fused", "generated",
+                                                       "parallel", "simd"}));
+}
+
 TEST(BackendRegistry, BuiltinsAreRegistered) {
   auto& registry = BackendRegistry::global();
-  for (const char* name :
-       {"generated", "template", "instrumented", "parallel", "simd"}) {
+  for (const char* name : {"generated", "parallel", "simd", "fused"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     const auto backend = registry.create(name);
     ASSERT_NE(backend, nullptr) << name;
@@ -30,7 +41,7 @@ TEST(BackendRegistry, BuiltinsAreRegistered) {
 
 TEST(BackendRegistry, NamesAreSortedAndContainBuiltins) {
   const auto names = BackendRegistry::global().names();
-  ASSERT_GE(names.size(), 5u);
+  ASSERT_GE(names.size(), 4u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
@@ -50,7 +61,7 @@ TEST(BackendRegistry, DuplicateRegistrationThrows) {
   EXPECT_THROW(BackendRegistry::global().register_factory(
                    "generated",
                    [](const BackendOptions&) {
-                     return BackendRegistry::global().create("template");
+                     return BackendRegistry::global().create("simd");
                    }),
                std::invalid_argument);
 }
@@ -62,8 +73,7 @@ TEST(BackendRegistry, CustomBackendIsCreatable) {
     const std::string& name() const override { return name_; }
     void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
              ExecContext& /*ctx*/) const override {
-      core::execute_node(plan.root(), x, stride,
-                         core::codelet_table(core::CodeletBackend::kGenerated));
+      core::execute_node(plan.root(), x, stride, core::codelet_table());
       for (std::uint64_t i = 0; i < plan.size(); ++i) {
         x[static_cast<std::ptrdiff_t>(i) * stride] *= -1.0;
       }
@@ -142,13 +152,13 @@ TEST_P(BuiltinBackendTest, StridedRunMatchesGather) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBuiltins, BuiltinBackendTest,
-                         ::testing::Values("generated", "template",
-                                           "instrumented", "parallel", "simd"));
+                         ::testing::Values("generated", "parallel", "simd",
+                                           "fused"));
 
 TEST(BackendRunMany, DefaultLoopAndOverridesAgree) {
   // Every built-in's batch path must equal per-vector runs of "generated" —
-  // including the overriding backends ("simd" interleaved, "parallel"
-  // across-vector fork-join).
+  // including the overriding backends ("simd" interleaved, "parallel" and
+  // "fused" across-vector fork-join).
   const core::Plan plan = core::Plan::balanced_binary(10, 4);
   const std::size_t count = 6;
   const std::ptrdiff_t dist = static_cast<std::ptrdiff_t>(plan.size()) + 3;
@@ -163,8 +173,7 @@ TEST(BackendRunMany, DefaultLoopAndOverridesAgree) {
 
   BackendOptions options;
   options.threads = 3;
-  for (const char* name :
-       {"generated", "template", "instrumented", "parallel", "simd"}) {
+  for (const char* name : {"generated", "parallel", "simd", "fused"}) {
     auto backend = BackendRegistry::global().create(name, options);
     std::vector<double> batch = master;
     backend->run_many(plan, batch.data(), count, dist);
@@ -198,29 +207,6 @@ TEST(ParallelBackend, StridedForkJoinMatchesDense) {
   for (std::uint64_t i = 0; i + 1 < n; ++i) {
     ASSERT_EQ(strided[i * kStride + 1], -3.0) << i;  // gaps untouched
   }
-}
-
-TEST(InstrumentedBackend, OpCountsLandInTheContext) {
-  const auto backend = BackendRegistry::global().create("instrumented");
-  const core::Plan plan = core::Plan::right_recursive(9);
-  util::AlignedBuffer x(plan.size());
-  x.fill(1.0);
-  ExecContext ctx;
-  EXPECT_EQ(ctx.last_op_counts(), nullptr);  // nothing ran here yet
-  backend->run(plan, x.data(), 1, ctx);
-  const core::OpCounts* counts = ctx.last_op_counts();
-  ASSERT_NE(counts, nullptr);
-  EXPECT_EQ(*counts, core::count_ops(plan));
-}
-
-TEST(SequentialBackend, DoesNotInstrument) {
-  const auto backend = BackendRegistry::global().create("generated");
-  const core::Plan plan = core::Plan::small(4);
-  util::AlignedBuffer x(plan.size());
-  x.fill(1.0);
-  ExecContext ctx;
-  backend->run(plan, x.data(), 1, ctx);
-  EXPECT_EQ(ctx.last_op_counts(), nullptr);
 }
 
 }  // namespace

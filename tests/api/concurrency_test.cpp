@@ -17,7 +17,6 @@
 #include "api/transform.hpp"
 #include "core/codelet.hpp"
 #include "core/executor.hpp"
-#include "core/instrumented.hpp"
 #include "core/plan.hpp"
 #include "util/rng.hpp"
 
@@ -94,47 +93,8 @@ TEST_P(SharedTransformTest, ConcurrentBatchesBitIdenticalToSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SharedTransformTest,
-                         ::testing::Values("generated", "template",
-                                           "instrumented", "parallel", "simd",
+                         ::testing::Values("generated", "parallel", "simd",
                                            "fused"));
-
-TEST(SharedTransform, PerThreadOpCountsAreExact) {
-  // The instrumented backend's tallies land in each thread's own pooled
-  // context: concurrent executes never tear each other's counts.
-  const core::Plan plan = core::Plan::balanced_binary(10, 4);
-  const auto transform = Planner().fixed(plan).backend("instrumented").plan();
-  const core::OpCounts expected = core::count_ops(plan);
-
-  std::atomic<int> wrong{0};
-  std::vector<std::thread> pool;
-  for (int t = 0; t < 8; ++t) {
-    pool.emplace_back([&]() {
-      std::vector<double> work = random_vector(plan.size(), 5);
-      for (int i = 0; i < 6; ++i) {
-        transform.execute(work.data());
-        const core::OpCounts* counts = transform.last_op_counts();
-        if (counts == nullptr || !(*counts == expected)) wrong.fetch_add(1);
-      }
-    });
-  }
-  for (auto& thread : pool) thread.join();
-  EXPECT_EQ(wrong.load(), 0);
-}
-
-TEST(SharedTransform, ExplicitContextCarriesTheCall) {
-  // Caller-owned contexts: tallies and scratch live on the caller's
-  // context, not on the transform's pool.
-  const core::Plan plan = core::Plan::iterative(8);
-  const auto transform = Planner().fixed(plan).backend("instrumented").plan();
-  std::vector<double> work = random_vector(plan.size(), 9);
-
-  ExecContext ctx;
-  transform.execute(work.data(), 1, ctx);
-  ASSERT_NE(ctx.last_op_counts(), nullptr);
-  EXPECT_EQ(*ctx.last_op_counts(), core::count_ops(plan));
-  // The pooled path on this thread saw nothing.
-  EXPECT_EQ(transform.last_op_counts(), nullptr);
-}
 
 TEST(SharedTransform, ApplyIsSafeFromManyThreads) {
   // apply() stages through per-thread context scratch; concurrent calls
@@ -182,8 +142,7 @@ class ReentrantProbeBackend final : public ExecutorBackend {
            ExecContext& ctx) const override {
     double* scratch = ctx.scratch(kScratch);
     for (std::size_t i = 0; i < kScratch; ++i) scratch[i] = -1.0;
-    core::execute_node(plan.root(), x, stride,
-                       core::codelet_table(core::CodeletBackend::kGenerated));
+    core::execute_node(plan.root(), x, stride, core::codelet_table());
   }
 
   void run_many(const core::Plan& plan, double* x, std::size_t count,
@@ -199,7 +158,7 @@ class ReentrantProbeBackend final : public ExecutorBackend {
     }
     for (std::size_t v = 0; v < count; ++v) {
       core::execute_node(plan.root(), x + static_cast<std::ptrdiff_t>(v) * dist,
-                         1, core::codelet_table(core::CodeletBackend::kGenerated));
+                         1, core::codelet_table());
     }
   }
 
@@ -236,37 +195,6 @@ TEST(ThreadContext, ReentrantCallGetsADistinctContext) {
   std::vector<double> nested_reference = g_probe.nested_input;
   core::execute(nested_plan, nested_reference.data());
   EXPECT_EQ(g_probe.nested_output, nested_reference);
-}
-
-TEST(ThreadContext, TalliesBelongToTheLastInstrumentedTransform) {
-  const core::Plan plan_a = core::Plan::iterative(8);
-  const core::Plan plan_b = core::Plan::balanced_binary(9, 4);
-  const auto a = Planner().fixed(plan_a).backend("instrumented").plan();
-  const auto b = Planner().fixed(plan_b).backend("instrumented").plan();
-  std::vector<double> xa = random_vector(plan_a.size(), 1);
-  std::vector<double> xb = random_vector(plan_b.size(), 2);
-
-  a.execute(xa.data());
-  ASSERT_NE(a.last_op_counts(), nullptr);
-  b.execute(xb.data());
-  ASSERT_NE(b.last_op_counts(), nullptr);
-  EXPECT_EQ(*b.last_op_counts(), core::count_ops(plan_b));
-  EXPECT_EQ(a.last_op_counts(), nullptr);  // B took over the thread's slot
-
-  std::thread fresh([&a, &b]() {
-    EXPECT_EQ(a.last_op_counts(), nullptr);
-    EXPECT_EQ(b.last_op_counts(), nullptr);
-  });
-  fresh.join();
-
-  // An explicit-context run keeps its tallies on the caller's context.
-  ExecContext ctx;
-  a.execute(xa.data(), 1, ctx);
-  ASSERT_NE(ctx.last_op_counts(), nullptr);
-  EXPECT_EQ(*ctx.last_op_counts(), core::count_ops(plan_a));
-  ASSERT_NE(b.last_op_counts(), nullptr);
-  EXPECT_EQ(*b.last_op_counts(), core::count_ops(plan_b));
-  EXPECT_EQ(a.last_op_counts(), nullptr);
 }
 
 TEST(ScratchArena, GrowsAndReuses) {

@@ -54,8 +54,7 @@ class SpinBackend final : public ExecutorBackend {
            ExecContext& /*ctx*/) const override {
     knobs_->runs.fetch_add(1);
     if (knobs_->fail.load()) throw std::runtime_error(name_ + " failed");
-    core::execute_node(plan.root(), x, stride,
-                       core::codelet_table(core::CodeletBackend::kGenerated));
+    core::execute_node(plan.root(), x, stride, core::codelet_table());
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::nanoseconds(knobs_->spin_ns.load());
     while (std::chrono::steady_clock::now() < deadline) {

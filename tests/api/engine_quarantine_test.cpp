@@ -42,8 +42,7 @@ class QBackend final : public ExecutorBackend {
 
   void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
            ExecContext& /*ctx*/) const override {
-    core::execute_node(plan.root(), x, stride,
-                       core::codelet_table(core::CodeletBackend::kGenerated));
+    core::execute_node(plan.root(), x, stride, core::codelet_table());
   }
 
   std::function<double(const core::Plan&)> cost_model() const override {

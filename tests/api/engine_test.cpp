@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <functional>
 #include <future>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "api/wisdom.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
+#include "core/verify.hpp"
 #include "simd/cpu_features.hpp"
 #include "util/rng.hpp"
 
@@ -45,8 +47,7 @@ class ScriptedBackend final : public ExecutorBackend {
 
   void run(const core::Plan& plan, double* x, std::ptrdiff_t stride,
            ExecContext& /*ctx*/) const override {
-    core::execute_node(plan.root(), x, stride,
-                       core::codelet_table(core::CodeletBackend::kGenerated));
+    core::execute_node(plan.root(), x, stride, core::codelet_table());
   }
 
   std::function<double(const core::Plan&)> cost_model() const override {
@@ -108,8 +109,7 @@ class GateBackend final : public ExecutorBackend {
       g_gate_parked.fetch_add(1);
       while (g_gate_closed.load()) std::this_thread::yield();
     }
-    core::execute_node(plan.root(), x, stride,
-                       core::codelet_table(core::CodeletBackend::kGenerated));
+    core::execute_node(plan.root(), x, stride, core::codelet_table());
   }
 
   std::function<double(const core::Plan&)> cost_model() const override {
@@ -236,6 +236,38 @@ TEST(Engine, ExecuteMatchesSharedTransformSerial) {
 
   // The plan cache hands back the same shared instance.
   EXPECT_EQ(engine.transform(10, "generated").get(), transform.get());
+}
+
+TEST(Engine, NonCandidateIsPlannedUnpricedAndUnrecorded) {
+  // transform(n, b) for a registered backend outside the candidates plans
+  // b alone: no anchor and no telemetry series, and the candidates' own
+  // first touch of n still happens in full afterwards.
+  EngineOptions options;
+  options.backends = {"simd", "fused"};
+  Engine engine(options);
+
+  const auto transform = engine.transform(12, "generated");
+  ASSERT_NE(transform, nullptr);
+  EXPECT_EQ(transform->backend_name(), "generated");
+  EXPECT_EQ(engine.transform(12, "generated").get(), transform.get());
+  auto served = random_vector(transform->size(), 12);
+  auto reference = served;
+  transform->execute(served.data());
+  core::fast_wht_reference(12, reference.data());
+  EXPECT_EQ(served, reference);
+  EXPECT_TRUE(engine.telemetry_snapshot().empty());
+
+  const auto decision = engine.arbitrate(12);
+  ASSERT_EQ(decision.candidates.size(), 2u);
+  for (const auto& candidate : decision.candidates) {
+    EXPECT_GT(candidate.cost, 0.0) << candidate.backend;
+  }
+  std::set<std::string> recorded;
+  for (const auto& series : engine.telemetry_snapshot()) {
+    EXPECT_EQ(series.n, 12);
+    recorded.insert(series.backend);
+  }
+  EXPECT_EQ(recorded, (std::set<std::string>{"fused", "simd"}));
 }
 
 TEST(Engine, PointerArrayExecuteManyMatchesSharedTransform) {
@@ -512,7 +544,7 @@ TEST(EnginePrewarm, OtherCpusAndNonCandidatesWarmNothing) {
        {std::pair<std::string, Wisdom::Key>{
             "engine_prewarm_cpu.txt", {other_cpu, 12, "estimate", "generated"}},
         std::pair<std::string, Wisdom::Key>{
-            "engine_prewarm_backend.txt", {cpu, 12, "estimate", "template"}}}) {
+            "engine_prewarm_backend.txt", {cpu, 12, "estimate", "parallel"}}}) {
     EngineOptions options;
     options.backends = {"generated", "simd", "fused"};
     options.wisdom_file = wisdom_with(name, {key});

@@ -187,8 +187,8 @@ TEST(Planner, BackendDefaultsFollowThreads) {
   EXPECT_EQ(Planner().plan(4).backend_name(), "generated");
   EXPECT_EQ(Planner().threads(4).plan(4).backend_name(), "parallel");
   // An explicit backend wins over the threads heuristic.
-  EXPECT_EQ(Planner().threads(4).backend("template").plan(4).backend_name(),
-            "template");
+  EXPECT_EQ(Planner().threads(4).backend("generated").plan(4).backend_name(),
+            "generated");
 }
 
 TEST(Planner, UnknownBackendThrows) {

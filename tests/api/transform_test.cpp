@@ -29,7 +29,6 @@ TEST(Transform, DefaultConstructedIsInvalidAndThrows) {
   double x[2] = {1.0, -1.0};
   EXPECT_THROW(t.execute(x), std::logic_error);
   EXPECT_THROW(t.execute_many(x, 1), std::logic_error);
-  EXPECT_THROW(t.last_op_counts(), std::logic_error);
 }
 
 TEST(Transform, ExecuteMatchesCoreExecute) {
@@ -166,19 +165,6 @@ TEST(Transform, ParallelBackendMatchesSequential) {
   par.execute(a.data());
   seq.execute(b.data());
   EXPECT_EQ(a, b);
-}
-
-TEST(Transform, InstrumentedBackendExposesOpCounts) {
-  const core::Plan plan = core::Plan::iterative(8);
-  auto t = fixed(plan, "instrumented");
-  auto data = random_vector(plan.size(), 7);
-  auto reference = data;
-  t.execute(data.data());
-  core::execute(plan, reference.data());
-  EXPECT_EQ(data, reference);
-  const core::OpCounts* counts = t.last_op_counts();
-  ASSERT_NE(counts, nullptr);
-  EXPECT_EQ(*counts, core::count_ops(plan));
 }
 
 TEST(Transform, MeasureReportsOrderedStatistics) {

@@ -109,7 +109,7 @@ TEST(Instrumented, ExecutionIsNumericallyIdenticalToProduction) {
   std::vector<double> b(size);
   util::Rng fill(5);
   for (std::uint64_t i = 0; i < size; ++i) a[i] = b[i] = fill.uniform(-1, 1);
-  execute(plan, a.data(), CodeletBackend::kTemplate);
+  execute(plan, a.data());
   execute_instrumented(plan, b.data());
   for (std::uint64_t i = 0; i < size; ++i) EXPECT_EQ(a[i], b[i]);
 }

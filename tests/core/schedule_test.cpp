@@ -161,7 +161,7 @@ TEST(ExecuteSchedule, StridedMatchesDenseAndKeepsGapsIntact) {
         dense[i] = v;
       }
       execute_schedule(schedule, strided.data(), stride,
-                       codelet_table(CodeletBackend::kGenerated));
+                       codelet_table());
       execute_schedule(schedule, dense.data());
       for (std::uint64_t i = 0; i < size; ++i) {
         ASSERT_EQ(strided[i * static_cast<std::uint64_t>(stride)], dense[i]);

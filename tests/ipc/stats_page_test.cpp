@@ -12,6 +12,9 @@
 // lifetime total).  Once traffic stops, the published request total must
 // equal the requests sent.
 //
+// A page whose header claims more series than the page holds must be
+// refused by the reader, not rendered.
+//
 // Fork discipline (as in ipc_serve_test): the child is forked BEFORE the
 // Daemon is constructed, while the process is single-threaded, and leaves
 // through _exit so the forked gtest runtime never runs atexit hooks.
@@ -191,6 +194,28 @@ TEST(IpcStatsPage, PublishesOnlySeriesWithTraffic) {
     if (s.batch == 0) served_singles += s.count;
   }
   EXPECT_EQ(served_singles, kSent) << "the served single series is on it";
+}
+
+TEST(IpcStatsPage, ReaderRefusesMoreSeriesThanThePageHolds) {
+  // A page with a valid header that claims more series than it has slots
+  // is malformed: rendering it would read past the page.
+  const std::string endpoint = unique_endpoint("statsmalformed");
+  const std::string name = stats_shm_name_for(endpoint);
+  const Shm shm = Shm::create(name, sizeof(StatsPage));
+  auto* page = static_cast<StatsPage*>(shm.data());
+  page->header.magic = kStatsMagic;
+  page->header.version = kStatsVersion;
+  page->header.series_count = kStatsSeriesCapacity + 1;
+
+  auto out = std::make_unique<StatsPage>();
+  std::string error;
+  EXPECT_FALSE(stats_snapshot(endpoint, *out, error));
+  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+
+  page->header.series_count = kStatsSeriesCapacity;  // a full page is fine
+  EXPECT_TRUE(stats_snapshot(endpoint, *out, error)) << error;
+  EXPECT_EQ(out->header.series_count, kStatsSeriesCapacity);
+  Shm::unlink(name);
 }
 
 }  // namespace

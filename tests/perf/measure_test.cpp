@@ -46,8 +46,9 @@ TEST(Measure, ExplicitInnerLoopIsHonored) {
 }
 
 TEST(Measure, AutoInnerLoopBatchesTinyTransforms) {
-  EXPECT_GT(auto_inner_loop(core::Plan::small(2), core::CodeletBackend::kGenerated),
-            8);
+  MeasureOptions options;
+  options.repetitions = 1;  // inner_loop stays 0: the probe sizes the batch
+  EXPECT_GT(measure_plan(core::Plan::small(2), options).inner_loop, 8);
 }
 
 TEST(MeasureRun, TimesAnArbitraryEngine) {

@@ -38,7 +38,7 @@ void expect_strided_parity(const core::Plan& plan, std::ptrdiff_t stride) {
   }
   execute(plan, x.data(), stride);
   core::execute_node(plan.root(), reference.data(), stride,
-                     core::codelet_table(core::CodeletBackend::kGenerated));
+                     core::codelet_table());
   for (std::uint64_t i = 0; i < extent; ++i) {
     ASSERT_EQ(x[i], reference[i])
         << plan.to_string() << " stride " << stride << " element " << i;

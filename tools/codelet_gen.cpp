@@ -85,15 +85,14 @@ int main(int argc, char** argv) {
                "// GENERATED FILE — do not edit.\n"
                "// Produced by tools/codelet_gen (max_k = %d); straight-line\n"
                "// WHT codelets in the style of the original WHT package.\n"
-               "#include \"core/codelets_gen.hpp\"\n\n"
+               "#include \"core/codelet.hpp\"\n\n"
                "namespace whtlab::core {\n\n"
                "namespace {\n\n",
                max_k);
   for (int k = 1; k <= max_k; ++k) emit_codelet(out, k);
   std::fprintf(out,
                "}  // namespace\n\n"
-               "const std::array<CodeletFn, kMaxUnrolled + 1>&\n"
-               "generated_codelet_table() {\n"
+               "const std::array<CodeletFn, kMaxUnrolled + 1>& codelet_table() {\n"
                "  static const std::array<CodeletFn, kMaxUnrolled + 1> table = {\n"
                "      nullptr,\n");
   for (int k = 1; k <= 8; ++k) {

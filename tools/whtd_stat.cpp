@@ -4,27 +4,26 @@
 // into a separate shm segment ("/whtlab.<endpoint>.stats", see
 // ipc/protocol.hpp) guarded by a seqlock.  This tool maps that segment
 // read-only (it provably cannot perturb the daemon it is observing), takes
-// a consistent copy with stats_read(), and renders it:
+// a consistent copy with stats_snapshot(), and renders it:
 //
 //   whtd_stat                         # one-shot text dump, endpoint "whtlab"
 //   whtd_stat --endpoint lab --json   # machine-readable snapshot
 //   whtd_stat --watch 500             # re-render every 500 ms until ^C
 //
 // Exit status: 0 after at least one successful render; 1 when the stats
-// segment is missing / malformed / unreadable (one-shot mode), 2 on usage
-// errors.  --watch keeps trying across daemon restarts — the segment is
-// remapped on every tick, so a rolling restart (new epoch, new pid) is
-// picked up rather than leaving the observer staring at a dead mapping.
+// segment is missing / malformed / unreadable (one-shot mode; a page that
+// claims more series than it holds is malformed), 2 on usage errors.
+// --watch keeps trying across daemon restarts — the segment is remapped on
+// every tick, so a rolling restart (new epoch, new pid) is picked up rather
+// than leaving the observer staring at a dead mapping.
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <string>
 #include <thread>
 
 #include "ipc/protocol.hpp"
-#include "ipc/shm.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -35,40 +34,9 @@ using whtlab::ipc::StatsSeries;
 volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
 
-/// Maps the endpoint's stats segment and copies a consistent snapshot into
-/// `out`.  Returns false with a diagnostic in `error` on any failure: no
-/// segment, short segment, bad magic/version, or a publish storm that
-/// defeats the seqlock retry budget.
-bool snapshot(const std::string& endpoint, StatsPage& out, std::string& error) {
-  const std::string name = whtlab::ipc::stats_shm_name_for(endpoint);
-  whtlab::ipc::Shm shm;
-  try {
-    shm = whtlab::ipc::Shm::open_readonly(name);
-  } catch (const std::exception& e) {
-    error = e.what();
-    return false;
-  }
-  if (shm.size() < sizeof(StatsPage)) {
-    error = name + ": segment too small (" + std::to_string(shm.size()) +
-            " bytes) — not a stats page";
-    return false;
-  }
-  const auto* page = static_cast<const StatsPage*>(shm.data());
-  if (page->header.magic != whtlab::ipc::kStatsMagic) {
-    error = name + ": bad magic — not a stats page";
-    return false;
-  }
-  if (page->header.version != whtlab::ipc::kStatsVersion) {
-    error = name + ": stats page version " +
-            std::to_string(page->header.version) + ", this tool speaks " +
-            std::to_string(whtlab::ipc::kStatsVersion);
-    return false;
-  }
-  if (!whtlab::ipc::stats_read(*page, out)) {
-    error = name + ": no consistent snapshot (publish storm) — try again";
-    return false;
-  }
-  return true;
+/// Length of a series' backend name: up to its NUL, never past its bytes.
+int name_length(const StatsSeries& s) {
+  return static_cast<int>(::strnlen(s.backend, sizeof(s.backend)));
 }
 
 void print_text(const StatsPage& page) {
@@ -93,21 +61,22 @@ void print_text(const StatsPage& page) {
               "shape", "count", "mean", "p50", "p99", "max");
   for (std::uint32_t i = 0; i < h.series_count; ++i) {
     const StatsSeries& s = page.series[i];
-    std::printf("%4d  %-12s %-7s %10" PRIu64 " %12.0f %12.0f %12.0f %12" PRIu64
-                "\n",
-                s.n, s.backend, s.batch ? "batch" : "single", s.count, s.mean,
-                s.p50, s.p99, s.max);
+    std::printf("%4d  %-12.*s %-7s %10" PRIu64 " %12.0f %12.0f %12.0f"
+                " %12" PRIu64 "\n",
+                s.n, name_length(s), s.backend, s.batch ? "batch" : "single",
+                s.count, s.mean, s.p50, s.p99, s.max);
   }
 }
 
 /// Backend names come from BackendRegistry identifiers ([a-z_]+ in this
-/// repo), so plain %s inside quotes is safe JSON; guard anyway by dropping
-/// quotes and backslashes if a hostile daemon wrote them.
-void print_json_string(const char* s) {
+/// repo), so plain text inside quotes is safe JSON; guard anyway by
+/// dropping quotes and backslashes if a hostile daemon wrote them.
+void print_json_name(const StatsSeries& s) {
   std::putchar('"');
-  for (; *s; ++s) {
-    if (*s != '"' && *s != '\\' && static_cast<unsigned char>(*s) >= 0x20) {
-      std::putchar(*s);
+  for (int i = 0; i < name_length(s); ++i) {
+    const char c = s.backend[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      std::putchar(c);
     }
   }
   std::putchar('"');
@@ -128,7 +97,7 @@ void print_json(const StatsPage& page) {
     const StatsSeries& s = page.series[i];
     if (i != 0) std::putchar(',');
     std::printf("{\"n\":%d,\"backend\":", s.n);
-    print_json_string(s.backend);
+    print_json_name(s);
     std::printf(",\"shape\":\"%s\",\"count\":%" PRIu64 ",\"min\":%" PRIu64
                 ",\"max\":%" PRIu64 ",\"mean\":%.1f,\"p50\":%.1f,\"p99\":%.1f}",
                 s.batch ? "batch" : "single", s.count, s.min, s.max, s.mean,
@@ -160,7 +129,7 @@ int main(int argc, char** argv) {
   static StatsPage page;  // ~18 KiB — keep it off the stack
   std::string error;
   if (watch_ms == 0) {
-    if (!snapshot(endpoint, page, error)) {
+    if (!whtlab::ipc::stats_snapshot(endpoint, page, error)) {
       std::fprintf(stderr, "whtd_stat: %s\n", error.c_str());
       return 1;
     }
@@ -173,7 +142,7 @@ int main(int argc, char** argv) {
   // once per state change rather than spamming every tick.
   bool was_ok = true;
   while (!g_stop) {
-    if (snapshot(endpoint, page, error)) {
+    if (whtlab::ipc::stats_snapshot(endpoint, page, error)) {
       json ? print_json(page) : print_text(page);
       if (!json) std::printf("\n");
       std::fflush(stdout);

@@ -3,7 +3,7 @@
 // Hammer one shared wht::Engine from T client threads and count transforms
 // served per second — the production shape the concurrent-serving redesign
 // targets: immutable shared plans, re-entrant backends, serve-time backend
-// arbitration, and submit().  Six sections:
+// arbitration, and submit().  Seven sections:
 //
 //   decisions  the arbiter's backend choice (and every candidate's priced
 //              cost) per request shape — single vectors across the n range
@@ -14,6 +14,10 @@
 //   sync       the same synchronous singles at the three small sizes
 //              around --coalesce-n, where per-request overhead (locks,
 //              dispatch, telemetry) rather than the kernel sets the rate
+//   small      one client's synchronous singles at n = 1..6, each with
+//              the backend it routes to: the sizes where the Engine's own
+//              cost rivals the transform's, and where "simd" runs the
+//              generated codelet on a whole-vector leaf
 //   engine_minus_raw  per size of the sync section, one client's
 //              Engine::execute against the arbitrated backend's
 //              Transform::execute on a caller-owned context, in paired
@@ -143,6 +147,14 @@ struct SyncCell {
   std::vector<double> rps;
 };
 
+/// One small-section size: one client's requests/sec and the backend the
+/// arbiter routes its singles to.
+struct SmallCell {
+  int n = 0;
+  std::string backend;
+  double rps = 0.0;
+};
+
 /// engine_minus_raw cell: per-request ns of the two arms, each the median
 /// over rounds, and the median of the per-round differences.
 struct EngineMinusRaw {
@@ -178,6 +190,7 @@ void print_json(std::FILE* out, const std::vector<ShapeDecision>& decisions,
                 const std::vector<int>& threads, int gate_n,
                 const std::vector<double>& single_rps,
                 const std::vector<SyncCell>& sync,
+                const std::vector<SmallCell>& small,
                 const std::vector<EngineMinusRaw>& minus_raw,
                 const std::vector<double>& mixed_rps, int coalesce_n,
                 const std::vector<double>& coalesce_rps,
@@ -225,6 +238,12 @@ void print_json(std::FILE* out, const std::vector<ShapeDecision>& decisions,
     std::fprintf(out, "%s\n    {\"n\": %d, ", i ? "," : "", sync[i].n);
     print_series("rps", sync[i].rps);
     std::fprintf(out, "}");
+  }
+  std::fprintf(out, "\n  ],\n  \"small\": [");
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    std::fprintf(out, "%s\n    {\"n\": %d, \"backend\": \"%s\", \"rps\": %.1f}",
+                 i ? "," : "", small[i].n, small[i].backend.c_str(),
+                 small[i].rps);
   }
   std::fprintf(out, "\n  ],\n  \"engine_minus_raw\": [");
   for (std::size_t i = 0; i < minus_raw.size(); ++i) {
@@ -365,6 +384,16 @@ int main(int argc, char** argv) {
       std::printf("sync    n=%-3d clients=%-2d  %10.0f req/s\n", n, t,
                   sync.back().rps.back());
     }
+  }
+
+  // --- small: one client's singles at n = 1..6 -----------------------------
+  std::vector<SmallCell> small;
+  for (int n = 1; n <= 6; ++n) {
+    // Routed (and first-touched) before the timed windows.
+    small.push_back({n, engine.arbitrate(n, 1).backend, 0.0});
+    small.back().rps = sync_singles("small", n, 1);
+    std::printf("small   n=%-3d backend=%-10s %10.0f req/s\n", n,
+                small.back().backend.c_str(), small.back().rps);
   }
 
   // --- engine_minus_raw: what the Engine adds per request ----------------
@@ -558,8 +587,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_serve: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  print_json(out, decisions, threads, gate_n, single_rps, sync, minus_raw,
-             mixed_rps, coalesce_n, coalesce_rps, sync_rps, overhead, stats);
+  print_json(out, decisions, threads, gate_n, single_rps, sync, small,
+             minus_raw, mixed_rps, coalesce_n, coalesce_rps, sync_rps,
+             overhead, stats);
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
 

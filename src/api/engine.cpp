@@ -73,7 +73,11 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   }
   candidates_ = options_.backends;
   if (candidates_.empty()) {
-    candidates_ = {"generated", "simd", "fused"};
+    // The backends that can win a size: "simd" runs the generated codelet
+    // itself on the small leaves where the reference walk beats its vector
+    // walk, so the reference is planned only where a caller or the breaker
+    // names it.
+    candidates_ = {"simd", "fused"};
     if (options_.threads > 1) candidates_.push_back("parallel");
   }
   auto& registry = BackendRegistry::global();
@@ -209,16 +213,14 @@ std::size_t Engine::prewarm() {
     return 0;  // unreadable/corrupt wisdom: prewarm is best-effort
   }
   const std::string cpu = simd::to_string(simd::active_level());
-  // A recorded size warms every candidate, as its first touch would:
-  // plan-oblivious backends ("fused") record no wisdom of their own.
+  // A recorded size warms every candidate, as its first touch would,
+  // whichever backend recorded it: plan-oblivious backends ("fused") record
+  // no wisdom of their own, and wisdom seeded through the Planner's default
+  // backend carries "generated" keys.
   std::set<int> sizes;
   for (const Wisdom::Key& key : wisdom.keys()) {
     if (key.cpu != cpu) continue;  // tuned for another host/SIMD level
     if (key.n < 1 || key.n > kMaxLog2Size) continue;
-    if (std::find(candidates_.begin(), candidates_.end(), key.backend) ==
-        candidates_.end()) {
-      continue;
-    }
     sizes.insert(key.n);
   }
   std::size_t built = 0;

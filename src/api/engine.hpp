@@ -62,8 +62,11 @@ namespace whtlab::api {
 struct EngineOptions {
   /// Candidate backends the arbiter chooses among.  Every name must exist in
   /// the BackendRegistry (checked at Engine construction).  Empty = the
-  /// serving built-ins: "generated", "simd", "fused", plus "parallel" when
-  /// threads > 1.
+  /// backends that can win a size: "simd" and "fused", plus "parallel" when
+  /// threads > 1.  "generated" is not a default candidate ("simd" runs its
+  /// codelet on the small leaves where it beats the vector walk); it stays
+  /// the reference and the breaker's fallback, planned only when something
+  /// names it.
   std::vector<std::string> backends;
 
   /// Planning strategy for first-touch plans (kEstimate: model-driven,
@@ -97,6 +100,9 @@ struct EngineOptions {
   /// serving-time failure — an exception out of the backend, or a
   /// non-finite output from a finite input — is transparently re-run on
   /// the `generated` reference backend from a pristine input snapshot.
+  /// Unless "generated" is a candidate, a size's first failure plans it
+  /// there (a one-time planning stall on that request, with no anchor and
+  /// no telemetry series); later fallbacks of that size reuse the plan.
   /// After this many consecutive failures a backend is quarantined: the
   /// arbiter stops routing to it.  (A non-finite *input* legitimately
   /// yields non-finite output and is the caller's business.)  0 disables
@@ -166,12 +172,13 @@ class Engine {
   std::shared_ptr<const Transform> transform(int n, const std::string& backend);
 
   /// Builds the shared Transform of every candidate backend for each size
-  /// n the configured wisdom file records for this host's SIMD level and
-  /// one of this Engine's candidates — what the first touch of n would
-  /// build — so a freshly (re)started daemon pays its first-touch planning
-  /// stalls *before* taking traffic instead of on the first unlucky request
+  /// n the configured wisdom file records for this host's SIMD level,
+  /// whichever backend recorded it — what the first touch of n would build
+  /// — so a freshly (re)started daemon pays its first-touch planning stalls
+  /// *before* taking traffic instead of on the first unlucky request
   /// (`whtd --prewarm`).  Plan-oblivious candidates ("fused") record no
-  /// wisdom, and are warmed through the sizes the others record.  Returns
+  /// wisdom, and wisdom seeded through the Planner's default backend
+  /// carries only "generated" keys; both warm through those sizes.  Returns
   /// the number of Transforms built; shapes whose build throws are skipped
   /// (they will retry on first touch, exactly as without prewarming).  No
   /// wisdom file configured, or none readable, prewarms nothing.
@@ -282,9 +289,9 @@ class Engine {
   /// or null.
   std::vector<std::exception_ptr> build_candidates(int n, Entry* const* cells);
   /// The built entry of a backend that is not a candidate (say
-  /// transform(n, "generated") when the candidates leave it out, as the
-  /// reference fallback then does): planned on first touch with no price,
-  /// since nothing prices it.
+  /// transform(n, "generated") under the default candidates, as the
+  /// reference fallback does): planned on first touch with no price, since
+  /// nothing prices it.
   Entry& unpriced(int n, const std::string& backend);
 
   /// The candidates' cells for n, in candidates_ order: one acquire load

@@ -44,10 +44,10 @@ class ExecContext {
   /// staging() results survive backend scratch() use within one call.
   double* staging(std::size_t count) { return staging_.acquire(count); }
 
-  /// The arenas themselves, for layers that thread scratch down call chains
-  /// (simd::execute_many takes a ScratchArena* for its interleave buffer).
+  /// The scratch arena itself, for layers that thread scratch down call
+  /// chains (simd::execute_many takes a ScratchArena* for its interleave
+  /// buffer).
   util::ScratchArena& scratch_arena() { return scratch_; }
-  util::ScratchArena& staging_arena() { return staging_; }
 
  private:
   util::ScratchArena scratch_;

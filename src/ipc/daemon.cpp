@@ -143,19 +143,20 @@ void Daemon::bind_stats_page() {
   const std::string name = shm_.name() + ".stats";
   Shm::unlink(name);
   stats_shm_ = Shm::create(name, sizeof(StatsPage));
-  auto* page = static_cast<StatsPage*>(stats_shm_.data());
+  stats_stage_ = std::make_unique<StatsPage>();  // a fresh page, all zero
+  StatsPage* page = stats_stage_.get();
   page->header.magic = kStatsMagic;
   page->header.version = kStatsVersion;
   page->header.pid = static_cast<std::uint32_t>(::getpid());
   page->header.epoch = header()->epoch.load(std::memory_order_acquire);
+  stats_publish(*static_cast<StatsPage*>(stats_shm_.data()), *page);
 }
 
 void Daemon::publish_stats_page() {
   if (!stats_shm_.valid()) return;
-  auto* page = static_cast<StatsPage*>(stats_shm_.data());
+  StatsPage* page = stats_stage_.get();
   const telemetry::Snapshot series = engine_->telemetry_snapshot();
   const api::Engine::Stats totals = engine_->stats();
-  stats_write_begin(page->header);
   page->header.published_ns = monotonic_ns();
   page->header.totals.requests =
       header()->stats.requests.load(std::memory_order_relaxed);
@@ -182,7 +183,7 @@ void Daemon::publish_stats_page() {
     out.p99 = in.stats.percentile(0.99);
   }
   page->header.series_count = count;
-  stats_write_end(page->header);
+  stats_publish(*static_cast<StatsPage*>(stats_shm_.data()), *page);
 }
 
 void Daemon::release_stats_page() {

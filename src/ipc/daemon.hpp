@@ -262,10 +262,10 @@ class Daemon {
   /// unlinks again — the successor owns the name from here on.
   void release_name();
   /// Creates (taking over a stale predecessor's) the observer-only stats
-  /// page "<shm name>.stats" and stamps its immutable header fields.
+  /// page "<shm name>.stats" and publishes its immutable header fields.
   void bind_stats_page();
-  /// Publishes the Engine's telemetry snapshot + serving totals into the
-  /// stats page under the seqlock.  Service-thread only.
+  /// Stages the Engine's telemetry snapshot + serving totals and publishes
+  /// them into the stats page under the seqlock.  Service-thread only.
   void publish_stats_page();
   /// Unlinks and unmaps the stats page.  Ordered before the kStopped /
   /// shutdown publication on every exit path, so a successor that waits
@@ -285,6 +285,9 @@ class Daemon {
   Layout layout_;
   Shm shm_;
   Shm stats_shm_;  ///< observer-only telemetry page ("<shm name>.stats")
+  /// The page each publish stages before stats_publish copies it out: the
+  /// shared page is only ever written word by word, atomically.
+  std::unique_ptr<StatsPage> stats_stage_;
   std::unique_ptr<api::Engine> engine_;
   api::ExecContext ctx_;  ///< service-thread scratch and staging for every run
   std::vector<Single> singles_;  ///< this poll round's admitted singles

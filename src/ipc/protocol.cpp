@@ -1,5 +1,7 @@
 #include "ipc/protocol.hpp"
 
+#include <atomic>
+#include <cstddef>
 #include <cstring>
 #include <ctime>
 #include <exception>
@@ -55,15 +57,61 @@ std::string to_string(const DaemonCounters& counters) {
   return line.substr(1);  // drop the leading separator
 }
 
+namespace {
+
+constexpr std::size_t kWord = sizeof(std::uint64_t);
+
+/// The shared page's 64-bit words: the only unit either side accesses the
+/// shared page in.  A reader maps the page read-only; a relaxed load of
+/// one aligned word never writes, so the const_cast stores nothing.
+std::atomic_ref<std::uint64_t> shared_word(const void* page,
+                                           std::size_t index) {
+  auto* words = static_cast<std::uint64_t*>(const_cast<void*>(page));
+  return std::atomic_ref<std::uint64_t>(words[index]);
+}
+
+/// Copies `bytes` (whole words) of the shared page into private memory,
+/// one relaxed atomic load per word.
+void load_words(void* out, const void* shared, std::size_t bytes) {
+  auto* dst = static_cast<unsigned char*>(out);
+  for (std::size_t i = 0; i < bytes / kWord; ++i) {
+    const std::uint64_t word =
+        shared_word(shared, i).load(std::memory_order_relaxed);
+    std::memcpy(dst + i * kWord, &word, kWord);
+  }
+}
+
+constexpr std::size_t kSeqWord = offsetof(StatsPageHeader, seq) / kWord;
+static_assert(offsetof(StatsPageHeader, seq) % kWord == 0);
+
+}  // namespace
+
+void stats_publish(StatsPage& shared, const StatsPage& staged) {
+  // "seq goes odd", then a release fence: a reader whose copy saw any word
+  // stored below has its acquire fence synchronize with this one, so its
+  // second seq load sees the odd value (or later) and rejects the copy.
+  const std::atomic_ref<std::uint64_t> seq = shared_word(&shared, kSeqWord);
+  seq.fetch_add(1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  const auto* src = reinterpret_cast<const unsigned char*>(&staged);
+  for (std::size_t i = 0; i < sizeof(StatsPage) / kWord; ++i) {
+    if (i == kSeqWord) continue;
+    std::uint64_t word = 0;
+    std::memcpy(&word, src + i * kWord, kWord);
+    shared_word(&shared, i).store(word, std::memory_order_relaxed);
+  }
+  // "seq goes even" (release): no store above sinks below it.
+  seq.fetch_add(1, std::memory_order_release);
+}
+
 bool stats_read(const StatsPage& shared, StatsPage& out, int retries) {
+  const std::atomic_ref<std::uint64_t> seq = shared_word(&shared, kSeqWord);
   for (int attempt = 0; attempt < retries; ++attempt) {
-    const std::uint64_t before =
-        shared.header.seq.load(std::memory_order_acquire);
+    const std::uint64_t before = seq.load(std::memory_order_acquire);
     if (before & 1) continue;  // publish in progress
-    std::memcpy(&out, &shared, sizeof(StatsPage));
+    load_words(&out, &shared, sizeof(StatsPage));
     std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t after =
-        shared.header.seq.load(std::memory_order_relaxed);
+    const std::uint64_t after = seq.load(std::memory_order_relaxed);
     if (before == after) return true;
   }
   return false;
@@ -89,14 +137,17 @@ bool stats_snapshot(const std::string& endpoint, StatsPage& out,
     return false;
   }
   const auto* page = static_cast<const StatsPage*>(shm.data());
-  if (page->header.magic != kStatsMagic) {
+  // Identify the page from a word copy of its header before waiting on a
+  // seq word that a foreign segment may hold odd forever.
+  StatsPageHeader header{};
+  load_words(&header, page, sizeof(header));
+  if (header.magic != kStatsMagic) {
     error = name + ": bad magic — not a stats page";
     return false;
   }
-  if (page->header.version != kStatsVersion) {
-    error = name + ": stats page version " +
-            std::to_string(page->header.version) + ", this reader speaks " +
-            std::to_string(kStatsVersion);
+  if (header.version != kStatsVersion) {
+    error = name + ": stats page version " + std::to_string(header.version) +
+            ", this reader speaks " + std::to_string(kStatsVersion);
     return false;
   }
   if (!stats_read(*page, out)) {

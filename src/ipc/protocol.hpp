@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "ipc/spsc_ring.hpp"
 
@@ -313,7 +314,11 @@ struct Layout {
 // state.  Consistency is a seqlock — the single writer (the service loop)
 // never blocks on readers, and a reader detects a torn copy by the sequence
 // word and retries.  Monitoring-grade: a reader that loses every retry
-// reports staleness, nothing worse.
+// reports staleness, nothing worse.  Both sides touch the shared page only
+// as 64-bit words through std::atomic_ref (relaxed between the seq edges),
+// so a racing publish and copy are atomic accesses, never a data race: the
+// writer stages a private page and publishes it with stats_publish(), a
+// reader copies it out with stats_read().
 
 inline constexpr std::uint64_t kStatsMagic = 0x7768746c61622d73ULL;  // "whtlab-s"
 inline constexpr std::uint32_t kStatsVersion = 1;
@@ -322,7 +327,7 @@ inline constexpr std::uint32_t kStatsVersion = 1;
 /// registry's stable ordering makes the drop deterministic).
 inline constexpr std::uint32_t kStatsSeriesCapacity = 256;
 
-/// One exported telemetry series — plain data, written only between the
+/// One exported telemetry series — plain data, published only between the
 /// seqlock edges.  Distribution values are cycles (ticks) per served vector.
 struct StatsSeries {
   std::int32_t n;
@@ -353,8 +358,10 @@ struct StatsPageHeader {
   std::uint32_t pid;      ///< publishing daemon
   std::uint64_t epoch;    ///< daemon takeover epoch at bind
   /// Seqlock word: odd while a publish is in progress.  Readers take a
-  /// consistent copy with stats_read(); the writer never waits.
-  std::atomic<std::uint64_t> seq;
+  /// consistent copy with stats_read(); the writer never waits.  A plain
+  /// word, so the page stays trivially copyable; the shared copy is only
+  /// ever accessed through std::atomic_ref.
+  std::uint64_t seq;
   std::uint64_t published_ns;  ///< monotonic_ns() of the last publish
   std::uint32_t series_count;  ///< valid StatsSeries entries (count > 0 only)
   std::uint32_t reserved;
@@ -367,16 +374,15 @@ struct StatsPage {
 };
 
 static_assert(std::is_standard_layout_v<StatsPage>);
+static_assert(std::is_trivially_copyable_v<StatsPage>);
+static_assert(sizeof(StatsPage) % sizeof(std::uint64_t) == 0,
+              "the page is copied as whole 64-bit words");
 
-/// Seqlock write edges for the single publisher.  The acquire RMW keeps the
-/// body writes from hoisting above "seq goes odd"; the release RMW keeps
-/// them from sinking below "seq goes even".
-inline void stats_write_begin(StatsPageHeader& header) {
-  header.seq.fetch_add(1, std::memory_order_acquire);
-}
-inline void stats_write_end(StatsPageHeader& header) {
-  header.seq.fetch_add(1, std::memory_order_release);
-}
+/// The single publisher's whole write: copies `staged` (the writer's
+/// private page, seq ignored) into the shared page between the seqlock
+/// edges, one relaxed atomic word store at a time, and leaves seq one
+/// publish further on.
+void stats_publish(StatsPage& shared, const StatsPage& staged);
 
 /// Seqlock-consistent copy of the page: retries while the writer is mid-
 /// publish or the sequence moved under the copy.  Returns false when no

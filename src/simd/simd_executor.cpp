@@ -20,6 +20,16 @@ namespace {
 /// width 8; see bench_simd_compare).
 constexpr std::uint64_t kInterleaveMaxDoubles = 512;
 
+/// Per dispatch level (indexed by SimdLevel), the largest whole-vector leaf
+/// (log2) that execute() runs on the scalar generated codelet.  On AVX2 and
+/// AVX-512 the codelet beats the walk and leaf_unit up to small[4] (about
+/// 16 ns against 30 ns at n = 4) and no longer wins from small[5] on
+/// (README's n = 1-6 cells); the scalar level runs every leaf on its
+/// codelet anyway.
+constexpr int kScalarLeafMax[] = {core::kMaxUnrolled, 4, 4};
+static_assert(sizeof(kScalarLeafMax) / sizeof(kScalarLeafMax[0]) ==
+              static_cast<std::size_t>(SimdLevel::kAvx512) + 1);
+
 struct WalkContext {
   const KernelSet* kernels;  // never null inside the vectorized walk
   const std::array<core::CodeletFn, core::kMaxUnrolled + 1>* scalar;
@@ -119,14 +129,23 @@ const KernelSet* kernels_for(SimdLevel level) {
 void execute(const core::Plan& plan, double* x, std::ptrdiff_t stride,
              SimdLevel level) {
   const auto& scalar = core::codelet_table();
+  const core::PlanNode& root = plan.root();
+  if (root.kind == core::NodeKind::kSmall &&
+      root.log2_size <= kScalarLeafMax[static_cast<std::size_t>(level)]) {
+    // The whole vector is one leaf at or below the crossover: the generated
+    // codelet itself, with no kernel lookup and no walk, so it is
+    // bit-identical by construction.
+    scalar[static_cast<std::size_t>(root.log2_size)](x, stride);
+    return;
+  }
   const KernelSet* kernels = kernels_for(level);
   if (kernels == nullptr) {
-    core::execute_node(plan.root(), x, stride, scalar);
+    core::execute_node(root, x, stride, scalar);
     return;
   }
   WalkContext ctx{kernels, &scalar};
   ctx.use_gather = kernels->leaf_strided != nullptr;
-  walk(plan.root(), x, stride, ctx);
+  walk(root, x, stride, ctx);
 }
 
 void execute(const core::Plan& plan, double* x, std::ptrdiff_t stride) {

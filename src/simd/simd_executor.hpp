@@ -12,8 +12,11 @@
 //     butterfly codelets (leaf_unit: lane shuffles for the first log2 W
 //     stages, full-width add/sub beyond);
 //   * everything else — leaves smaller than W, the k < W prefix — falls
-//     back to the scalar generated codelets, and on hosts with no usable
-//     ISA the whole walk degenerates to core::execute_node.
+//     back to the scalar generated codelets, as does a whole vector that is
+//     one leaf at or below its dispatch level's crossover (n <= 4 on AVX2
+//     and AVX-512, where the codelet alone beats the walk and leaf_unit),
+//     and on hosts with no usable ISA the whole walk degenerates to
+//     core::execute_node.
 //
 // execute_many adds the batch-interleaved serving shape: groups of W
 // independent vectors are transposed into SIMD lanes so W whole transforms

@@ -270,6 +270,34 @@ TEST(Engine, NonCandidateIsPlannedUnpricedAndUnrecorded) {
   EXPECT_EQ(recorded, (std::set<std::string>{"fused", "simd"}));
 }
 
+TEST(Engine, DefaultCandidatesAreTheBackendsThatCanWin) {
+  // "simd" runs the generated codelet on the small leaves where it beats
+  // the vector walk, so a default Engine neither plans nor times the
+  // reference walk.
+  Engine engine;
+  EXPECT_EQ(engine.candidates(), (std::vector<std::string>{"simd", "fused"}));
+  EngineOptions threaded;
+  threaded.threads = 2;
+  const Engine split(threaded);
+  EXPECT_EQ(split.candidates(),
+            (std::vector<std::string>{"simd", "fused", "parallel"}));
+
+  const auto decision = engine.arbitrate(3, 1);
+  ASSERT_EQ(decision.candidates.size(), 2u);
+  for (const auto& candidate : decision.candidates) {
+    EXPECT_NE(candidate.backend, "generated");
+  }
+  const auto series = engine.telemetry_snapshot();
+  EXPECT_FALSE(series.empty());
+  for (const auto& s : series) EXPECT_NE(s.backend, "generated") << s.n;
+
+  // Still registered: the reference is planned on demand and shared.
+  const auto reference = engine.transform(3, "generated");
+  ASSERT_NE(reference, nullptr);
+  EXPECT_EQ(reference->backend_name(), "generated");
+  EXPECT_EQ(engine.transform(3, "generated").get(), reference.get());
+}
+
 TEST(Engine, PointerArrayExecuteManyMatchesSharedTransform) {
   EngineOptions options;
   options.backends = {"generated", "simd", "fused"};
@@ -536,20 +564,30 @@ TEST(EnginePrewarm, ARecordedSizeWarmsEveryCandidate) {
   std::remove(options.wisdom_file.c_str());
 }
 
-TEST(EnginePrewarm, OtherCpusAndNonCandidatesWarmNothing) {
-  const std::string cpu = simd::to_string(simd::active_level());
+TEST(EnginePrewarm, OtherCpusWarmNothing) {
   const std::string other_cpu =
       simd::active_level() == simd::SimdLevel::kScalar ? "avx2" : "scalar";
-  for (const auto& [name, key] :
-       {std::pair<std::string, Wisdom::Key>{
-            "engine_prewarm_cpu.txt", {other_cpu, 12, "estimate", "generated"}},
-        std::pair<std::string, Wisdom::Key>{
-            "engine_prewarm_backend.txt", {cpu, 12, "estimate", "parallel"}}}) {
+  EngineOptions options;
+  options.backends = {"generated", "simd", "fused"};
+  options.wisdom_file = wisdom_with("engine_prewarm_cpu.txt",
+                                    {{other_cpu, 12, "estimate", "generated"}});
+  Engine engine(options);
+  EXPECT_EQ(engine.prewarm(), 0u);
+  std::remove(options.wisdom_file.c_str());
+}
+
+TEST(EnginePrewarm, ThisCpusKeyOfAnyBackendWarmsTheDefaultCandidates) {
+  // Wisdom seeded through the Planner's default backend holds "generated"
+  // keys only, and "generated" is no default candidate: the size still
+  // warms both default candidates, as its first touch would.
+  const std::string cpu = simd::to_string(simd::active_level());
+  for (const char* backend : {"generated", "parallel"}) {
     EngineOptions options;
-    options.backends = {"generated", "simd", "fused"};
-    options.wisdom_file = wisdom_with(name, {key});
+    options.wisdom_file = wisdom_with("engine_prewarm_backend.txt",
+                                      {{cpu, 12, "estimate", backend}});
     Engine engine(options);
-    EXPECT_EQ(engine.prewarm(), 0u) << name;
+    ASSERT_EQ(engine.candidates().size(), 2u);
+    EXPECT_EQ(engine.prewarm(), 2u) << backend;
     std::remove(options.wisdom_file.c_str());
   }
 }

@@ -2,8 +2,7 @@
 // serving daemon must never see a torn snapshot.
 //
 // The page is seqlock-guarded (protocol.hpp): the daemon publishes whole
-// snapshots between stats_write_begin/end, observers copy with
-// stats_read().  The reader child here hammers snapshots while the parent
+// snapshots with stats_publish(), observers copy with stats_read().  The reader child here hammers snapshots while the parent
 // daemon serves live traffic and publishes at an aggressive cadence, and
 // asserts structural invariants that a torn read would break: magic and
 // version intact, series table in bounds, NUL-terminated backend names,

@@ -30,9 +30,11 @@ std::vector<SimdLevel> dispatchable_levels() {
 
 /// A cross-section of the plan space at size 2^n: deep unit-stride chains
 /// (right recursive), maximal stride accumulation (iterative), big leaves,
-/// and mixed trees.
+/// mixed trees, and the whole vector as one leaf (either side of each
+/// ISA's KernelSet::scalar_leaf_max crossover).
 std::vector<core::Plan> plan_shapes(int n) {
   std::vector<core::Plan> plans;
+  if (n <= core::kMaxUnrolled) plans.push_back(core::Plan::small(n));
   plans.push_back(core::Plan::right_recursive(n));
   plans.push_back(core::Plan::left_recursive(n));
   plans.push_back(core::Plan::iterative(n));

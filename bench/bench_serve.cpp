@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
   cli.add_flag("pipeline", "in-flight submits per client", "8");
   cli.add_flag("seconds", "measurement seconds per cell", "0.25");
   cli.add_flag("reps", "repetitions per cell (best-of)", "3");
-  cli.add_flag("strategy", "planning strategy (estimate/anneal/...)",
+  cli.add_flag("strategy", "planning strategy (estimate/measure/sampled)",
                "estimate");
   cli.add_flag("wisdom", "wisdom file for first-touch plans", "");
   cli.add_flag("out", "output JSON path", "BENCH_serve.json");

@@ -5,23 +5,13 @@
 
 #include "api/wisdom.hpp"
 #include "core/plan_io.hpp"
-#include "model/combined_model.hpp"
+#include "model/cost_cache.hpp"
 #include "simd/cpu_features.hpp"
 #include "search/dp_search.hpp"
-#include "search/exhaustive.hpp"
-#include "search/local_search.hpp"
 #include "search/pruned_search.hpp"
 #include "util/rng.hpp"
 
 namespace whtlab::api {
-
-namespace {
-
-/// Beyond this the full space is too large to measure exhaustively
-/// (a(10) is already ~10^6 plans; see search/exhaustive.hpp).
-constexpr int kMaxExhaustive = 8;
-
-}  // namespace
 
 Planner& Planner::strategy(Strategy s) {
   strategy_ = s;
@@ -36,25 +26,6 @@ Planner& Planner::backend(std::string name) {
 Planner& Planner::threads(int count) {
   if (count < 1) throw std::invalid_argument("Planner: threads must be >= 1");
   threads_ = count;
-  return *this;
-}
-
-Planner& Planner::max_leaf(int k) {
-  if (k < 1 || k > core::kMaxUnrolled) {
-    throw std::invalid_argument("Planner: max_leaf out of [1, " +
-                                std::to_string(core::kMaxUnrolled) + "]");
-  }
-  max_leaf_ = k;
-  return *this;
-}
-
-Planner& Planner::max_parts(int parts) {
-  // A split has at least two parts, so a cap of 1 leaves the DP nothing to
-  // compose above the largest leaf.
-  if (parts < -1 || parts == 1) {
-    throw std::invalid_argument("Planner: max_parts must be -1, 0 or >= 2");
-  }
-  max_parts_ = parts;
   return *this;
 }
 
@@ -74,14 +45,6 @@ Planner& Planner::keep_fraction(double fraction) {
 
 Planner& Planner::seed(std::uint64_t seed) {
   seed_ = seed;
-  return *this;
-}
-
-Planner& Planner::anneal_options(const search::AnnealOptions& options) {
-  if (options.iterations < 1) {
-    throw std::invalid_argument("Planner: anneal iterations must be >= 1");
-  }
-  anneal_ = options;
   return *this;
 }
 
@@ -117,8 +80,8 @@ core::Plan Planner::search_plan(int n, const ExecutorBackend& backend,
   };
 
   // One memo per search: the combined model skips subtrees it already
-  // priced at a stride class (DP composes earlier winners), and anneal and
-  // sampled search skip whole candidates they revisit.
+  // priced at a stride class (DP composes earlier winners), and sampled
+  // search skips whole candidates it draws again.
   model::CostCache cost_cache;
   const auto record_cache = [&cost_cache, &info]() {
     const auto& stats = cost_cache.stats();
@@ -128,8 +91,7 @@ core::Plan Planner::search_plan(int n, const ExecutorBackend& backend,
   switch (strategy_) {
     case Strategy::kEstimate: {
       search::DpOptions options;
-      options.max_leaf = max_leaf_;
-      options.max_parts = max_parts_ < 0 ? 4 : max_parts_;
+      options.max_parts = 4;
       auto result = search::dp_search(
           n, model_with_backend(backend, &cost_cache), options);
       info.evaluations = result.evaluations;
@@ -141,11 +103,10 @@ core::Plan Planner::search_plan(int n, const ExecutorBackend& backend,
     }
     case Strategy::kMeasure: {
       search::DpOptions options;
-      options.max_leaf = max_leaf_;
       // Ternary splits while candidates are cheap to time, binary beyond
       // (the WHT package's practice; deeper splits remain reachable through
       // recursion).
-      options.max_parts = max_parts_ < 0 ? (n <= 12 ? 3 : 2) : max_parts_;
+      options.max_parts = n <= 12 ? 3 : 2;
       auto result = search::dp_search(n, measured_cost, options);
       info.evaluations = result.evaluations;
       info.cost = result.cost;
@@ -153,47 +114,19 @@ core::Plan Planner::search_plan(int n, const ExecutorBackend& backend,
       info.cost_by_size = std::move(result.cost_by_size);
       return result.plan;
     }
-    case Strategy::kExhaustive: {
-      if (n > kMaxExhaustive) {
-        throw std::invalid_argument(
-            "Planner: exhaustive strategy is practical only for n <= " +
-            std::to_string(kMaxExhaustive) + ", got n = " + std::to_string(n) +
-            " (use kMeasure or kSampled)");
-      }
-      const auto result = search::exhaustive_search(n, measured_cost, max_leaf_);
-      info.evaluations = result.evaluated;
-      info.cost = result.best_cost;
-      return result.best;
-    }
     case Strategy::kSampled: {
       search::PrunedSearchOptions options;
       options.candidates = samples_;
       options.keep_fraction = keep_fraction_;
-      options.max_leaf = max_leaf_;
       options.measure_fn = measured_cost;
       options.cost_cache = &cost_cache;
-      model::CombinedModel model;
-      model.cost_cache = &cost_cache;
       util::Rng rng(seed_);
       const auto result = search::model_pruned_search(
-          n, [&model](const core::Plan& candidate) { return model(candidate); },
-          rng, options);
+          n, model_with_backend(backend, &cost_cache), rng, options);
       info.evaluations = result.measured;
       info.cost = result.best_cycles;
       record_cache();
       return result.best_plan;
-    }
-    case Strategy::kAnneal: {
-      search::AnnealOptions options = anneal_;
-      options.max_leaf = max_leaf_;
-      options.cost_cache = &cost_cache;
-      util::Rng rng(seed_);
-      const auto result = search::anneal_search(
-          n, model_with_backend(backend, &cost_cache), rng, options);
-      info.evaluations = result.evaluations;
-      info.cost = result.best_cost;
-      record_cache();
-      return result.best;
     }
     case Strategy::kFixed: {
       if (!fixed_.valid()) {
@@ -245,12 +178,7 @@ Transform Planner::plan(int n) const {
     WisdomRegistry& registry = WisdomRegistry::global();
     const Wisdom::Key key{simd::to_string(simd::active_level()), n,
                           to_string(strategy_), name};
-    const auto hit = registry.lookup(wisdom_file_, key);
-    // The key does not carry every planner knob (see wisdom.hpp), but the
-    // leaf cap is a hard constraint, not a preference: a cached winner
-    // using larger codelets than this planner allows is a miss, and the
-    // re-search overwrites it.
-    if (hit && hit->max_leaf_log2() <= max_leaf_) {
+    if (const auto hit = registry.lookup(wisdom_file_, key)) {
       info.from_wisdom = true;
       return Transform(*hit, std::move(backend), info);
     }

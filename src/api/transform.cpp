@@ -28,12 +28,8 @@ const char* to_string(Strategy strategy) {
       return "estimate";
     case Strategy::kMeasure:
       return "measure";
-    case Strategy::kExhaustive:
-      return "exhaustive";
     case Strategy::kSampled:
       return "sampled";
-    case Strategy::kAnneal:
-      return "anneal";
     case Strategy::kFixed:
       return "fixed";
   }
@@ -42,13 +38,13 @@ const char* to_string(Strategy strategy) {
 
 Strategy strategy_from_string(const std::string& name) {
   for (const Strategy strategy :
-       {Strategy::kEstimate, Strategy::kMeasure, Strategy::kExhaustive,
-        Strategy::kSampled, Strategy::kAnneal, Strategy::kFixed}) {
+       {Strategy::kEstimate, Strategy::kMeasure, Strategy::kSampled,
+        Strategy::kFixed}) {
     if (name == to_string(strategy)) return strategy;
   }
   throw std::invalid_argument(
       "unknown strategy '" + name +
-      "' (valid: estimate, measure, exhaustive, sampled, anneal, fixed)");
+      "' (valid: estimate, measure, sampled, fixed)");
 }
 
 Transform::Transform(core::Plan plan, std::unique_ptr<ExecutorBackend> backend,

@@ -38,21 +38,18 @@ namespace whtlab::api {
 /// How the Planner chooses a plan (see planner.hpp for the mapping onto the
 /// search/ and model/ modules).
 enum class Strategy {
-  kEstimate,    ///< cost-model DP — no measurement, instant
-  kMeasure,     ///< DP over measured runtime — the WHT package autotuner
-  kExhaustive,  ///< measure every plan in the space (small sizes only)
-  kSampled,     ///< random sample, model-pruned, best survivors measured
-  kAnneal,      ///< simulated annealing over the cost model (local search)
-  kFixed,       ///< caller-supplied plan, no search
+  kEstimate,  ///< cost-model DP — no measurement, instant
+  kMeasure,   ///< DP over measured runtime — the WHT package autotuner
+  kSampled,   ///< random sample, model-pruned, best survivors measured
+  kFixed,     ///< caller-supplied plan, no search
 };
 
 /// Human-readable strategy name ("estimate", "measure", ...).
 const char* to_string(Strategy strategy);
 
-/// Inverse of to_string: parses "estimate" / "measure" / "exhaustive" /
-/// "sampled" / "anneal" / "fixed".  Throws std::invalid_argument listing the
-/// valid names on anything else (the shared CLI-driver parser — see
-/// bench/bench_plan_time.cpp, bench/bench_serve.cpp).
+/// Inverse of to_string: parses "estimate" / "measure" / "sampled" /
+/// "fixed".  Throws std::invalid_argument listing the valid names on
+/// anything else (bench/bench_serve.cpp parses its --strategy flag with it).
 Strategy strategy_from_string(const std::string& name);
 
 /// What planning did, kept on the Transform for reporting.

@@ -1,7 +1,7 @@
 // Plan-cache "wisdom" — the FFTW wisdom analogue.
 //
-// kMeasure / kAnneal / kExhaustive pay a real search cost per (machine,
-// size); a Wisdom file persists their winners so that cost is paid once per
+// kMeasure and kSampled pay a real search cost per (machine, size); a
+// Wisdom file persists the Planner's winners so that cost is paid once per
 // machine.  Entries are keyed by everything that changes the answer:
 //
 //   (cpu level, n, strategy, backend)  ->  plan
@@ -18,7 +18,8 @@
 // a since-deleted "fused" cost model); the loader skips them, so those
 // files still load every plan, and the next save drops them.  Plan-oblivious
 // backends ("fused") record no entries; keys older builds wrote for them
-// still load.
+// still load, and so do rows keyed by strategies older builds planned with
+// ("anneal", "exhaustive"), which no lookup asks for.
 //
 // Hook it up with Planner::wisdom_file(path): lookups hit before any
 // search; misses run the strategy and append the winner.
@@ -27,9 +28,8 @@
 // finer planner knobs (samples, seed, measure options, thread count) tune
 // the same search and are deliberately not part of the key — a winner
 // recorded under one is a valid (if possibly stale) plan under another.
-// The one hard constraint, max_leaf, is enforced at lookup time by the
-// Planner: a cached plan using larger leaves than the current cap is
-// treated as a miss and re-searched.
+// Every search admits the same leaves (up to core::kMaxUnrolled), so a
+// hit is used verbatim.
 //
 // Concurrency: save() always writes a temp file in the same directory and
 // renames it over the target, so readers never observe a torn file.  The

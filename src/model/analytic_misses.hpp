@@ -53,8 +53,8 @@ std::uint64_t analytic_direct_mapped_misses(const core::Plan& plan,
                                             const CacheModelConfig& config);
 
 /// Same, memoizing per-(subtree, stride) results in `cache` so searches
-/// that re-price shared subtrees (DP's best_by_size children, anneal's
-/// mutation neighbourhoods) skip the recursion below any subtree already
+/// that re-price shared subtrees (DP's best_by_size children, the
+/// sampler's repeated shapes) skip the recursion below any subtree already
 /// priced at that stride class.  `cache` may be nullptr (no memoization).
 std::uint64_t analytic_direct_mapped_misses(const core::Plan& plan,
                                             const CacheModelConfig& config,

@@ -6,8 +6,8 @@
 //
 //   * analytically (model/analytic_misses.hpp) — a closed-form O(tree)
 //     recursion over the plan's loop nest, what direct_mapped_misses()
-//     computes and what model-driven planning (kEstimate / kAnneal) prices
-//     with;
+//     computes and what model-driven planning (kEstimate, kSampled's
+//     ranking) prices with;
 //   * by trace replay (trace_direct_mapped_misses below) — the original
 //     tag-per-set walk over the interpreter's full O(n·2^n) access
 //     sequence, kept as the reference the tests check the recursion

@@ -27,7 +27,7 @@ struct CombinedModel {
   int vector_width = 1;
   /// Optional per-search memo (model/cost_cache.hpp): the miss term's
   /// recursion stores per-(subtree, stride) results so candidates sharing
-  /// subtrees — DP's composed winners, anneal's mutation neighbours — are
+  /// subtrees — DP's composed winners, the sampler's repeated shapes — are
   /// priced incrementally.  The caller owns the cache and must not share it
   /// across differently-configured models.
   CostCache* cost_cache = nullptr;

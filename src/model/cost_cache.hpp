@@ -1,18 +1,16 @@
 // Per-planner memoization of model evaluations across a search.
 //
-// Every search strategy prices many candidate plans, and those candidates
-// overlap heavily: DP assembles each size-2^m candidate from the
-// already-found best subplans of its parts, annealing mutates one subtree
-// per step and re-prices the whole tree, and the sampler draws duplicate
+// Every model-driven search prices many candidate plans, and those
+// candidates overlap heavily: DP assembles each size-2^m candidate from the
+// already-found best subplans of its parts, and the sampler draws duplicate
 // shapes.  Before this cache existed every candidate re-walked its full
 // tree from scratch.  A CostCache remembers two granularities:
 //
 //   * whole-plan model values, keyed by the plan's grammar string plus a
 //     caller-chosen tag (geometry / backend width — anything that changes
-//     the answer), consulted by the searches that revisit candidates
-//     (search/local_search.hpp, search/pruned_search.hpp) before invoking
-//     the cost function; DP never does, since each of its candidates is a
-//     distinct tree;
+//     the answer), consulted by the search that revisits candidates
+//     (search/pruned_search.hpp) before invoking the cost function; DP
+//     never does, since each of its candidates is a distinct tree;
 //   * per-subtree miss counts, keyed by (subtree grammar, stride class),
 //     consulted by the analytic cache model's recursion
 //     (model/analytic_misses.hpp) so a subtree shared by many candidates

@@ -20,13 +20,11 @@
 #include "core/parallel_executor.hpp"    // IWYU pragma: export
 #include "core/plan.hpp"                 // IWYU pragma: export
 #include "core/plan_io.hpp"              // IWYU pragma: export
-#include "core/plan_stats.hpp"           // IWYU pragma: export
 #include "core/schedule.hpp"             // IWYU pragma: export
 #include "core/sequency.hpp"             // IWYU pragma: export
 #include "core/verify.hpp"               // IWYU pragma: export
 #include "model/analytic_misses.hpp"     // IWYU pragma: export
 #include "model/cache_model.hpp"         // IWYU pragma: export
-#include "model/calibrate.hpp"           // IWYU pragma: export
 #include "model/combined_model.hpp"      // IWYU pragma: export
 #include "model/cost_cache.hpp"          // IWYU pragma: export
 #include "model/instruction_model.hpp"   // IWYU pragma: export
@@ -38,7 +36,6 @@
 #include "search/dp_search.hpp"          // IWYU pragma: export
 #include "search/enumerate.hpp"          // IWYU pragma: export
 #include "search/exhaustive.hpp"         // IWYU pragma: export
-#include "search/local_search.hpp"       // IWYU pragma: export
 #include "search/pruned_search.hpp"      // IWYU pragma: export
 #include "search/sampler.hpp"            // IWYU pragma: export
 #include "search/space.hpp"              // IWYU pragma: export
@@ -49,7 +46,6 @@
 #include "stats/descriptive.hpp"         // IWYU pragma: export
 #include "stats/grid_opt.hpp"            // IWYU pragma: export
 #include "stats/histogram.hpp"           // IWYU pragma: export
-#include "stats/linear_solve.hpp"        // IWYU pragma: export
 #include "stats/pruning.hpp"             // IWYU pragma: export
 #include "stats/regression.hpp"          // IWYU pragma: export
 #include "util/aligned_buffer.hpp"       // IWYU pragma: export

@@ -10,9 +10,9 @@
 #include "core/verify.hpp"
 #include "model/combined_model.hpp"
 #include "search/dp_search.hpp"
-#include "search/exhaustive.hpp"
-#include "search/local_search.hpp"
+#include "search/pruned_search.hpp"
 #include "simd/cpu_features.hpp"
+#include "util/rng.hpp"
 
 namespace whtlab::api {
 namespace {
@@ -70,35 +70,6 @@ TEST(Planner, DpStrategiesExposeWinnersBySize) {
                   .best_by_size.empty());
 }
 
-TEST(Planner, AnnealStrategyIsReachableAndSeedDeterministic) {
-  search::AnnealOptions schedule;
-  schedule.iterations = 120;
-  auto a = Planner().strategy(Strategy::kAnneal).anneal_options(schedule)
-               .seed(5).plan(10);
-  auto b = Planner().strategy(Strategy::kAnneal).anneal_options(schedule)
-               .seed(5).plan(10);
-  EXPECT_EQ(a.planning().strategy, Strategy::kAnneal);
-  EXPECT_GT(a.planning().evaluations, 0u);
-  EXPECT_GT(a.planning().cost, 0.0);
-  EXPECT_EQ(a.plan(), b.plan());  // same seed, same schedule -> same walk
-  EXPECT_EQ(a.log2_size(), 10);
-  EXPECT_LT(core::verify_plan(a.plan()), 1e-10);
-}
-
-TEST(Planner, AnnealRespectsMaxLeaf) {
-  search::AnnealOptions schedule;
-  schedule.iterations = 80;
-  auto t = Planner().strategy(Strategy::kAnneal).anneal_options(schedule)
-               .max_leaf(3).plan(9);
-  EXPECT_LE(t.plan().max_leaf_log2(), 3);
-}
-
-TEST(Planner, AnnealOptionValidation) {
-  search::AnnealOptions bad;
-  bad.iterations = 0;
-  EXPECT_THROW(Planner().anneal_options(bad), std::invalid_argument);
-}
-
 TEST(Planner, MeasureStrategyProducesValidPlan) {
   perf::MeasureOptions cheap;
   cheap.repetitions = 1;
@@ -112,28 +83,6 @@ TEST(Planner, MeasureStrategyProducesValidPlan) {
   EXPECT_GT(t.planning().evaluations, 0u);
   EXPECT_EQ(t.log2_size(), 6);
   EXPECT_LT(core::verify_plan(t.plan()), 1e-10);
-}
-
-TEST(Planner, ExhaustiveStrategyMatchesSpaceSize) {
-  perf::MeasureOptions cheap;
-  cheap.repetitions = 1;
-  cheap.warmup = 0;
-  cheap.inner_loop = 1;
-  auto t = Planner()
-               .strategy(Strategy::kExhaustive)
-               .measure_options(cheap)
-               .max_leaf(3)
-               .plan(4);
-  // Evaluation count = full space size for this (n, max_leaf).
-  const auto direct = search::exhaustive_search(
-      4, [](const core::Plan&) { return 1.0; }, /*max_leaf=*/3);
-  EXPECT_EQ(t.planning().evaluations, direct.evaluated);
-  EXPECT_LT(core::verify_plan(t.plan()), 1e-10);
-}
-
-TEST(Planner, ExhaustiveRefusesLargeSizes) {
-  EXPECT_THROW(Planner().strategy(Strategy::kExhaustive).plan(12),
-               std::invalid_argument);
 }
 
 TEST(Planner, SampledStrategyIsSeedDeterministic) {
@@ -197,9 +146,6 @@ TEST(Planner, UnknownBackendThrows) {
 
 TEST(Planner, OptionValidation) {
   EXPECT_THROW(Planner().threads(0), std::invalid_argument);
-  EXPECT_THROW(Planner().max_leaf(0), std::invalid_argument);
-  EXPECT_THROW(Planner().max_leaf(core::kMaxUnrolled + 1), std::invalid_argument);
-  EXPECT_THROW(Planner().max_parts(-2), std::invalid_argument);
   EXPECT_THROW(Planner().samples(0), std::invalid_argument);
   EXPECT_THROW(Planner().keep_fraction(0.0), std::invalid_argument);
   EXPECT_THROW(Planner().keep_fraction(1.5), std::invalid_argument);
@@ -207,27 +153,29 @@ TEST(Planner, OptionValidation) {
   EXPECT_THROW(Planner().plan(27), std::invalid_argument);
 }
 
-TEST(Planner, MaxPartsOfOneIsRefusedByTheSetter) {
-  // A split has at least two parts: a cap of 1 would leave the DP nothing
-  // to compose above the largest leaf, so the setter refuses it instead of
-  // plan() failing later.
-  EXPECT_THROW(Planner().max_parts(1), std::invalid_argument);
-  EXPECT_NO_THROW(Planner().max_parts(-1).max_parts(0).max_parts(2));
-  EXPECT_TRUE(Planner().max_parts(2).plan(12).plan().valid());
-}
-
-TEST(Planner, MaxLeafIsRespected) {
-  auto t = Planner().strategy(Strategy::kEstimate).max_leaf(2).plan(9);
-  EXPECT_LE(t.plan().max_leaf_log2(), 2);
-}
-
 TEST(Strategy, ToStringCoversAllValues) {
   EXPECT_STREQ(to_string(Strategy::kEstimate), "estimate");
   EXPECT_STREQ(to_string(Strategy::kMeasure), "measure");
-  EXPECT_STREQ(to_string(Strategy::kExhaustive), "exhaustive");
   EXPECT_STREQ(to_string(Strategy::kSampled), "sampled");
-  EXPECT_STREQ(to_string(Strategy::kAnneal), "anneal");
   EXPECT_STREQ(to_string(Strategy::kFixed), "fixed");
+  for (const Strategy strategy : {Strategy::kEstimate, Strategy::kMeasure,
+                                  Strategy::kSampled, Strategy::kFixed}) {
+    EXPECT_EQ(strategy_from_string(to_string(strategy)), strategy);
+  }
+  // The retired searches' names are refused, and the refusal lists the
+  // four that remain.
+  for (const char* retired : {"anneal", "exhaustive"}) {
+    try {
+      strategy_from_string(retired);
+      ADD_FAILURE() << retired << " parsed";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(retired), std::string::npos) << message;
+      EXPECT_NE(message.find("valid: estimate, measure, sampled, fixed"),
+                std::string::npos)
+          << message;
+    }
+  }
 }
 
 TEST(Planner, EstimateReportsCostCacheHits) {
@@ -251,6 +199,42 @@ TEST(Planner, SimdBackendIsPricedAtVectorWidth) {
       n, [&model](const core::Plan& p) { return model(p); }, options);
   EXPECT_EQ(t.plan(), direct.plan);
   EXPECT_DOUBLE_EQ(t.planning().cost, direct.cost);
+}
+
+TEST(Planner, SampledRanksByTheBackendModel) {
+  // kSampled ranks its candidates by the rule kEstimate prices with
+  // (model_with_backend), so on "simd" it ranks at the dispatched vector
+  // width.  Keeping one candidate of 200 makes the pick the model's top
+  // rank, whatever the measurement reads.  On a host that dispatches
+  // scalar, width 1 prices like a bare CombinedModel, so there the check
+  // cannot tell the two rankings apart.
+  perf::MeasureOptions cheap;
+  cheap.repetitions = 1;
+  cheap.warmup = 0;
+  cheap.inner_loop = 1;
+  const auto simd = BackendRegistry::global().create("simd");
+  for (const int n : {8, 10, 12, 14, 16}) {
+    auto t = Planner()
+                 .strategy(Strategy::kSampled)
+                 .backend("simd")
+                 .samples(200)
+                 .keep_fraction(0.001)
+                 .seed(1)
+                 .measure_options(cheap)
+                 .plan(n);
+    EXPECT_EQ(t.planning().evaluations, 1u) << n;
+
+    model::CostCache cache;
+    search::PrunedSearchOptions options;
+    options.candidates = 200;
+    options.keep_fraction = 0.001;
+    options.measure = cheap;
+    options.cost_cache = &cache;
+    util::Rng rng(1);
+    const auto direct = search::model_pruned_search(
+        n, model_with_backend(*simd, &cache), rng, options);
+    EXPECT_EQ(t.plan().to_string(), direct.best_plan.to_string()) << n;
+  }
 }
 
 }  // namespace

@@ -136,25 +136,38 @@ TEST(PlannerWisdom, SecondPlanComesFromTheCache) {
   EXPECT_EQ(*loaded.lookup(key), first.plan());
 }
 
-TEST(PlannerWisdom, HitViolatingMaxLeafIsAMissAndIsResearched) {
-  const TempFile file("wisdom_maxleaf.txt");
-  // Seed the cache with a winner using leaf-8 codelets for this exact key.
-  Wisdom seed;
-  seed.insert(
-      Wisdom::Key{simd::to_string(simd::active_level()), 10, "estimate",
-                  "generated"},
-      core::Plan::iterative_radix(10, 8));
-  seed.save(file.path());
+TEST(PlannerWisdom, RowsOfRetiredStrategiesLoadAndSurviveAnInsert) {
+  // Older builds also planned with "anneal" and "exhaustive" and recorded
+  // their winners.  Such a file still loads; no planner looks those rows
+  // up, and a planner's insert merges them through to the saved file.
+  const TempFile file("wisdom_retired.txt");
+  const std::string cpu = simd::to_string(simd::active_level());
+  std::ofstream old(file.path());
+  old << "# whtlab wisdom v1\n"
+      << cpu << "\t10\tanneal\tgenerated\tsplit[small[5],small[5]]\n"
+      << cpu << "\t6\texhaustive\tsimd\tsplit[small[3],small[3]]\n";
+  old.close();
+  const Wisdom::Key anneal{cpu, 10, "anneal", "generated"};
+  const Wisdom::Key exhaustive{cpu, 6, "exhaustive", "simd"};
+  EXPECT_EQ(Wisdom::load(file.path()).size(), 2u);
 
-  // A planner capping leaves below the cached winner must not use it.
-  auto capped = Planner().wisdom_file(file.path()).max_leaf(3).plan(10);
-  EXPECT_FALSE(capped.planning().from_wisdom);
-  EXPECT_LE(capped.plan().max_leaf_log2(), 3);
+  auto t = Planner().wisdom_file(file.path()).plan(10);
+  EXPECT_EQ(t.planning().strategy, Strategy::kEstimate);
+  EXPECT_FALSE(t.planning().from_wisdom);
+  EXPECT_GT(t.planning().evaluations, 0u);
 
-  // The re-search overwrote the entry; the capped plan is now the cache.
-  auto replay = Planner().wisdom_file(file.path()).max_leaf(3).plan(10);
-  EXPECT_TRUE(replay.planning().from_wisdom);
-  EXPECT_EQ(replay.plan(), capped.plan());
+  const Wisdom saved = Wisdom::load(file.path());
+  EXPECT_EQ(saved.size(), 3u);
+  ASSERT_NE(saved.lookup(anneal), nullptr);
+  EXPECT_EQ(*saved.lookup(anneal),
+            core::parse_plan("split[small[5],small[5]]"));
+  ASSERT_NE(saved.lookup(exhaustive), nullptr);
+  EXPECT_EQ(*saved.lookup(exhaustive),
+            core::parse_plan("split[small[3],small[3]]"));
+  ASSERT_NE(saved.lookup(Wisdom::Key{cpu, 10, "estimate", "generated"}),
+            nullptr);
+  EXPECT_EQ(*saved.lookup(Wisdom::Key{cpu, 10, "estimate", "generated"}),
+            t.plan());
 }
 
 TEST(Wisdom, SaveIsAtomicReplacement) {

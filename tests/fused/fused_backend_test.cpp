@@ -345,12 +345,10 @@ TEST(FusedBackendFacade, TwoThreadSingleAtTwentyMatchesGenerated) {
 
 TEST(FusedBackendFacade, EveryStrategyPlansNothing) {
   // Every plan of one size runs one schedule, so no strategy searches: each
-  // returns the iterative plan without a single evaluation.  kExhaustive's
-  // size guard does not apply, since nothing is enumerated.
+  // returns the iterative plan without a single evaluation.
   for (const api::Strategy strategy :
        {api::Strategy::kEstimate, api::Strategy::kMeasure,
-        api::Strategy::kExhaustive, api::Strategy::kSampled,
-        api::Strategy::kAnneal}) {
+        api::Strategy::kSampled}) {
     for (const int n : {1, 9, 18}) {
       const auto t = api::Planner().backend("fused").strategy(strategy).plan(n);
       const std::string label =
@@ -373,7 +371,7 @@ TEST(FusedBackendFacade, PlanningRecordsNoWisdom) {
   const std::string path = ::testing::TempDir() + "fused_plans_no_wisdom.txt";
   std::remove(path.c_str());
   for (const api::Strategy strategy :
-       {api::Strategy::kEstimate, api::Strategy::kAnneal}) {
+       {api::Strategy::kEstimate, api::Strategy::kSampled}) {
     const auto t = api::Planner()
                        .backend("fused")
                        .strategy(strategy)

@@ -8,7 +8,6 @@
 #include "core/plan.hpp"
 #include "model/combined_model.hpp"
 #include "search/dp_search.hpp"
-#include "search/local_search.hpp"
 #include "search/pruned_search.hpp"
 #include "util/rng.hpp"
 
@@ -56,33 +55,6 @@ TEST(CostCache, DpSameResultWithSubtreeMemoization) {
   EXPECT_EQ(cached.evaluations, cached_calls);
   // The parts of every split candidate were priced as earlier winners.
   EXPECT_GT(cache.stats().subtree_hits, 0u);
-}
-
-TEST(CostCache, AnnealSameTrajectoryFewerEvaluations) {
-  // Annealing is driven by (rng, accept decisions); costs are identical
-  // either way, so the trajectory — and the winner — must be too.
-  search::AnnealOptions options;
-  options.iterations = 400;
-  std::uint64_t plain_calls = 0;
-  util::Rng plain_rng(42);
-  const auto plain = search::anneal_search(
-      10, CountingCost{{}, &plain_calls}, plain_rng, options);
-
-  CostCache cache;
-  search::AnnealOptions cached_options = options;
-  cached_options.cost_cache = &cache;
-  std::uint64_t cached_calls = 0;
-  util::Rng cached_rng(42);
-  const auto cached = search::anneal_search(
-      10, CountingCost{{}, &cached_calls}, cached_rng, cached_options);
-
-  EXPECT_EQ(plain.best, cached.best);
-  EXPECT_DOUBLE_EQ(plain.best_cost, cached.best_cost);
-  EXPECT_EQ(plain.accepted, cached.accepted);
-  // Mutate/reject cycles revisit plans constantly; the memo must actually
-  // absorb repeats (this is the whole point of threading it through).
-  EXPECT_LT(cached_calls, plain_calls);
-  EXPECT_GT(cache.stats().plan_hits, 0u);
 }
 
 TEST(CostCache, PrunedSearchSameRankingFewerModelCalls) {

@@ -10,7 +10,7 @@
 // its cells read microseconds and 0 evaluations.
 //
 // Noise convention (README bench section): every reported cell is a median
-// over --reps timed repetitions.
+// over --reps timed repetitions, after one untimed plan of the same cell.
 //
 // Run:  ./bench_plan_time [--out FILE] [--nmin N] [--nmax N] [--step N]
 //                         [--reps N] [--backends a,b,..] [--max-seconds S]
@@ -82,6 +82,9 @@ Cell time_plan_median(const std::string& backend, int n, int reps) {
   cell.reps = reps;
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(reps));
+  // One untimed plan first, so the cell's cold first plan (fresh heap,
+  // cold caches) is not among its samples.
+  time_plan_once(backend, n, cell.evaluations);
   for (int r = 0; r < reps; ++r) {
     samples.push_back(time_plan_once(backend, n, cell.evaluations));
   }

@@ -166,7 +166,7 @@ struct EngineMinusRaw {
 };
 
 /// --telemetry-overhead cell: the same single-vector workload through two
-/// fresh engines, telemetry on vs off.
+/// fresh engines, telemetry on vs off (timed vs counted only).
 struct TelemetryOverhead {
   bool measured = false;
   int n = 0;
@@ -519,8 +519,9 @@ int main(int argc, char** argv) {
 
   // --- telemetry overhead: recording cost on the hot path -----------------
   // Two fresh engines serve the identical single-vector workload from one
-  // client; the delta is the per-request price of the two timestamps plus
-  // the relaxed-atomic recording.  The backend is pinned to the main
+  // client.  Both count every request in its series, so the delta is the
+  // per-request price of timing it: the two timestamps, the sum add and
+  // the min/max loads.  The backend is pinned to the main
   // engine's pick so both variants run the exact same kernel — with
   // measure_costs left on, independent anchor re-measurement can flip the
   // arbiter between near-tied backends and swamp the nanosecond-scale

@@ -94,13 +94,9 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
         std::string(kFallbackBackend) + "' in the registry");
   }
   health_.resize(candidates_.size());  // breaker cells exist up front
-  fallback_column_ = static_cast<std::size_t>(
+  reference_id_ = static_cast<std::size_t>(
       std::find(candidates_.begin(), candidates_.end(), kFallbackBackend) -
       candidates_.begin());
-  const std::size_t slots = path_slot(candidates_.size() + 1, kSingle);
-  lines_per_stripe_ = (slots + 7) / 8;
-  counters_ = std::make_unique<CounterLine[]>(
-      static_cast<std::size_t>(telemetry::kStripes) * lines_per_stripe_);
 }
 
 Engine::Entry& Engine::slot(int n, const std::string& backend) {
@@ -167,10 +163,8 @@ std::vector<std::exception_ptr> Engine::build_candidates(int n,
       errors[i] = std::current_exception();  // its cell stays unbuilt
       continue;
     }
-    if (options_.telemetry) {
-      e.telem_single = &telemetry_.series(n, candidates_[i], /*batch=*/false);
-      e.telem_batch = &telemetry_.series(n, candidates_[i], /*batch=*/true);
-    }
+    e.telem_single = &telemetry_.series(n, candidates_[i], /*batch=*/false);
+    e.telem_batch = &telemetry_.series(n, candidates_[i], /*batch=*/true);
     e.transform = std::move(planned[k]);
     e.ready.store(true, std::memory_order_release);
   }
@@ -364,12 +358,12 @@ void Engine::on_backend_success(std::size_t id) {
   h.quarantined = false;
 }
 
-std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
-                                std::size_t count, std::ptrdiff_t dist,
-                                ExecContext* ctx) {
+void Engine::run_guarded(const Choice& choice, int n, double* x,
+                         std::size_t count, std::ptrdiff_t dist,
+                         ExecContext* ctx) {
   const std::uint64_t size = std::uint64_t{1} << n;
   const std::string& backend = candidates_[choice.id];
-  const bool reference = choice.id == fallback_column_;
+  const bool reference = choice.id == reference_id_;
   const bool resilient = options_.quarantine_strikes > 0 && !reference;
   // Execution is in place, so a failed or corrupt run has already destroyed
   // the caller's input by the time the failure is visible.  The snapshot
@@ -385,7 +379,10 @@ std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
                   size * sizeof(double));
     }
   }
-  const auto run = [&](const Transform& t) {
+  // Runs t and returns its ticks; with telemetry off it reads no tick.
+  const bool timed = options_.telemetry;
+  const auto run = [&](const Transform& t) -> std::uint64_t {
+    const std::uint64_t begin = timed ? telemetry::now_ticks() : 0;
     if (count == 1) {
       if (ctx != nullptr) {
         t.execute(x, 1, *ctx);
@@ -397,12 +394,17 @@ std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
     } else {
       t.execute_many(x, count, dist);
     }
+    return timed ? telemetry::now_ticks() - begin : 0;
   };
-  telemetry::Accumulator* telem =
-      options_.telemetry
-          ? (count > 1 ? choice.winner->telem_batch
-                       : choice.winner->telem_single)
-          : nullptr;
+  // The request's one count, in the series of the backend that served it.
+  const auto count_in = [&](telemetry::Accumulator& series,
+                            std::uint64_t elapsed) {
+    if (timed) {
+      series.record(elapsed / count, count);
+    } else {
+      series.count(count);
+    }
+  };
   std::uint64_t elapsed = 0;
   bool failed = false;
   try {
@@ -410,9 +412,7 @@ std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
       throw std::runtime_error("engine: backend '" + backend +
                                "' failed [fault injected]");
     }
-    const std::uint64_t begin = telem ? telemetry::now_ticks() : 0;
-    run(*choice.winner->transform);
-    if (telem) elapsed = telemetry::now_ticks() - begin;
+    elapsed = run(*choice.winner->transform);
     if (fault::enabled() && fault::point("engine.corrupt." + backend)) {
       x[0] = std::numeric_limits<double>::quiet_NaN();
     }
@@ -430,8 +430,10 @@ std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
   }
   if (!failed) {
     if (health_armed() && !reference) on_backend_success(choice.id);
-    if (telem != nullptr) telem->record(elapsed / count);
-    return choice.id;
+    count_in(count > 1 ? *choice.winner->telem_batch
+                       : *choice.winner->telem_single,
+             elapsed);
+    return;
   }
   on_backend_failure(choice.id);
   for (std::size_t v = 0; v < count; ++v) {
@@ -440,58 +442,27 @@ std::size_t Engine::run_guarded(const Choice& choice, int n, double* x,
   }
   // The reference backend's own failures propagate: there is nothing left
   // to fall back to, and masking them would hide real breakage.
-  run(*transform(n, kFallbackBackend));
-  bump(kFailures, 1);
-  bump(kFallbacks, count);
-  return fallback_column_;
-}
-
-void Engine::bump(std::size_t slot, std::uint64_t by) {
-  CounterLine* stripe =
-      &counters_[telemetry::stripe_index() * lines_per_stripe_];
-  stripe[slot / 8].slot[slot % 8].fetch_add(by, std::memory_order_relaxed);
-}
-
-std::uint64_t Engine::total(std::size_t slot) const {
-  std::uint64_t sum = 0;
-  for (int s = 0; s < telemetry::kStripes; ++s) {
-    const CounterLine& line =
-        counters_[static_cast<std::size_t>(s) * lines_per_stripe_ + slot / 8];
-    sum += line.slot[slot % 8].load(std::memory_order_relaxed);
-  }
-  return sum;
-}
-
-void Engine::record(std::size_t column, std::uint64_t vectors, Path path) {
-  bump(path_slot(column, path), vectors);
-  if (path == kBatched) bump(kBatches, 1);
-}
-
-void Engine::serve_single(int n, double* x, Path path) {
-  const Choice choice = choose(n, 1);
-  record(run_guarded(choice, n, x, 1,
-                     static_cast<std::ptrdiff_t>(std::uint64_t{1} << n),
-                     nullptr),
-         1, path);
+  const std::shared_ptr<const Transform> fallback =
+      transform(n, kFallbackBackend);
+  elapsed = run(*fallback);
+  failures_.fetch_add(1, std::memory_order_relaxed);
+  fallbacks_.fetch_add(count, std::memory_order_relaxed);
+  count_in(telemetry_.series(n, kFallbackBackend, /*batch=*/count > 1),
+           elapsed);
 }
 
 void Engine::execute(int n, double* x) {
   check_n(n);
-  serve_single(n, x, kSingle);
+  run_guarded(choose(n, 1), n, x, 1,
+              static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), nullptr);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count) {
   check_n(n);
-  execute_many(n, x, count, static_cast<std::ptrdiff_t>(std::uint64_t{1} << n));
-}
-
-void Engine::execute_many(int n, double* x, std::size_t count,
-                          std::ptrdiff_t dist) {
-  check_n(n);
   if (count == 0) return;
   const Choice choice = choose(n, count);
-  record(run_guarded(choice, n, x, count, dist, nullptr), count,
-         count > 1 ? kBatched : kSingle);
+  run_guarded(choice, n, x, count,
+              static_cast<std::ptrdiff_t>(std::uint64_t{1} << n), nullptr);
 }
 
 void Engine::execute_many(int n, double* x, std::size_t count,
@@ -499,8 +470,7 @@ void Engine::execute_many(int n, double* x, std::size_t count,
   check_n(n);
   if (count == 0) return;
   const Choice choice = choose(n, count);
-  record(run_guarded(choice, n, x, count, dist, &ctx), count,
-         count > 1 ? kBatched : kSingle);
+  run_guarded(choice, n, x, count, dist, &ctx);
 }
 
 namespace {
@@ -528,9 +498,8 @@ void Engine::execute_many(int n, double* const* xs, std::size_t count,
     for (std::size_t v = 0; v < count; ++v) {
       // run_guarded may reroute ONE vector to the fallback; the rest still
       // run on the winner.
-      record(run_guarded(choice, n, xs[v], 1,
-                         static_cast<std::ptrdiff_t>(size), &ctx),
-             1, kSingle);
+      run_guarded(choice, n, xs[v], 1, static_cast<std::ptrdiff_t>(size),
+                  &ctx);
     }
     return;
   }
@@ -542,20 +511,19 @@ void Engine::execute_many(int n, double* const* xs, std::size_t count,
   for (std::size_t v = 0; v < count; ++v) {
     std::memcpy(stage + v * size, xs[v], size * sizeof(double));
   }
-  const std::size_t served = run_guarded(
-      choice, n, stage, count, static_cast<std::ptrdiff_t>(size), &ctx);
+  run_guarded(choice, n, stage, count, static_cast<std::ptrdiff_t>(size),
+              &ctx);
   for (std::size_t v = 0; v < count; ++v) {
     std::memcpy(xs[v], stage + v * size, size * sizeof(double));
   }
-  record(served, count, kBatched);
 }
 
 std::future<void> Engine::submit(int n, double* x) {
   check_n(n);
-  bump(kSubmitted, 1);
+  submitted_.fetch_add(1, std::memory_order_relaxed);
   std::promise<void> done;
   try {
-    serve_single(n, x, kSubmitSingle);
+    execute(n, x);
     done.set_value();
   } catch (...) {
     done.set_exception(std::current_exception());
@@ -564,27 +532,20 @@ std::future<void> Engine::submit(int n, double* x) {
 }
 
 telemetry::Snapshot Engine::telemetry_snapshot() const {
+  if (!options_.telemetry) return {};  // the series count, but time nothing
   return telemetry_.snapshot();
 }
 
 Engine::Stats Engine::stats() const {
   Stats snapshot;
-  snapshot.submitted = total(kSubmitted);
-  snapshot.batches = total(kBatches);
-  snapshot.failures = total(kFailures);
-  snapshot.fallbacks = total(kFallbacks);
-  for (std::size_t column = 0; column <= candidates_.size(); ++column) {
-    std::uint64_t vectors = 0;
-    for (const Path path : {kSingle, kSubmitSingle, kBatched}) {
-      const std::uint64_t served = total(path_slot(column, path));
-      if (path == kSingle) snapshot.singles += served;
-      vectors += served;
-    }
-    if (vectors == 0) continue;
-    snapshot.vectors += vectors;
-    snapshot.per_backend[column < candidates_.size() ? candidates_[column]
-                                                     : kFallbackBackend] =
-        vectors;
+  snapshot.submitted = submitted_.load(std::memory_order_relaxed);
+  snapshot.failures = failures_.load(std::memory_order_relaxed);
+  snapshot.fallbacks = fallbacks_.load(std::memory_order_relaxed);
+  for (const telemetry::SeriesSnapshot& series : telemetry_.snapshot()) {
+    if (series.stats.count == 0) continue;
+    (series.batch ? snapshot.batches : snapshot.singles) += series.stats.count;
+    snapshot.vectors += series.stats.vectors;
+    snapshot.per_backend[series.backend] += series.stats.vectors;
   }
   const std::lock_guard<std::mutex> lock(health_mutex_);
   for (std::size_t id = 0; id < candidates_.size(); ++id) {

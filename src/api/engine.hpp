@@ -32,9 +32,10 @@
 //
 // The warm serve path (execute, execute_many and submit) takes no Engine or
 // Transform mutex while the circuit breaker is disarmed: each size's
-// candidate cells are published once through an atomic route pointer, the
-// Stats counters are striped relaxed atomics, and context-less calls run on
-// the calling thread's ExecContext.
+// candidate cells are published once through an atomic route pointer, each
+// request counts once in its (n, backend, shape) telemetry series (striped
+// relaxed atomics, the one table Stats is summed from), and context-less
+// calls run on the calling thread's ExecContext.
 //
 // All public methods are thread-safe; one Engine is meant to be shared by
 // an entire process (construct it once, serve from everywhere).
@@ -101,8 +102,9 @@ struct EngineOptions {
   /// non-finite output from a finite input — is transparently re-run on
   /// the `generated` reference backend from a pristine input snapshot.
   /// Unless "generated" is a candidate, a size's first failure plans it
-  /// there (a one-time planning stall on that request, with no anchor and
-  /// no telemetry series); later fallbacks of that size reuse the plan.
+  /// there (a one-time planning stall on that request, with no anchor);
+  /// later fallbacks of that size reuse the plan.  A re-run counts in the
+  /// (n, "generated", shape) series, timed like any served run.
   /// After this many consecutive failures a backend is quarantined: the
   /// arbiter stops routing to it.  (A non-finite *input* legitimately
   /// yields non-finite output and is the caller's business.)  0 disables
@@ -121,7 +123,10 @@ struct EngineOptions {
   /// lifetime totals.  Telemetry only observes: the arbiter prices every
   /// shape from its first-touch anchor alone, so routing is the same with
   /// it on or off.  Recording costs two tick reads, two relaxed atomic adds
-  /// and the min/max loads per request; off skips all of it (the baseline
+  /// (a third for a batch's vector count) and the min/max loads per
+  /// request.  Off counts without timing: each request still counts in its
+  /// series, with one relaxed add (two for a batch) and no tick read, so
+  /// stats() stays exact while telemetry_snapshot() is empty (the baseline
   /// that telemetry-overhead measurements compare against).
   bool telemetry = true;
 };
@@ -196,15 +201,15 @@ class Engine {
   /// backend, synchronously on the calling thread.
   void execute(int n, double* x);
 
-  /// Serves `count` vectors (vector v at x + v*dist; dist defaults to 2^n)
-  /// in one arbitrated run_many call.
+  /// Serves `count` contiguous vectors (vector v at x + v*2^n) in one
+  /// arbitrated run_many call.
   void execute_many(int n, double* x, std::size_t count);
-  void execute_many(int n, double* x, std::size_t count, std::ptrdiff_t dist);
 
   /// External-submitter hooks: the caller owns the per-call context instead
   /// of borrowing the calling thread's — the shape for serving layers that
   /// drive the Engine from their own threads with their own arenas (the
   /// whtd daemon executes straight on shared-memory staging this way).
+  /// Vector v sits at x + v*dist.
   void execute_many(int n, double* x, std::size_t count, std::ptrdiff_t dist,
                     ExecContext& ctx);
 
@@ -223,21 +228,28 @@ class Engine {
   /// out-of-range n throws at the call.
   std::future<void> submit(int n, double* x);
 
-  /// Serving counters (monotonic since construction).  Each is exact, but
-  /// a snapshot taken mid-traffic sums the stripes one counter at a time,
-  /// so its fields can be torn across one another (e.g. `vectors` already
-  /// counting a batch that `batches` does not yet).
+  /// Serving counters (monotonic since construction).  vectors, singles,
+  /// batches and per_backend are sums over the telemetry series, which
+  /// count every served request with telemetry on or off; submitted,
+  /// failures and fallbacks are plain counters.  Each is exact, but a
+  /// snapshot taken mid-traffic reads one series stripe at a time, so its
+  /// fields can be torn across one another (e.g. `vectors` already counting
+  /// a batch that `batches` does not yet).
   struct Stats {
     std::uint64_t vectors = 0;       ///< transforms served, all paths
-    std::uint64_t singles = 0;       ///< synchronous execute() requests
+    /// Single-vector requests served: execute(), submit(), and a group of
+    /// one or too large to stage.  Plain execute()s are singles - submitted.
+    std::uint64_t singles = 0;
     std::uint64_t submitted = 0;     ///< submit() requests
     std::uint64_t batches = 0;       ///< run_many dispatches (any path)
     /// Always 0: submit() serves each vector alone.  Kept only because
     /// existing readers of Stats still name it.
     std::uint64_t coalesced = 0;
     std::uint64_t failures = 0;      ///< serving-time backend failures absorbed
-    std::uint64_t fallbacks = 0;     ///< requests re-run on the reference backend
-    std::map<std::string, std::uint64_t> per_backend;  ///< vectors per winner
+    std::uint64_t fallbacks = 0;     ///< vectors re-run on the reference backend
+    /// Vectors per backend that served them; a fallback's count under
+    /// "generated", where it re-ran.
+    std::map<std::string, std::uint64_t> per_backend;
     /// Circuit-breaker state: quarantine trips per backend since
     /// construction, and the backends sitting in quarantine right now.
     std::map<std::string, std::uint64_t> quarantine_trips;
@@ -267,11 +279,11 @@ class Engine {
     std::atomic<bool> ready{false};
     double unit_cost = 0.0;  ///< per-vector serve cost (cycles or model units)
     std::shared_ptr<const Transform> transform;
-    /// Live telemetry series for this (n, backend), resolved once at build
-    /// so the hot recording path never touches the registry lock (series
-    /// addresses are stable for the Engine's lifetime).  Null when
-    /// telemetry is off, and for a non-candidate entry (nothing routes to
-    /// it, so nothing records into it).
+    /// The telemetry series every request this candidate serves counts in
+    /// (timed when telemetry is on), resolved once at build so the hot
+    /// path never touches the registry lock (series addresses are stable
+    /// for the Engine's lifetime).  Null for a non-candidate entry: nothing
+    /// routes to it, and a fallback looks its series up when it records.
     telemetry::Accumulator* telem_single = nullptr;
     telemetry::Accumulator* telem_batch = nullptr;
   };
@@ -299,7 +311,7 @@ class Engine {
   Entry* const* route(int n);
 
   /// The arbiter's pick for one request shape: the winning entry and its
-  /// candidate id (index into candidates_, also its Stats column).
+  /// candidate id (index into candidates_).
   struct Choice {
     Entry* winner = nullptr;
     std::size_t id = 0;
@@ -327,48 +339,13 @@ class Engine {
   /// True when the breaker can engage, so success/probe bookkeeping runs.
   bool health_armed() const { return options_.quarantine_strikes > 0; }
 
-  /// Runs the chosen transform; with the breaker armed, absorbs a backend
+  /// Runs the chosen transform and counts the request in the series of
+  /// the backend that served it; with the breaker armed, absorbs a backend
   /// failure (exception, injected fault, or non-finite output from a finite
   /// input) by striking the backend, restoring the input from a snapshot,
-  /// and re-running on the reference backend.  Returns the Stats column of
-  /// the backend that actually served.
-  std::size_t run_guarded(const Choice& choice, int n, double* x,
-                          std::size_t count, std::ptrdiff_t dist,
-                          ExecContext* ctx);
-
-  /// Stats counter slots per stripe: these tallies, then, per column (one
-  /// per candidate id, plus one for the reference backend when it is not a
-  /// candidate: fallback_column_), the vectors each serve path delivered —
-  /// so a single-vector request bumps exactly one counter.
-  enum Tally : std::size_t {
-    kSubmitted,
-    kBatches,
-    kFailures,
-    kFallbacks,
-    kTallies
-  };
-  enum Path : std::size_t {
-    kSingle,        ///< execute(), or execute_many of one vector
-    kSubmitSingle,  ///< a submit()
-    kBatched,       ///< execute_many batches
-    kPaths
-  };
-  static std::size_t path_slot(std::size_t column, Path path) {
-    return kTallies + column * kPaths + path;
-  }
-  struct alignas(64) CounterLine {
-    std::atomic<std::uint64_t> slot[8];
-  };
-  /// Adds `by` to `slot` on the calling thread's stripe (relaxed).
-  void bump(std::size_t slot, std::uint64_t by);
-  /// `slot` summed over every stripe.
-  std::uint64_t total(std::size_t slot) const;
-  /// Counts `vectors` served on `column` by one run along `path`.
-  void record(std::size_t column, std::uint64_t vectors, Path path);
-
-  /// One arbitrated single-vector run on the calling thread's context,
-  /// counted along `path`: the body of both execute() and submit().
-  void serve_single(int n, double* x, Path path);
+  /// and re-running on the reference backend.
+  void run_guarded(const Choice& choice, int n, double* x, std::size_t count,
+                   std::ptrdiff_t dist, ExecContext* ctx);
 
   EngineOptions options_;
   std::vector<std::string> candidates_;
@@ -388,9 +365,15 @@ class Engine {
   mutable std::mutex health_mutex_;
   std::vector<Health> health_;  ///< per candidate id
 
-  std::size_t fallback_column_ = 0;
-  std::size_t lines_per_stripe_ = 0;
-  std::unique_ptr<CounterLine[]> counters_;  ///< kStripes x lines_per_stripe_
+  /// Candidate id of the reference backend (candidates_.size() when it is
+  /// not a candidate).
+  std::size_t reference_id_ = 0;
+  /// The Stats fields the series do not hold: rare, or off the hot path.
+  /// Their own cache line, so a submit() never evicts what every request
+  /// reads above.
+  alignas(64) std::atomic<std::uint64_t> submitted_{0};
+  std::atomic<std::uint64_t> failures_{0};
+  std::atomic<std::uint64_t> fallbacks_{0};
 };
 
 /// One-line human-readable rendering of a stats snapshot — the export used

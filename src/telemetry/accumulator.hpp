@@ -12,19 +12,24 @@
 //   * a fixed 64-bucket log2-scaled histogram -> count (its mass) and
 //     p50/p99/any quantile without allocation (bucket b holds values with
 //     bit_width == b; bench_ipc records its round trips into the same
-//     buckets).
+//     buckets);
+//   * the vectors the observations served beyond one each -> vectors (an
+//     Engine batch of k vectors is one observation of its per-vector cost).
 //
 // No field is ever halved or reset, so a count never falls: an observer who
 // wants a recent window subtracts two snapshots (count, and count x mean
 // for the sum).
 //
-// Recording is two relaxed fetch_adds (min/max degrade to a CAS only when
-// they actually change) and the storage is striped: each recording thread
-// lands on its own cache-line-padded Cell, so concurrent recorders on one
-// series do not bounce a shared line.  snapshot() merges the stripes into a
-// plain Stats value.  Every field is exact under any interleaving (integer
-// fetch_add / monotone CAS), which is what the 8-thread bit-stability test
-// asserts.
+// Recording is two relaxed fetch_adds, a third only for an observation of
+// several vectors (min/max degrade to a CAS only when they actually
+// change).  count() is the untimed form: one fetch_add into bucket 0, plus
+// the vectors word for several vectors, so a series can count requests
+// without any tick read behind them.  The storage is striped: each
+// recording thread lands on its own cache-line-padded Cell, so concurrent
+// recorders on one series do not bounce a shared line.  snapshot() merges
+// the stripes into a plain Stats value.  Every field is exact under any
+// interleaving (integer fetch_add / monotone CAS), which is what the
+// 8-thread bit-stability test asserts.
 #pragma once
 
 #include <algorithm>
@@ -65,6 +70,7 @@ inline std::uint64_t now_ticks() {
 /// lifetime total).
 struct Stats {
   std::uint64_t count = 0;  ///< histogram mass: observations recorded
+  std::uint64_t vectors = 0;  ///< vectors those observations served
   std::uint64_t min = ~std::uint64_t{0};  ///< ~0 when count == 0
   std::uint64_t max = 0;
   double sum = 0.0;
@@ -94,6 +100,7 @@ struct Stats {
 
   void merge(const Stats& other) {
     count += other.count;
+    vectors += other.vectors;
     min = std::min(min, other.min);
     max = std::max(max, other.max);
     sum += other.sum;
@@ -108,11 +115,14 @@ struct alignas(64) Cell {
   std::atomic<std::uint64_t> sum{0};
   std::atomic<std::uint64_t> min{~std::uint64_t{0}};
   std::atomic<std::uint64_t> max{0};
+  /// Vectors beyond the first of each observation, so an observation of
+  /// one vector never writes it.
+  std::atomic<std::uint64_t> extra_vectors{0};
   std::atomic<std::uint64_t> buckets[kBuckets] = {};
 
-  void record(std::uint64_t value) {
+  void record(std::uint64_t value, std::uint64_t vectors) {
     sum.fetch_add(value, std::memory_order_relaxed);
-    buckets[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
+    count(bucket_of(value), vectors);
     // Load-then-CAS: after warm-up min/max almost never move, so the common
     // case is two relaxed loads and no RMW at all.
     std::uint64_t m = min.load(std::memory_order_relaxed);
@@ -125,6 +135,13 @@ struct alignas(64) Cell {
     }
   }
 
+  void count(int bucket, std::uint64_t vectors) {
+    buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+    if (vectors > 1) {
+      extra_vectors.fetch_add(vectors - 1, std::memory_order_relaxed);
+    }
+  }
+
   void load_into(Stats& out) const {
     Stats part;
     part.min = min.load(std::memory_order_relaxed);
@@ -134,6 +151,8 @@ struct alignas(64) Cell {
       part.buckets[b] = buckets[b].load(std::memory_order_relaxed);
       part.count += part.buckets[b];
     }
+    part.vectors =
+        part.count + extra_vectors.load(std::memory_order_relaxed);
     out.merge(part);
   }
 
@@ -147,8 +166,7 @@ static_assert(sizeof(Cell) == 9 * 64, "a stripe is 9 cache lines");
 
 /// Small dense thread index for striping (hashing std::thread::id gives no
 /// distribution guarantee; a counter round-robins threads across stripes,
-/// so up to kStripes recorders never collide).  Shared with the Engine's
-/// striped serving counters.
+/// so up to kStripes recorders never collide).
 inline unsigned stripe_index() {
   static std::atomic<unsigned> next{0};
   thread_local const unsigned index =
@@ -162,7 +180,17 @@ class Accumulator {
   Accumulator(const Accumulator&) = delete;
   Accumulator& operator=(const Accumulator&) = delete;
 
-  void record(std::uint64_t value) { cells_[stripe_index()].record(value); }
+  /// One observation of `value`, standing for `vectors` served vectors.
+  void record(std::uint64_t value, std::uint64_t vectors = 1) {
+    cells_[stripe_index()].record(value, vectors);
+  }
+
+  /// One observation with no value behind it: it counts, with its vectors,
+  /// in bucket 0 and leaves sum, min and max alone, so a series fed only
+  /// this way has a count and no distribution.
+  void count(std::uint64_t vectors = 1) {
+    cells_[stripe_index()].count(0, vectors);
+  }
 
   Stats snapshot() const {
     Stats out;

@@ -29,11 +29,6 @@ Snapshot Registry::snapshot() const {
   return out;
 }
 
-std::size_t Registry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return series_.size();
-}
-
 std::string to_text(const Snapshot& snapshot) {
   std::string out;
   out.reserve(snapshot.size() * 360);

@@ -5,10 +5,13 @@
 // single/batch shape bit, because the two serve paths have different
 // per-vector cost structure (a batched vector amortizes pass overhead and
 // rides the interleaved kernels) and folding them into one series would
-// blur both.  Series are created on first touch and never erased, so the
-// `Accumulator*` returned by series() is stable for the Registry's lifetime
-// and can be cached next to the Engine's Entry — the hot recording path
-// never takes the registry mutex.
+// blur both.  It is also the Engine's one counter table: every served
+// request is one observation in the series of the backend that ran it, and
+// a batch's observation carries its vector count, so Engine::stats() sums
+// its request, batch and vector totals from here.  Series are created on
+// first touch and never erased, so the `Accumulator*` returned by series()
+// is stable for the Registry's lifetime and can be cached next to the
+// Engine's Entry — the hot recording path never takes the registry mutex.
 //
 // snapshot() returns plain values; to_text() renders them one line per
 // metric in the Prometheus exposition idiom (`name{labels} value`), sorted
@@ -54,8 +57,6 @@ class Registry {
   /// Point-in-time copy of every series, sorted by (n, backend, shape).
   Snapshot snapshot() const;
 
-  std::size_t size() const;
-
  private:
   using Key = std::tuple<int, std::string, bool>;
 
@@ -70,11 +71,12 @@ class Registry {
 ///   wht_cycles_per_vector_p99{...} 8191
 ///   wht_cycles_per_vector_min{...} 2480
 ///   wht_cycles_per_vector_max{...} 19881
-/// Observations count record() calls (requests on the single path, batch
-/// dispatches on the batch path) since the series was created, so
-/// wht_observations_total is a true counter; the value distribution is
-/// cycles (ticks) per served vector.  Stable order, one line per metric,
-/// newline-terminated.
+/// Observations count requests since the series was created: one per
+/// single-vector request on the single path, and one per batch dispatch on
+/// the batch path, whatever its vector count (Stats::vectors holds that, and
+/// is not exported here).  So wht_observations_total is a true counter; the
+/// value distribution is cycles (ticks) per served vector.  Stable order,
+/// one line per metric, newline-terminated.
 std::string to_text(const Snapshot& snapshot);
 
 }  // namespace whtlab::telemetry

@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -85,6 +86,17 @@ std::vector<double> reference_wht(int n, const std::vector<double>& input) {
   return out;
 }
 
+/// Observations in the (n, backend, single) series, 0 when it has none.
+std::uint64_t single_observations(const Engine& engine, int n,
+                                  const std::string& backend) {
+  for (const auto& series : engine.telemetry_snapshot()) {
+    if (series.n == n && series.backend == backend && !series.batch) {
+      return series.stats.count;
+    }
+  }
+  return 0;
+}
+
 class EngineQuarantineTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::disarm(); }
@@ -118,6 +130,10 @@ TEST_F(EngineQuarantineTest, FailureFallsBackBitExactly) {
   EXPECT_EQ(stats.fallbacks, 1u);
   EXPECT_EQ(stats.per_backend.at("generated"), 1u)
       << "the serve must be recorded under the backend that ran it";
+  EXPECT_EQ(stats.per_backend.count("q-fast"), 0u);
+  EXPECT_EQ(single_observations(engine, n, "generated"), 1u)
+      << "the re-run is one observation in the reference's series";
+  EXPECT_EQ(single_observations(engine, n, "q-fast"), 0u);
   EXPECT_TRUE(stats.quarantined.empty()) << "one strike of three";
 }
 
@@ -235,6 +251,8 @@ TEST_F(EngineQuarantineTest, SubmitPathFallsBackToo) {
   EXPECT_EQ(0, std::memcmp(x.data(), expected.data(),
                            expected.size() * sizeof(double)));
   EXPECT_GE(engine.stats().fallbacks, 1u);
+  EXPECT_EQ(single_observations(engine, n, "generated"), 1u)
+      << "the re-run is one observation in the reference's series";
 }
 
 TEST_F(EngineQuarantineTest, DisabledBreakerPropagatesExceptions) {

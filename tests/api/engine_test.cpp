@@ -1,7 +1,8 @@
 // wht::Engine: shared plan cache, serve-time backend arbitration by request
 // shape, submit() serving on its caller, the n-range gate, wisdom prewarm,
-// and thread-safety of the whole serving surface, exact striped counters
-// included (runs under the TSan CI job).
+// and thread-safety of the whole serving surface, with Stats summed exactly
+// from the telemetry series whether telemetry times requests or not (runs
+// under the TSan CI job).
 #include "api/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <functional>
 #include <future>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -440,8 +442,6 @@ TEST(Engine, RejectsOutOfRangeSizesAtEveryEntryPoint) {
   for (const int n : {-1, 0, kMaxLog2Size + 1, 64}) {
     EXPECT_THROW(engine.execute(n, buffer), std::invalid_argument) << n;
     EXPECT_THROW(engine.execute_many(n, buffer, 1), std::invalid_argument) << n;
-    EXPECT_THROW(engine.execute_many(n, buffer, 1, 2), std::invalid_argument)
-        << n;
     EXPECT_THROW(engine.execute_many(n, buffer, 1, 2, ctx),
                  std::invalid_argument)
         << n;
@@ -463,59 +463,12 @@ TEST(Engine, RejectsUnknownCandidates) {
 }
 
 TEST(Engine, ConcurrentMixedServingIsCorrect) {
-  EngineOptions options;
-  options.backends = {"generated", "simd"};
-  options.measure_costs = false;
-  Engine engine(options);
-
   constexpr int kN = 9;
   constexpr int kThreads = 8;
   constexpr int kRounds = 12;
   constexpr std::size_t kBatch = 4;
   const std::uint64_t size = 1u << kN;
   const auto input = random_vector(size, 5);
-  auto reference = input;
-  engine.transform(kN, engine.arbitrate(kN, 1).backend)->execute(reference.data());
-
-  // Every thread cycles execute / execute_many / submit, so the striped
-  // counters and the route table race each other.
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&, t]() {
-      std::vector<double> work(size);
-      std::vector<double> batch(size * kBatch);
-      for (int i = 0; i < kRounds; ++i) {
-        switch ((t + i) % 3) {
-          case 0:
-            work = input;
-            engine.execute(kN, work.data());
-            if (work != reference) mismatches.fetch_add(1);
-            break;
-          case 1:
-            for (std::size_t v = 0; v < kBatch; ++v) {
-              std::copy(input.begin(), input.end(), batch.begin() + v * size);
-            }
-            engine.execute_many(kN, batch.data(), kBatch);
-            for (std::size_t v = 0; v < kBatch; ++v) {
-              if (!std::equal(reference.begin(), reference.end(),
-                              batch.begin() + v * size)) {
-                mismatches.fetch_add(1);
-              }
-            }
-            break;
-          default:
-            work = input;
-            engine.submit(kN, work.data()).get();
-            if (work != reference) mismatches.fetch_add(1);
-            break;
-        }
-      }
-    });
-  }
-  for (auto& client : clients) client.join();
-  EXPECT_EQ(mismatches.load(), 0);
-
   std::uint64_t singles = 0, many = 0, submits = 0;
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kRounds; ++i) {
@@ -525,16 +478,71 @@ TEST(Engine, ConcurrentMixedServingIsCorrect) {
       submits += kind == 2;
     }
   }
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.vectors, singles + many * kBatch + submits);
-  EXPECT_EQ(stats.singles, singles);
-  EXPECT_EQ(stats.submitted, submits);
-  EXPECT_EQ(stats.batches, many);
-  std::uint64_t per_backend = 0;
-  for (const auto& [backend, vectors] : stats.per_backend) {
-    per_backend += vectors;
+
+  // Telemetry off still counts every request (untimed), so Stats reads the
+  // same totals either way.
+  for (const bool telemetry : {true, false}) {
+    SCOPED_TRACE(telemetry ? "telemetry on" : "telemetry off");
+    EngineOptions options;
+    options.backends = {"generated", "simd"};
+    options.measure_costs = false;
+    options.telemetry = telemetry;
+    Engine engine(options);
+    const std::string single_winner = engine.arbitrate(kN, 1).backend;
+    const std::string batch_winner = engine.arbitrate(kN, kBatch).backend;
+    auto reference = input;
+    engine.transform(kN, single_winner)->execute(reference.data());
+
+    // Every thread cycles execute / execute_many / submit, so the series'
+    // stripes and the route table race each other.
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> clients;
+    for (int t = 0; t < kThreads; ++t) {
+      clients.emplace_back([&, t]() {
+        std::vector<double> work(size);
+        std::vector<double> batch(size * kBatch);
+        for (int i = 0; i < kRounds; ++i) {
+          switch ((t + i) % 3) {
+            case 0:
+              work = input;
+              engine.execute(kN, work.data());
+              if (work != reference) mismatches.fetch_add(1);
+              break;
+            case 1:
+              for (std::size_t v = 0; v < kBatch; ++v) {
+                std::copy(input.begin(), input.end(), batch.begin() + v * size);
+              }
+              engine.execute_many(kN, batch.data(), kBatch);
+              for (std::size_t v = 0; v < kBatch; ++v) {
+                if (!std::equal(reference.begin(), reference.end(),
+                                batch.begin() + v * size)) {
+                  mismatches.fetch_add(1);
+                }
+              }
+              break;
+            default:
+              work = input;
+              engine.submit(kN, work.data()).get();
+              if (work != reference) mismatches.fetch_add(1);
+              break;
+          }
+        }
+      });
+    }
+    for (auto& client : clients) client.join();
+    EXPECT_EQ(mismatches.load(), 0);
+
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.vectors, singles + many * kBatch + submits);
+    EXPECT_EQ(stats.singles, singles + submits) << "a submit() is a single";
+    EXPECT_EQ(stats.submitted, submits);
+    EXPECT_EQ(stats.batches, many);
+    std::map<std::string, std::uint64_t> per_backend;
+    per_backend[single_winner] += singles + submits;
+    per_backend[batch_winner] += many * kBatch;
+    EXPECT_EQ(stats.per_backend, per_backend);
+    EXPECT_EQ(engine.telemetry_snapshot().empty(), !telemetry);
   }
-  EXPECT_EQ(per_backend, stats.vectors);
 }
 
 /// Writes a wisdom file holding `keys`, each with the iterative plan of its

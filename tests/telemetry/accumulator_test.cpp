@@ -1,8 +1,8 @@
 // telemetry::Accumulator — the serving path's lock-free running stats.
 //
-// The contract under test: count/sum/min/max/buckets are EXACT lifetime
-// totals under any interleaving (integer fetch_add and monotone CAS lose
-// nothing), and the log2 percentile is monotone and within its
+// The contract under test: count/vectors/sum/min/max/buckets are EXACT
+// lifetime totals under any interleaving (integer fetch_add and monotone
+// CAS lose nothing), and the log2 percentile is monotone and within its
 // power-of-two quantisation.
 #include "telemetry/accumulator.hpp"
 
@@ -63,22 +63,31 @@ TEST(TelemetryAccumulator, MergeIsFieldwiseAddition) {
   Accumulator a;
   Accumulator b;
   for (std::uint64_t v : {1u, 2u, 3u}) a.record(v);
-  for (std::uint64_t v : {100u, 200u}) b.record(v);
+  b.record(100, /*vectors=*/4);  // a batch: one observation of four vectors
+  b.record(200);
+  b.count(/*vectors=*/8);  // untimed: counted, with no value behind it
+  const Stats untimed = b.snapshot();
+  EXPECT_EQ(untimed.count, 3u);
+  EXPECT_EQ(untimed.vectors, 13u);
+  EXPECT_EQ(untimed.min, 100u) << "an untimed observation moves no extreme";
+  EXPECT_DOUBLE_EQ(untimed.sum, 300.0);
   Stats merged = a.snapshot();
-  merged.merge(b.snapshot());
-  EXPECT_EQ(merged.count, 5u);
+  merged.merge(untimed);
+  EXPECT_EQ(merged.count, 6u);
+  EXPECT_EQ(merged.vectors, 3u + 4u + 1u + 8u);
   EXPECT_EQ(merged.min, 1u);
   EXPECT_EQ(merged.max, 200u);
   EXPECT_DOUBLE_EQ(merged.sum, 306.0);
   std::uint64_t bucket_total = 0;
   for (const std::uint64_t c : merged.buckets) bucket_total += c;
-  EXPECT_EQ(bucket_total, 5u) << "histogram mass equals count";
+  EXPECT_EQ(bucket_total, 6u) << "histogram mass equals count";
+  EXPECT_EQ(merged.buckets[0], 1u) << "the untimed observation";
 }
 
 TEST(TelemetryAccumulator, EightThreadConcurrentRecordIsBitStable) {
   // The bit-stability contract: integer totals are exact under contention —
-  // 8 threads x 20000 records must land every count, every sum unit, every
-  // bucket increment, and the true extremes.
+  // 8 threads x 20000 records must land every count, every vector, every
+  // sum unit, every bucket increment, and the true extremes.
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 20000;
   Accumulator acc;
@@ -89,8 +98,9 @@ TEST(TelemetryAccumulator, EightThreadConcurrentRecordIsBitStable) {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         // Thread-distinct values covering several buckets, with known
         // global extremes: thread 0 writes the min 1, the max is
-        // 7 * 1000 + kPerThread - 1.
-        acc.record(static_cast<std::uint64_t>(t) * 1000 + i + 1);
+        // 7 * 1000 + kPerThread - 1.  Observations of one to four vectors
+        // exercise the vectors word beside the buckets.
+        acc.record(static_cast<std::uint64_t>(t) * 1000 + i + 1, i % 4 + 1);
       }
     });
   }
@@ -98,6 +108,7 @@ TEST(TelemetryAccumulator, EightThreadConcurrentRecordIsBitStable) {
 
   const Stats s = acc.snapshot();
   EXPECT_EQ(s.count, kThreads * kPerThread);
+  EXPECT_EQ(s.vectors, kThreads * (kPerThread / 4) * (1 + 2 + 3 + 4));
   EXPECT_EQ(s.min, 1u);
   EXPECT_EQ(s.max, 7u * 1000 + kPerThread);
   // Exact expected sum: sum over t of sum_{i=1..kPerThread} (1000 t + i).
